@@ -5,7 +5,7 @@
 //! Each phase is measured on both execution backends: the reference tree
 //! walker (`Evaluator`) and the register-bytecode VM (`compile` + [`Vm`]).
 //! The `reader-vm-batch` case drives the VM through
-//! [`ds_interp::CompiledProgram::run_batch`], the intended shape for the
+//! [`ds_interp::CompiledProgram::run_batch_soa`], the intended shape for the
 //! paper's workload — one compiled program and one warm cache replayed
 //! across a sweep of varying inputs.
 

@@ -6,7 +6,7 @@
 //! Every phase runs on both backends — the reference tree walker and the
 //! register-bytecode VM — and each case ends with a `reader-vm-batch`
 //! measurement replaying a sweep of varying inputs through
-//! [`ds_interp::CompiledProgram::run_batch`] against one warm cache, the
+//! [`ds_interp::CompiledProgram::run_batch_soa`] against one warm cache, the
 //! shape a renderer would actually use per frame.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -29,10 +29,10 @@
 //! * **Sequential routing** — a program that *writes* the cache couples
 //!   its lanes through shared state (lane `i`'s write is visible to lane
 //!   `i+1`), which lockstep cannot reproduce. Such programs run on the
-//!   sequential path: one scalar run per lane sharing the cache, the old
-//!   `run_batch` loop verbatim. Cache *reads* are lockstep-safe — the
-//!   cache is constant across the batch — which covers the shape that
-//!   matters: specialized readers read slots, only loaders write them.
+//!   sequential path: one scalar run per lane sharing the cache, in lane
+//!   order. Cache *reads* are lockstep-safe — the cache is constant
+//!   across the batch — which covers the shape that matters: specialized
+//!   readers read slots, only loaders write them.
 //!
 //! ## Profile invariance
 //!
@@ -272,7 +272,7 @@ impl BatchVm {
                 .collect();
         };
         if writes_cache(prog, entry_idx) {
-            // Sequential compatibility path: the old `run_batch` loop.
+            // Sequential path: one scalar run per lane, in lane order.
             return inputs
                 .iter()
                 .map(|args| {
@@ -1145,13 +1145,12 @@ impl CompiledProgram {
     /// Runs `entry` once per lane of `inputs` on a fresh [`BatchVm`],
     /// sharing one cache (if given) across the batch.
     ///
-    /// The structure-of-arrays successor to the deprecated
-    /// [`run_batch`](CompiledProgram::run_batch): each instruction is
-    /// fetched, decoded and metered once for the whole batch. Results are
-    /// bit-exact against running the scalar VM per lane — values, costs,
-    /// traces, [`Profile`](crate::Profile) counters and typed errors —
-    /// with faulting lanes masked out and lane-divergent branches falling
-    /// back to per-lane execution (see the [module docs](self)).
+    /// Structure-of-arrays execution: each instruction is fetched, decoded
+    /// and metered once for the whole batch. Results are bit-exact against
+    /// running the scalar VM per lane — values, costs, traces,
+    /// [`Profile`](crate::Profile) counters and typed errors — with
+    /// faulting lanes masked out and lane-divergent branches falling back
+    /// to per-lane execution (see the [module docs](self)).
     ///
     /// ```
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -92,7 +92,7 @@ struct Armed {
 }
 
 /// A fixed-size buffer of cache slots, initially all empty.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CacheBuf {
     slots: Vec<Option<Value>>,
     /// The *intended* slot states, maintained only while a write fault is
@@ -100,6 +100,24 @@ pub struct CacheBuf {
     /// detected without reference to the loader.
     shadow: Option<Vec<Option<Value>>>,
     armed: Option<Armed>,
+}
+
+impl Clone for CacheBuf {
+    fn clone(&self) -> Self {
+        CacheBuf {
+            slots: self.slots.clone(),
+            shadow: self.shadow.clone(),
+            armed: self.armed.clone(),
+        }
+    }
+
+    /// Reuses `self`'s slot allocation: a serving session copies each
+    /// store hit into one long-lived working buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.shadow.clone_from(&source.shadow);
+        self.armed.clone_from(&source.armed);
+    }
 }
 
 /// Equality compares observable slot contents only — fault-injection
@@ -468,6 +486,24 @@ mod tests {
         assert_eq!(buf.first_tampered_slot(), None);
         buf.tamper(9, Some(Value::Int(1))); // out of bounds: ignored
         assert_eq!(buf.len(), 2);
+    }
+
+    #[test]
+    fn clone_from_copies_slots_and_fault_bookkeeping() {
+        let mut damaged = CacheBuf::new(3);
+        damaged.arm_write_fault(WriteFault::CorruptNth(1));
+        damaged.set(0, Value::Int(1));
+        damaged.set(1, Value::Float(2.0));
+        let mut copy = CacheBuf::new(5);
+        copy.set(4, Value::Int(9));
+        copy.clone_from(&damaged);
+        assert_eq!(copy.len(), 3);
+        assert_eq!(copy, damaged);
+        assert!(copy.write_fault_fired());
+        assert_eq!(copy.first_tampered_slot(), Some(1), "shadow copied too");
+        copy.clone_from(&CacheBuf::new(2));
+        assert_eq!(copy.first_tampered_slot(), None, "and cleared again");
+        assert!(!copy.write_fault_fired());
     }
 
     #[test]

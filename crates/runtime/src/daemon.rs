@@ -8,8 +8,14 @@
 //! * **Single-flight staging.** The first requests for a not-yet-staged
 //!   fingerprint coalesce onto one stager through the per-fingerprint
 //!   [`LatchTable`]: one worker takes the exclusive latch and runs the
-//!   loader while the rest wait on a shared latch and then serve from the
-//!   store — other fingerprints proceed without any global lock.
+//!   loader while the rest wait on a shared latch (the `latch_wait` stage)
+//!   and then serve from the store — other fingerprints proceed without
+//!   any global lock. A store hit takes no latch at all: sealed entries are
+//!   immutable, so there is nothing for it to exclude.
+//! * **A thin hit path.** Each request's invariant fingerprint is hashed
+//!   once, by the worker; a hit is one store probe, a copy into the
+//!   session's private buffer, validation and the reader. Submitters wake
+//!   a worker only when one is idle.
 //! * **Admission control (§4.3).** Under [`Admission::Auto`] the daemon
 //!   calibrates the paper's cost model (original vs loader vs reader
 //!   abstract cost) and specializes a fingerprint only once its
@@ -182,6 +188,9 @@ struct Queued {
 struct QueueState {
     queue: VecDeque<Queued>,
     draining: bool,
+    /// Workers blocked waiting for work; a submit wakes one only when this
+    /// is nonzero (a wake is a futex syscall even when nobody sleeps).
+    idle: usize,
 }
 
 struct Shared {
@@ -231,6 +240,7 @@ impl Daemon {
             q: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 draining: false,
+                idle: 0,
             }),
             cv: Condvar::new(),
             cfg,
@@ -313,8 +323,13 @@ impl Daemon {
             enqueued: Instant::now(),
         });
         self.shared.counters.note_admitted(q.queue.len() as u64);
+        let wake = q.idle > 0;
         drop(q);
-        self.shared.cv.notify_one();
+        // A busy worker re-checks the queue before it blocks (under the
+        // same mutex), so only an idle one needs waking.
+        if wake {
+            self.shared.cv.notify_one();
+        }
         Ok(())
     }
 
@@ -366,7 +381,9 @@ fn dequeue(shared: &Shared) -> Option<Queued> {
         if q.draining {
             return None;
         }
+        q.idle += 1;
         q = shared.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
+        q.idle -= 1;
     }
 }
 
@@ -411,10 +428,11 @@ impl RateTable {
 /// Decides whether this arrival of `fp` is served specialized, scoring the
 /// arrival and calibrating the cost model on first use when needed.
 fn admit_specialized(shared: &Shared, args: &[Value], fp: u64) -> bool {
-    let score = lock(&shared.rates).bump(fp);
+    // `Always` never reads a score, so it keeps no rate table either.
     if shared.cfg.admission == Admission::Always {
         return true;
     }
+    let score = lock(&shared.rates).bump(fp);
     let breakeven = {
         let mut bk = lock(&shared.breakeven);
         *bk.get_or_insert_with(|| calibrate(shared, args))
@@ -453,39 +471,6 @@ fn calibrate(shared: &Shared, args: &[Value]) -> Option<u32> {
         Err(_) => return Some(1),
     };
     breakeven_uses(orig, loader, reader)
-}
-
-/// Serves one staged request with single-flight staging: probe the store
-/// under a shared latch, or take the exclusive latch to stage; latecomers
-/// wait on a shared latch and re-probe once the stager finishes. Requests
-/// for other fingerprints never contend.
-fn serve_staged(
-    shared: &Shared,
-    session: &mut Session,
-    args: &[Value],
-    fp: u64,
-) -> Result<Outcome, RuntimeError> {
-    loop {
-        if session.store().get(fp).is_some() {
-            // Staged already: serve under a shared latch (concurrent with
-            // every other reader of this fingerprint).
-            let _shared = shared.latches.shared(fp);
-            return session.run(args);
-        }
-        match shared.latches.try_exclusive(fp) {
-            Some(_stage) => {
-                // This worker is the single stager for `fp`; the session
-                // lifecycle loads, seals and publishes to the store.
-                return session.run(args);
-            }
-            None => {
-                // Another worker is staging `fp` right now: wait for it
-                // (shared blocks behind exclusive), then loop to re-probe
-                // the store instead of duplicating the load.
-                let _wait = shared.latches.shared(fp);
-            }
-        }
-    }
 }
 
 fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>) -> WorkerOut {
@@ -535,11 +520,13 @@ fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>
             // ever *degrade* service, never answers.
             let _ = session.inject(fault, seed);
         }
+        // The one fingerprint hash of this request: admission and the
+        // session both key on it.
         let fp = session.inputs_fingerprint(&req.args);
         let specialized = admit_specialized(&shared, &req.args, fp);
         let mut result = if specialized {
             shared.counters.note_staged_serve();
-            serve_staged(&shared, &mut session, &req.args, fp)
+            session.run_single_flight(&req.args, fp, &shared.latches)
         } else {
             shared.counters.note_unspec_serve();
             let exec_nanos_probe = Instant::now();
@@ -700,29 +687,126 @@ mod tests {
 
     #[test]
     fn racing_first_requests_for_one_fingerprint_stage_once() {
+        // Round one: a free-for-all storm. Round two: the first request's
+        // loader stalls, so the stager is certainly still loading while
+        // the other 31 arrive and block behind it.
+        for stall in [None, Some((Fault::Stall(100), 0))] {
+            let (artifact, store) = dotprod_parts();
+            let cfg = DaemonConfig {
+                workers: 8,
+                max_queue: 64,
+                tracing: true,
+                ..DaemonConfig::default()
+            };
+            let (daemon, rx) = Daemon::start(artifact, store, None, cfg);
+            daemon
+                .submit(0, argv_fixed(2.0, 0.0, 1.0), stall)
+                .expect("submit");
+            while stall.is_some() && daemon.shared.latches.live_entries() == 0 {
+                std::thread::yield_now();
+            }
+            // 32 concurrent requests, all the same invariant fingerprint:
+            // without single-flight latching up to 8 workers would each
+            // run the loader.
+            for i in 1..32u64 {
+                daemon
+                    .submit(i, argv_fixed(2.0, i as f64, 1.0), None)
+                    .expect("submit");
+            }
+            let responses = collect(&rx, 32);
+            assert!(responses.iter().all(|r| r.result.is_ok()));
+            let report = daemon.join();
+            assert_eq!(
+                report.stats.loads, 1,
+                "one stager; everyone else waited on the latch and hit the store"
+            );
+            assert_eq!(report.stats.requests, 32);
+            if stall.is_some() {
+                assert!(
+                    report
+                        .traces
+                        .iter()
+                        .any(|t| t.stages.iter().any(|(name, _)| *name == "latch_wait")),
+                    "blocking behind the stager is a named stage"
+                );
+                assert!(report.timing.stage("latch_wait").is_some());
+            }
+            assert_eq!(daemon.shared.latches.live_entries(), 0);
+        }
+    }
+
+    #[test]
+    fn store_hits_take_no_latch() {
         let (artifact, store) = dotprod_parts();
         let cfg = DaemonConfig {
-            workers: 8,
-            max_queue: 64,
+            workers: 2,
             ..DaemonConfig::default()
         };
-        let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, None, cfg);
-        // 32 concurrent requests, all the same invariant fingerprint:
-        // without single-flight latching up to 8 workers would each run
-        // the loader.
-        for i in 0..32u64 {
+        let (daemon, rx) = Daemon::start(artifact, store, None, cfg);
+        let args = argv_fixed(2.0, 3.0, 6.0);
+        daemon.submit(0, args.clone(), None).expect("submit");
+        assert!(collect(&rx, 1)[0].result.is_ok(), "staged");
+        // Hold the fingerprint's exclusive latch: a hit that took a latch
+        // would block behind it until the timeout.
+        let fp = daemon.shared.artifact.inputs_fingerprint(&args);
+        let held = daemon.shared.latches.exclusive(fp);
+        for i in 1..9u64 {
             daemon
-                .submit(i, argv_fixed(2.0, i as f64, 1.0), None)
+                .submit(i, argv_fixed(2.0, i as f64, 6.0), None)
                 .expect("submit");
         }
-        let responses = collect(&rx, 32);
-        assert!(responses.iter().all(|r| r.result.is_ok()));
+        assert!(collect(&rx, 8).iter().all(|r| r.result.is_ok()));
+        drop(held);
         let report = daemon.join();
-        assert_eq!(
-            report.stats.loads, 1,
-            "one stager; everyone else waited on the latch and hit the store"
-        );
-        assert_eq!(report.stats.requests, 32);
+        assert_eq!(report.stats.loads, 1, "warm and store hits only");
+        assert_eq!(daemon.shared.latches.live_entries(), 0);
+    }
+
+    /// Submits wake a worker only when one is idle. Bursts separated by
+    /// gaps long enough for every worker to block, lone submits after an
+    /// idle gap, and a submit racing `drain` must all still be answered.
+    #[test]
+    fn idle_gated_wakes_lose_no_request() {
+        for workers in [1, 2, 4] {
+            let (artifact, store) = dotprod_parts();
+            let cfg = DaemonConfig {
+                workers,
+                max_queue: 64,
+                ..DaemonConfig::default()
+            };
+            let (daemon, rx) = Daemon::start(artifact, store, None, cfg);
+            let mut seq = 0u64;
+            let mut submit = |daemon: &Daemon| {
+                daemon
+                    .submit(seq, argv_fixed(2.0, (seq % 5) as f64, 1.0), None)
+                    .expect("submit");
+                seq += 1;
+            };
+            for burst in [1, workers, 3 * workers, 1, 17] {
+                std::thread::sleep(Duration::from_millis(20));
+                for _ in 0..burst {
+                    submit(&daemon);
+                }
+                for r in collect(&rx, burst) {
+                    assert!(r.result.is_ok(), "workers={workers} seq {}", r.seq);
+                }
+            }
+            // A submit racing the drain is either answered or rejected
+            // with `Draining`, never lost.
+            std::thread::sleep(Duration::from_millis(20));
+            let answered = std::thread::scope(|scope| {
+                let racer = scope.spawn(|| daemon.submit(seq, argv_fixed(2.0, 1.0, 1.0), None));
+                daemon.drain();
+                racer.join().expect("racer")
+            });
+            let late = usize::from(answered.is_ok());
+            let rest: Vec<_> = rx.iter().collect();
+            assert_eq!(rest.len(), late, "workers={workers}");
+            assert!(rest.iter().all(|r| r.result.is_ok()));
+            let report = daemon.join();
+            assert_eq!(report.counters.admitted(), seq + late as u64);
+            assert_eq!(report.stats.requests, seq + late as u64);
+        }
     }
 
     #[test]

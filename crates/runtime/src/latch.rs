@@ -15,6 +15,11 @@
 //! - Distinct fingerprints never contend beyond their hash shard: staging
 //!   invariant A does not slow serving invariant B.
 //!
+//! Only store misses use the table: a hit serves an immutable sealed entry,
+//! which needs no exclusion, so it takes no latch at all. A release
+//! signals the shard's condition variable only when a thread waits on that
+//! fingerprint.
+//!
 //! Latches are address-free — a fingerprint needs no prior registration,
 //! and a latch entry exists only while someone holds or waits on it, so
 //! the table's footprint is bounded by concurrency, not by history.
@@ -142,11 +147,15 @@ impl LatchTable {
         let mut state = lock(&shard.state);
         let entry = state.get_mut(&fp).expect("released latch must exist");
         entry.shared -= 1;
-        if entry.shared == 0 {
-            if entry.waiters == 0 {
-                state.remove(&fp);
-            }
+        if entry.shared > 0 {
+            return;
+        }
+        // Notify only when someone waits on `fp`: a notify is a futex
+        // syscall even with no waiter.
+        if entry.waiters > 0 {
             shard.cv.notify_all();
+        } else {
+            state.remove(&fp);
         }
     }
 
@@ -155,10 +164,11 @@ impl LatchTable {
         let mut state = lock(&shard.state);
         let entry = state.get_mut(&fp).expect("released latch must exist");
         entry.exclusive = false;
-        if entry.waiters == 0 {
+        if entry.waiters > 0 {
+            shard.cv.notify_all();
+        } else {
             state.remove(&fp);
         }
-        shard.cv.notify_all();
     }
 }
 

@@ -10,14 +10,21 @@
 //!
 //! * a request whose fingerprint matches the session's local warm cache is
 //!   served straight from that buffer — the hot path takes no lock at all;
-//! * on a fingerprint switch the session asks the store first
-//!   (`store_hits`/`store_misses`), cloning a hit into its private buffer
-//!   so no execution ever runs against shared memory — a torn cache is
+//! * on a fingerprint switch the session probes the store once
+//!   (`store_hits`/`store_misses`). A hit shares the sealed entry out of
+//!   the store (a refcount bump under the shard lock) and copies it into
+//!   the session's private buffer after the lock is released, so no
+//!   execution ever runs against shared memory — a torn cache is
 //!   structurally impossible, and the seal + shadow validation still runs
-//!   against the clone;
+//!   against the copy;
 //! * only a store miss runs the loader (budget-gated as before), and the
 //!   freshly sealed cache is published back to the store for the other
-//!   sessions (evictions are counted on the publishing session's profile);
+//!   sessions (evictions are counted on the publishing session's profile).
+//!   Under the [`Daemon`](crate::Daemon) a miss is single-flight: the
+//!   session takes the fingerprint's exclusive staging latch and re-probes
+//!   before loading, or, when another worker is already staging it, waits
+//!   for that stager (the `latch_wait` stage) and probes again. Hits take
+//!   no latch;
 //! * a cache that fails validation is invalidated in the store *and*
 //!   dropped locally before the policy decides how to recover, so a
 //!   damaged entry is never re-served anywhere.
@@ -26,6 +33,7 @@ use crate::artifact::StagedArtifact;
 use crate::cachefile;
 use crate::error::{IntegrityError, RuntimeError};
 use crate::fault::{Fault, FaultInjector};
+use crate::latch::LatchTable;
 use crate::recovery::Recovery;
 use crate::runner::{Policy, RunnerOptions, RunnerStats};
 use crate::store::{CacheStore, StoreEntry};
@@ -250,6 +258,29 @@ impl Session {
     /// A typed [`RuntimeError`]; under every fault model the returned value
     /// is either the reference answer or one of these.
     pub fn run(&mut self, args: &[Value]) -> Result<Outcome, RuntimeError> {
+        let fp = self.artifact.inputs_fingerprint(args);
+        self.serve(args, fp, None)
+    }
+
+    /// [`Session::run`] for a caller that already fingerprinted `args`
+    /// (`fp` must equal [`Session::inputs_fingerprint`] of them), with
+    /// store misses staged single-flight through `latches`: concurrent
+    /// first requests for one fingerprint run its loader once.
+    pub(crate) fn run_single_flight(
+        &mut self,
+        args: &[Value],
+        fp: u64,
+        latches: &LatchTable,
+    ) -> Result<Outcome, RuntimeError> {
+        self.serve(args, fp, Some(latches))
+    }
+
+    fn serve(
+        &mut self,
+        args: &[Value],
+        fp: u64,
+        latches: Option<&LatchTable>,
+    ) -> Result<Outcome, RuntimeError> {
         self.stats.requests += 1;
         let started = Instant::now();
         self.req_stages.clear();
@@ -261,7 +292,6 @@ impl Session {
             self.stats.profile.store_hits,
             self.stats.profile.fallbacks,
         );
-        let fp = self.artifact.inputs_fingerprint(args);
         // A pending buffer fault strikes a warm cache before validation.
         if self.is_warm() {
             if let Some(PendingFault::Truncate(n)) = self.pending {
@@ -273,7 +303,7 @@ impl Session {
             CacheState::Warm { inputs_fp, seal } if inputs_fp == fp => {
                 self.serve_warm(args, fp, seal)
             }
-            _ => self.fetch(args, fp),
+            _ => self.fetch(args, fp, latches),
         };
         let total_nanos = started.elapsed().as_nanos() as u64;
         self.timing.record_total(total_nanos);
@@ -470,16 +500,47 @@ impl Session {
     }
 
     /// Local miss (cold session or fingerprint switch): consult the shared
-    /// store before paying for a loader run.
-    fn fetch(&mut self, args: &[Value], fp: u64) -> Result<Outcome, RuntimeError> {
+    /// store before paying for a loader run. With `latches`, a store miss
+    /// is staged single-flight: take the exclusive latch and re-probe (a
+    /// stager may have published since the first probe) before loading,
+    /// or wait for the worker already staging `fp` and probe again.
+    fn fetch(
+        &mut self,
+        args: &[Value],
+        fp: u64,
+        latches: Option<&LatchTable>,
+    ) -> Result<Outcome, RuntimeError> {
         let was_warm = self.is_warm();
-        let t = Instant::now();
-        let probed = self.store.get(fp);
-        self.req_stages
-            .push(("store_probe", t.elapsed().as_nanos() as u64));
+        let mut probe_nanos = 0;
+        let mut stager = None;
+        let probed = loop {
+            let t = Instant::now();
+            let probed = self.store.get(fp);
+            probe_nanos += t.elapsed().as_nanos() as u64;
+            // A hit, a solo session, or a miss re-probed under this
+            // session's own exclusive latch settles the probe.
+            let (None, Some(latches), None) = (&probed, latches, &stager) else {
+                break probed;
+            };
+            match latches.try_exclusive(fp) {
+                Some(guard) => stager = Some(guard),
+                None => {
+                    // Another worker is staging `fp`: block until its
+                    // exclusive latch drops, then probe again.
+                    let t = Instant::now();
+                    drop(latches.shared(fp));
+                    self.req_stages
+                        .push(("latch_wait", t.elapsed().as_nanos() as u64));
+                }
+            }
+        };
+        self.req_stages.push(("store_probe", probe_nanos));
         if let Some(entry) = probed {
+            drop(stager);
             self.stats.profile.store_hits += 1;
-            self.cache = entry.cache;
+            // Copy outside the shard lock: the session executes against
+            // its private buffer, never against the shared entry.
+            self.cache.clone_from(&entry.cache);
             self.state = CacheState::Warm {
                 inputs_fp: fp,
                 seal: entry.seal,
@@ -490,7 +551,10 @@ impl Session {
         if was_warm {
             self.stats.stale_reloads += 1;
         }
-        self.reload(args, fp)
+        // The stager's latch is held until the sealed cache is published.
+        let loaded = self.reload(args, fp);
+        drop(stager);
+        loaded
     }
 
     /// Runs the loader to (re)build the cache for `fp`, returning the

@@ -11,11 +11,15 @@
 //!
 //! ## Concurrency model
 //!
-//! Entries are immutable once inserted: sessions *clone* an entry out on a
-//! hit and execute against their private copy, so a reader can never
-//! observe a torn cache. The store itself is a plain sharded mutex map —
-//! the hot path (repeated requests under one fingerprint) never touches it,
-//! because each session keeps its last entry locally and only comes back to
+//! Entries are immutable once inserted, so the store shares them: each
+//! shard maps a fingerprint to an [`Arc<StoreEntry>`], and a hit costs one
+//! hash lookup plus a refcount bump under the shard lock. The session
+//! copies the entry's buffer into its private working cache *after* the
+//! lock is released and validates and executes against that copy only, so
+//! a reader can never observe a torn cache and a replaced, evicted or
+//! invalidated entry never changes under a session that already holds it.
+//! A session's repeated requests under one fingerprint never touch the
+//! store at all: it keeps its last entry locally and only comes back to
 //! the store on a fingerprint switch.
 //!
 //! ## Eviction
@@ -29,12 +33,13 @@
 //! come from one atomic clock shared by all shards.
 
 use ds_interp::CacheBuf;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One sealed cache: the buffer plus the content hash recorded when its
 /// loader finished. Validation against the seal happens in the session,
-/// after cloning the entry out.
+/// against its private copy of the buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreEntry {
     /// The loaded buffer (including its tamper-detection shadow, so
@@ -45,11 +50,16 @@ pub struct StoreEntry {
     pub seal: u64,
 }
 
+#[derive(Debug)]
+struct Slot {
+    entry: Arc<StoreEntry>,
+    /// LRU stamp of the last `get` or `insert`.
+    used: u64,
+}
+
 #[derive(Debug, Default)]
 struct Shard {
-    /// `(fingerprint, entry, last_used)` — shards hold a handful of
-    /// entries, so a linear scan beats hashing twice.
-    entries: Vec<(u64, StoreEntry, u64)>,
+    entries: HashMap<u64, Slot>,
 }
 
 /// A sharded, LRU-bounded map from invariant fingerprint to sealed cache.
@@ -106,7 +116,7 @@ impl CacheStore {
 
     fn lock(m: &Mutex<Shard>) -> std::sync::MutexGuard<'_, Shard> {
         // A panic elsewhere can only have happened between complete
-        // entries (pushes and removals are atomic w.r.t. the guard), so a
+        // entries (inserts and removals are atomic w.r.t. the guard), so a
         // poisoned shard still holds well-formed, seal-checked entries.
         m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -115,32 +125,26 @@ impl CacheStore {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Clones the entry for `fp` out of the store, refreshing its LRU
+    /// Shares the entry for `fp` out of the store, refreshing its LRU
     /// stamp. `None` is a store miss.
-    pub fn get(&self, fp: u64) -> Option<StoreEntry> {
+    pub fn get(&self, fp: u64) -> Option<Arc<StoreEntry>> {
         let stamp = self.tick();
         let mut sh = Self::lock(self.shard(fp));
-        sh.entries
-            .iter_mut()
-            .find(|(f, _, _)| *f == fp)
-            .map(|(_, e, used)| {
-                *used = stamp;
-                e.clone()
-            })
+        let slot = sh.entries.get_mut(&fp)?;
+        slot.used = stamp;
+        Some(Arc::clone(&slot.entry))
     }
 
     /// Inserts (or replaces) the sealed entry for `fp`, then enforces the
     /// global capacity bound. Returns how many entries were evicted.
     pub fn insert(&self, fp: u64, entry: StoreEntry) -> u64 {
-        let stamp = self.tick();
-        {
-            let mut sh = Self::lock(self.shard(fp));
-            if let Some(slot) = sh.entries.iter_mut().find(|(f, _, _)| *f == fp) {
-                slot.1 = entry;
-                slot.2 = stamp;
-                return 0;
-            }
-            sh.entries.push((fp, entry, stamp));
+        let slot = Slot {
+            entry: Arc::new(entry),
+            used: self.tick(),
+        };
+        let replaced = Self::lock(self.shard(fp)).entries.insert(fp, slot);
+        if replaced.is_some() {
+            return 0;
         }
         self.len.fetch_add(1, Ordering::Relaxed);
         let mut evicted = 0;
@@ -157,15 +161,11 @@ impl CacheStore {
     /// Drops the entry for `fp`, if present — called when a session finds
     /// the entry fails validation, so a damaged cache cannot be re-served.
     pub fn invalidate(&self, fp: u64) -> bool {
-        let mut sh = Self::lock(self.shard(fp));
-        if let Some(pos) = sh.entries.iter().position(|(f, _, _)| *f == fp) {
-            sh.entries.swap_remove(pos);
-            drop(sh);
+        let removed = Self::lock(self.shard(fp)).entries.remove(&fp).is_some();
+        if removed {
             self.len.fetch_sub(1, Ordering::Relaxed);
-            true
-        } else {
-            false
         }
+        removed
     }
 
     /// Removes the entry with the globally smallest LRU stamp, locking one
@@ -175,9 +175,9 @@ impl CacheStore {
         let mut best: Option<(usize, u64, u64)> = None; // (shard, fp, stamp)
         for (i, m) in self.shards.iter().enumerate() {
             let sh = Self::lock(m);
-            for (f, _, used) in &sh.entries {
-                if best.is_none_or(|(_, _, b)| *used < b) {
-                    best = Some((i, *f, *used));
+            for (f, slot) in &sh.entries {
+                if best.is_none_or(|(_, _, b)| slot.used < b) {
+                    best = Some((i, *f, slot.used));
                 }
             }
         }
@@ -188,12 +188,8 @@ impl CacheStore {
         // Re-check the stamp: a concurrent `get` may have refreshed the
         // entry between the scan and this lock, in which case it is no
         // longer the LRU victim and the caller rescans.
-        if let Some(pos) = sh
-            .entries
-            .iter()
-            .position(|(f, _, used)| *f == fp && *used == stamp)
-        {
-            sh.entries.swap_remove(pos);
+        if sh.entries.get(&fp).is_some_and(|slot| slot.used == stamp) {
+            sh.entries.remove(&fp);
             drop(sh);
             self.len.fetch_sub(1, Ordering::Relaxed);
             Evict::Removed
@@ -202,16 +198,19 @@ impl CacheStore {
         }
     }
 
-    /// Clones every entry out, sorted by fingerprint — the deterministic
-    /// order cache-store files are written in.
+    /// Copies every entry out, sorted by fingerprint — the deterministic
+    /// order cache-store files are written in. The shard locks are held
+    /// only long enough to share each entry; the copies are made after.
     pub fn snapshot(&self) -> Vec<(u64, StoreEntry)> {
-        let mut all: Vec<(u64, StoreEntry)> = Vec::with_capacity(self.len());
+        let mut all: Vec<(u64, Arc<StoreEntry>)> = Vec::with_capacity(self.len());
         for m in &self.shards {
             let sh = Self::lock(m);
-            all.extend(sh.entries.iter().map(|(f, e, _)| (*f, e.clone())));
+            all.extend(sh.entries.iter().map(|(f, s)| (*f, Arc::clone(&s.entry))));
         }
         all.sort_by_key(|(fp, _)| *fp);
-        all
+        all.into_iter()
+            .map(|(fp, e)| (fp, StoreEntry::clone(&e)))
+            .collect()
     }
 }
 
@@ -330,7 +329,7 @@ mod tests {
                         let fp = (t * 31 + i * 7) % 12;
                         match store.get(fp) {
                             Some(e) => {
-                                // Entries are cloned out whole: the seal
+                                // Entries are shared out whole: the seal
                                 // always matches the content.
                                 assert_eq!(e.seal, e.cache.content_hash());
                                 assert_eq!(e.cache.get(0), Some(Value::Int(fp as i64)));

@@ -21,7 +21,7 @@ use std::fmt;
 pub enum RequestOutcome {
     /// The session's local warm cache served it (reader only).
     Warm,
-    /// A fingerprint switch was served by cloning a shared-store entry.
+    /// A fingerprint switch was served from a shared-store entry.
     StoreHit,
     /// A loader run (cold load or budget-gated rebuild) served it.
     Load,

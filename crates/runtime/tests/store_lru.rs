@@ -1,14 +1,17 @@
 //! LRU boundary behavior of the polyvariant [`CacheStore`]: degenerate
-//! capacities, eviction racing a clone-out, and invalidation racing a hit.
+//! capacities, eviction at a realistic capacity, eviction racing a hit,
+//! and invalidation or replacement racing a hit.
 //!
-//! The store's concurrency model is clone-out-under-lock, so every "race"
-//! here can be driven deterministically by sequencing the operations the
-//! way two workers would interleave them — no loom, no timing dependence.
+//! A hit shares the sealed entry out under the shard lock (an `Arc`), so
+//! every "race" here can be driven deterministically by sequencing the
+//! operations the way two workers would interleave them — no loom, no
+//! timing dependence.
 //! Damage comes from the existing seeded fault hooks ([`FaultInjector`]),
 //! so each scenario replays identically.
 
 use ds_interp::{CacheBuf, Value};
 use ds_runtime::{CacheStore, FaultInjector, StoreEntry};
+use std::sync::Arc;
 
 fn entry(n: i64) -> StoreEntry {
     let mut cache = CacheBuf::new(1);
@@ -51,11 +54,11 @@ fn capacity_one_keeps_the_most_recent_fingerprint() {
     assert_eq!(store.get(3).unwrap().cache.get(0), Some(Value::Int(33)));
 }
 
-/// A worker clones an entry out, then other workers' inserts evict that
-/// fingerprint. The clone must stay intact and seal-valid — eviction can
-/// never tear an execution that already holds its copy.
+/// A worker shares an entry out, then other workers' inserts evict that
+/// fingerprint. The held entry must stay intact and seal-valid — eviction
+/// can never tear an execution that already holds it.
 #[test]
-fn eviction_does_not_damage_a_cloned_out_entry() {
+fn eviction_does_not_damage_a_held_entry() {
     let store = CacheStore::new(2);
     store.insert(1, entry(10));
     store.insert(2, entry(20));
@@ -70,16 +73,16 @@ fn eviction_does_not_damage_a_cloned_out_entry() {
         "fingerprint 1 is gone from the store"
     );
 
-    // The held clone is untouched: same value, seal still matches.
+    // The held entry is untouched: same value, seal still matches.
     assert_eq!(held.cache.get(0), Some(Value::Int(10)));
     assert_eq!(held.seal, held.cache.content_hash());
 
-    // The worker can re-seed the store from its intact copy.
+    // The worker can re-seed the store from its intact entry.
     assert_eq!(store.insert(1, entry(10)), 1);
     assert_eq!(store.get(1).unwrap().cache.get(0), Some(Value::Int(10)));
 }
 
-/// Worker A clones an entry out (a hit); worker B finds its own copy fails
+/// Worker A shares an entry out (a hit); worker B finds its own copy fails
 /// seal validation and invalidates the fingerprint. A's copy must remain
 /// usable, the store must miss afterwards, and only one invalidation wins.
 #[test]
@@ -99,18 +102,18 @@ fn invalidation_racing_a_hit_leaves_the_hit_intact() {
     );
     store.insert(7, bad);
 
-    // Worker A hits and clones the (damaged) entry out.
+    // Worker A hits and shares the (damaged) entry out.
     let held = store.get(7).expect("hit");
 
-    // Worker B detects the seal mismatch on its own clone and invalidates.
+    // Worker B detects the seal mismatch on its own copy and invalidates.
     assert!(store.invalidate(7), "first invalidation wins");
     // Worker A, acting on the same detection, loses the race benignly.
     assert!(!store.invalidate(7), "second invalidation is a no-op");
     assert!(store.get(7).is_none(), "damaged entry cannot be re-served");
     assert_eq!(store.len(), 0);
 
-    // A's clone is a private copy: still the damaged bytes it cloned, and
-    // its own validation still detects the damage.
+    // A's entry is unchanged by the invalidation: still the damaged bytes
+    // it was handed, and its own validation still detects the damage.
     assert_ne!(held.seal, held.cache.content_hash());
 
     // Recovery: a rebuilt, healthy entry is served normally afterwards.
@@ -130,4 +133,72 @@ fn invalidate_after_eviction_is_a_clean_miss() {
     assert!(!store.invalidate(1), "already evicted");
     assert_eq!(store.len(), 1);
     assert!(store.get(2).is_some());
+}
+
+/// A capacity-3072 store (one entry per pixel of a 64×48 frame) takes
+/// 3100 fingerprints: exactly the 28 oldest are evicted, across shards.
+#[test]
+fn a_per_pixel_store_evicts_exactly_the_least_recently_used() {
+    let store = CacheStore::new(3072);
+    let mut evicted = 0;
+    for fp in 0..3072u64 {
+        evicted += store.insert(fp, entry(fp as i64));
+    }
+    assert_eq!(evicted, 0, "filling to capacity never evicts");
+    // Touch the 28 oldest so they are no longer the LRU victims; the
+    // next 28 oldest (28..56) become them.
+    for fp in 0..28u64 {
+        assert!(store.get(fp).is_some());
+    }
+    for fp in 3072..3100u64 {
+        evicted += store.insert(fp, entry(fp as i64));
+    }
+    assert_eq!(evicted, 28);
+    assert_eq!(store.len(), 3072);
+    for fp in 0..3100u64 {
+        let victim = (28..56).contains(&fp);
+        assert_eq!(store.get(fp).is_none(), victim, "fingerprint {fp}");
+    }
+}
+
+#[test]
+fn hits_on_one_fingerprint_share_one_allocation() {
+    let store = CacheStore::new(4);
+    store.insert(7, entry(1));
+    let a = store.get(7).expect("hit");
+    let b = store.get(7).expect("hit");
+    assert!(Arc::ptr_eq(&a, &b), "a hit bumps a refcount, never copies");
+}
+
+/// Replacing a fingerprint publishes a new entry; a session already
+/// holding the old one keeps exactly what it was handed.
+#[test]
+fn replacement_leaves_a_held_entry_unchanged() {
+    let store = CacheStore::new(4);
+    store.insert(7, entry(1));
+    let held = store.get(7).expect("hit");
+    assert_eq!(store.insert(7, entry(2)), 0, "replace, not evict");
+    let fresh = store.get(7).expect("hit");
+    assert!(!Arc::ptr_eq(&held, &fresh));
+    assert_eq!(held.cache.get(0), Some(Value::Int(1)));
+    assert_eq!(held.seal, held.cache.content_hash());
+    assert_eq!(fresh.cache.get(0), Some(Value::Int(2)));
+    assert!(store.invalidate(7));
+    assert_eq!(fresh.cache.get(0), Some(Value::Int(2)), "invalidation too");
+}
+
+#[test]
+fn snapshot_copies_entries_in_fingerprint_order() {
+    let store = CacheStore::new(16);
+    let fps = [0xFFFF_FFFF_FFFF_FFF0u64, 5, 1 << 40, 9, 3, 8];
+    for &fp in &fps {
+        store.insert(fp, entry(fp as i64));
+    }
+    let snap = store.snapshot();
+    let mut sorted = fps.to_vec();
+    sorted.sort_unstable();
+    assert_eq!(snap.iter().map(|(fp, _)| *fp).collect::<Vec<_>>(), sorted);
+    for (fp, e) in &snap {
+        assert_eq!(e, &*store.get(*fp).unwrap(), "snapshot equals the entry");
+    }
 }
