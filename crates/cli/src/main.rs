@@ -304,7 +304,7 @@ fn write_metrics(path: &str, doc: &Json) -> Result<(), UsageError> {
 /// `profile` object pairs for an outcome, used by run/measure export.
 fn profile_json(out: &ds_interp::Outcome) -> Json {
     out.profile
-        .as_ref()
+        .as_deref()
         .map(ds_interp::Profile::to_json)
         .unwrap_or(Json::Null)
 }

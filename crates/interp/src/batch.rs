@@ -1020,7 +1020,7 @@ impl BatchVm {
                                     value: Some(self.cols[si + j].clone()),
                                     cost,
                                     trace: std::mem::take(&mut traces[j]),
-                                    profile: profile.clone(),
+                                    profile: profile.clone().map(Box::new),
                                 }));
                             }
                             finish!();
@@ -1054,7 +1054,7 @@ impl BatchVm {
                                 value: None,
                                 cost,
                                 trace: std::mem::take(&mut traces[j]),
-                                profile: profile.clone(),
+                                profile: profile.clone().map(Box::new),
                             }));
                         }
                         finish!();

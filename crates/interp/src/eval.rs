@@ -205,7 +205,9 @@ pub struct Outcome {
     /// dynamic), so tests compare it alongside the result.
     pub trace: Vec<f64>,
     /// Per-operation counts; `None` unless [`EvalOptions::profile`] is set.
-    pub profile: Option<Profile>,
+    /// Boxed so an unprofiled outcome stays small: outcomes are returned by
+    /// every run and queued by the daemon's response channel.
+    pub profile: Option<Box<Profile>>,
 }
 
 /// A reusable evaluator for one program.
@@ -293,7 +295,7 @@ impl<'p> Evaluator<'p> {
             value,
             cost: st.cost,
             trace: st.trace,
-            profile: st.profile,
+            profile: st.profile.map(Box::new),
         })
     }
 
@@ -1137,6 +1139,7 @@ mod tests {
             .run(proc, args)
             .expect("eval")
             .profile
+            .map(|p| *p)
             .expect("profile requested")
     }
 

@@ -546,7 +546,7 @@ impl Vm {
             value,
             cost,
             trace,
-            profile,
+            profile: profile.map(Box::new),
         })
     }
 }

@@ -39,6 +39,28 @@
 //! slow consumer), tagged with the submitter's sequence number; when the
 //! last worker exits the channel disconnects, which is the caller's signal
 //! that the drain is complete.
+//!
+//! ## Memory
+//!
+//! Each worker thread allocates from its own allocator arena (glibc keeps
+//! one per thread), and a block freed by another thread goes back to the
+//! arena that allocated it, passing through the freeing thread's
+//! small-block cache on the way. When the submitting thread freed what
+//! the workers built — the sealed store entries, above all — those cached
+//! blocks were handed out again for the submitter's own allocations, and
+//! vectors grown from them were regrown inside the worker's arena. Whole
+//! frames of request arguments then landed there, and peak memory varied
+//! from run to run by megabytes. So the daemon keeps its workers'
+//! allocations on the workers:
+//!
+//! * the daemon holds no handle to the store; only the worker sessions
+//!   do. Once the caller drops its own handle, the last worker to exit
+//!   frees the store's entries on the thread that built them;
+//! * the [`LatchTable`] allocates every shard's map up front, on the
+//!   thread that builds (and later drops) it;
+//! * a response is small: [`Outcome`] boxes its optional profile, so the
+//!   channel blocks a lagging consumer leaves queued hold about a third of
+//!   the bytes they used to.
 
 use crate::artifact::StagedArtifact;
 use crate::error::RuntimeError;
@@ -195,7 +217,6 @@ struct QueueState {
 
 struct Shared {
     artifact: Arc<StagedArtifact>,
-    store: Arc<CacheStore>,
     latches: LatchTable,
     q: Mutex<QueueState>,
     cv: Condvar,
@@ -235,7 +256,6 @@ impl Daemon {
         let (tx, rx) = std::sync::mpsc::channel();
         let shared = Arc::new(Shared {
             artifact,
-            store,
             latches: LatchTable::new(),
             q: Mutex::new(QueueState {
                 queue: VecDeque::new(),
@@ -254,9 +274,10 @@ impl Daemon {
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
+                let store = Arc::clone(&store);
                 let wal = wal.clone();
                 let tx = tx.clone();
-                std::thread::spawn(move || worker(shared, wal, tx))
+                std::thread::spawn(move || worker(shared, store, wal, tx))
             })
             .collect();
         (
@@ -473,12 +494,13 @@ fn calibrate(shared: &Shared, args: &[Value]) -> Option<u32> {
     breakeven_uses(orig, loader, reader)
 }
 
-fn worker(shared: Arc<Shared>, wal: Option<Arc<Wal>>, tx: Sender<DaemonResponse>) -> WorkerOut {
-    let mut session = Session::new(
-        Arc::clone(&shared.artifact),
-        Arc::clone(&shared.store),
-        shared.cfg.runner,
-    );
+fn worker(
+    shared: Arc<Shared>,
+    store: Arc<CacheStore>,
+    wal: Option<Arc<Wal>>,
+    tx: Sender<DaemonResponse>,
+) -> WorkerOut {
+    let mut session = Session::new(Arc::clone(&shared.artifact), store, shared.cfg.runner);
     if let Some(wal) = wal {
         session.attach_wal(wal);
     }
@@ -733,6 +755,28 @@ mod tests {
             }
             assert_eq!(daemon.shared.latches.live_entries(), 0);
         }
+    }
+
+    #[test]
+    fn the_last_worker_frees_the_store() {
+        // The daemon keeps no store handle: once the caller has dropped
+        // its own, the store lives exactly as long as the worker sessions
+        // and is freed on the worker threads that built its entries.
+        let (artifact, store) = dotprod_parts();
+        let weak = Arc::downgrade(&store);
+        let cfg = DaemonConfig {
+            workers: 2,
+            ..DaemonConfig::default()
+        };
+        let (daemon, rx) = Daemon::start(artifact, store, None, cfg);
+        daemon
+            .submit(0, argv_fixed(2.0, 3.0, 6.0), None)
+            .expect("submit");
+        assert!(collect(&rx, 1)[0].result.is_ok());
+        assert_eq!(weak.strong_count(), 2, "one handle per worker session");
+        let report = daemon.join();
+        assert_eq!(report.stats.loads, 1);
+        assert_eq!(weak.strong_count(), 0, "freed before join returned");
     }
 
     #[test]

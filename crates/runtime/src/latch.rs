@@ -36,6 +36,11 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// fingerprint) only occurs between fingerprints hashing to the same shard.
 const SHARDS: usize = 16;
 
+/// Latch entries each shard has room for before its map must grow. Live
+/// entries are bounded by the number of threads staging or waiting at
+/// once, so a few per shard cover the daemon's worker counts.
+const SHARD_ROOM: usize = 4;
+
 /// Latch state for one fingerprint, alive only while held or waited on.
 #[derive(Debug, Default)]
 struct Entry {
@@ -47,7 +52,7 @@ struct Entry {
     waiters: u32,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
     state: Mutex<HashMap<u64, Entry>>,
     cv: Condvar,
@@ -68,10 +73,18 @@ impl Default for LatchTable {
 }
 
 impl LatchTable {
-    /// Creates an empty table.
+    /// Creates an empty table. Every shard's map is allocated here, on the
+    /// thread that builds the table (and, under the daemon, later drops
+    /// it), so taking and releasing latches on worker threads does not
+    /// allocate; see the [`daemon`](crate::daemon) module docs on memory.
     pub fn new() -> LatchTable {
         LatchTable {
-            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Shard {
+                    state: Mutex::new(HashMap::with_capacity(SHARD_ROOM)),
+                    cv: Condvar::new(),
+                })
+                .collect(),
         }
     }
 

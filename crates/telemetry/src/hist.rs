@@ -16,6 +16,7 @@
 //! the fidelity a log-scale latency distribution calls for.
 
 use crate::json::Json;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -274,8 +275,10 @@ pub struct Timing {
     /// End-to-end request latency (entry to exit of one serve call).
     pub total: LatencyHist,
     /// Per-stage latency, keyed by stage name (ordered, so exports are
-    /// stable given the same set of stages).
-    pub stages: BTreeMap<String, LatencyHist>,
+    /// stable given the same set of stages). Names recorded in-process are
+    /// static and borrowed, so recording or merging a stage allocates no
+    /// key; names parsed from JSON are owned.
+    pub stages: BTreeMap<Cow<'static, str>, LatencyHist>,
 }
 
 impl Timing {
@@ -290,14 +293,11 @@ impl Timing {
     }
 
     /// Records one stage latency under `stage`.
-    pub fn record_stage(&mut self, stage: &str, nanos: u64) {
-        if let Some(h) = self.stages.get_mut(stage) {
-            h.record(nanos);
-        } else {
-            let mut h = LatencyHist::new();
-            h.record(nanos);
-            self.stages.insert(stage.to_string(), h);
-        }
+    pub fn record_stage(&mut self, stage: &'static str, nanos: u64) {
+        self.stages
+            .entry(Cow::Borrowed(stage))
+            .or_default()
+            .record(nanos);
     }
 
     /// The histogram of `stage`, if any sample was recorded for it.
@@ -329,7 +329,7 @@ impl Timing {
                 Json::Obj(
                     self.stages
                         .iter()
-                        .map(|(k, v)| (k.clone(), v.summary_json()))
+                        .map(|(k, v)| (k.to_string(), v.summary_json()))
                         .collect(),
                 ),
             ),
@@ -356,7 +356,7 @@ impl Timing {
         match doc.get("stages") {
             Some(Json::Obj(pairs)) => {
                 for (name, summary) in pairs {
-                    stages.insert(name.clone(), hist_of(summary)?);
+                    stages.insert(Cow::Owned(name.clone()), hist_of(summary)?);
                 }
             }
             _ => return Err("timing: missing `stages` object".into()),
@@ -488,6 +488,10 @@ mod tests {
         assert_eq!(merged.stage("wal_append").unwrap().count(), 1);
         let back = Timing::from_json(&merged.to_json()).expect("round trip");
         assert_eq!(back, merged);
+        // Recorded and merged names are borrowed statics: neither
+        // recording nor merging allocates a key. Parsed names are owned.
+        assert!(merged.stages.keys().all(|k| matches!(k, Cow::Borrowed(_))));
+        assert!(back.stages.keys().all(|k| matches!(k, Cow::Owned(_))));
     }
 
     #[test]

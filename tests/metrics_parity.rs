@@ -24,6 +24,7 @@ fn popts() -> EvalOptions {
 fn profile_of(out: Result<Outcome, ds_interp::EvalError>, ctx: &str) -> Profile {
     out.unwrap_or_else(|e| panic!("{ctx}: {e:?}"))
         .profile
+        .map(|p| *p)
         .unwrap_or_else(|| panic!("{ctx}: profiling was requested"))
 }
 
