@@ -422,15 +422,19 @@ pub struct RebuildPoint {
     pub amortized_speedup: f64,
 }
 
-/// Measures what cache rebuilds cost end to end: a `StagedRunner` serves
+/// Measures what cache rebuilds cost end to end: a `Session` serves
 /// `requests` dotprod requests whose varying inputs change every request
 /// and whose invariant inputs change every `churn_interval` requests —
 /// each invariant change forces a staleness reload. The baseline runs the
 /// unspecialized fragment directly on the same request stream.
 pub fn exp_rebuild_overhead(requests: usize) -> Vec<RebuildPoint> {
+    use ds_runtime::{CacheStore, Session, StagedArtifact};
+    use std::sync::Arc;
+
     let part = InputPartition::varying(["z1", "z2"]);
     let spec = ds_core::specialize_source(DOTPROD_SRC, "dotprod", &part, &SpecializeOptions::new())
         .expect("specialize dotprod");
+    let artifact = Arc::new(StagedArtifact::new(&spec, &part));
     [1usize, 2, 4, 8, 16, 64]
         .iter()
         .map(|&interval| {
@@ -438,7 +442,8 @@ pub fn exp_rebuild_overhead(requests: usize) -> Vec<RebuildPoint> {
                 rebuild_budget: requests as u32,
                 ..ds_runtime::RunnerOptions::default()
             };
-            let mut runner = ds_runtime::StagedRunner::new(&spec, &part, ropts);
+            let store = Arc::new(CacheStore::new(16));
+            let mut session = Session::new(Arc::clone(&artifact), store, ropts);
             let mut staged_cost = 0u64;
             let mut unspec_cost = 0u64;
             for i in 0..requests {
@@ -452,14 +457,14 @@ pub fn exp_rebuild_overhead(requests: usize) -> Vec<RebuildPoint> {
                     Value::Float(0.5 * i as f64 + 1.0), // z2: varies every request
                     Value::Float(2.0),
                 ];
-                let out = runner.run(&args).expect("staged request");
+                let out = session.run(&args).expect("staged request");
                 staged_cost += out.cost;
-                unspec_cost += runner.reference(&args).expect("reference run").cost;
+                unspec_cost += session.reference(&args).expect("reference run").cost;
             }
             RebuildPoint {
                 churn_interval: interval,
                 requests,
-                loads: runner.stats().loads,
+                loads: session.stats().loads,
                 staged_cost,
                 unspec_cost,
                 amortized_speedup: unspec_cost as f64 / staged_cost as f64,
@@ -502,16 +507,18 @@ pub struct WalOverheadPoint {
 
 /// Measures what durability costs end to end: the rebuild-overhead
 /// request stream (varying inputs change every request, invariant inputs
-/// every `churn_interval`) is served twice by identical [`StagedRunner`]s
+/// every `churn_interval`) is served twice by identical `Session`s
 /// — one bare, one with an in-memory [`ds_runtime::Wal`] checkpointing
 /// every 8 appends. Both answer streams are compared against the
 /// reference before any timing is reported.
 pub fn exp_wal_overhead(requests: usize) -> Vec<WalOverheadPoint> {
+    use ds_runtime::{CacheStore, Session, StagedArtifact};
     use std::sync::Arc;
 
     let part = InputPartition::varying(["z1", "z2"]);
     let spec = ds_core::specialize_source(DOTPROD_SRC, "dotprod", &part, &SpecializeOptions::new())
         .expect("specialize dotprod");
+    let artifact = Arc::new(StagedArtifact::new(&spec, &part));
     let stream_for = |interval: usize| -> Vec<Vec<Value>> {
         (0..requests)
             .map(|i| {
@@ -534,25 +541,27 @@ pub fn exp_wal_overhead(requests: usize) -> Vec<WalOverheadPoint> {
             let stream = stream_for(interval);
             let ropts = ds_runtime::RunnerOptions {
                 rebuild_budget: requests as u32,
-                store_capacity: requests.max(1),
                 ..ds_runtime::RunnerOptions::default()
             };
-            let reference: Vec<Option<Value>> = {
-                let probe = ds_runtime::StagedRunner::new(&spec, &part, ropts);
-                stream
-                    .iter()
-                    .map(|args| probe.reference(args).expect("reference run").value)
-                    .collect()
-            };
+            let reference: Vec<Option<Value>> = stream
+                .iter()
+                .map(|args| {
+                    artifact
+                        .reference(args, ropts.eval)
+                        .expect("reference run")
+                        .value
+                })
+                .collect();
             let timed = |wal: Option<Arc<ds_runtime::Wal>>| {
-                let mut runner = ds_runtime::StagedRunner::new(&spec, &part, ropts);
+                let store = Arc::new(CacheStore::new(requests.max(1)));
+                let mut session = Session::new(Arc::clone(&artifact), store, ropts);
                 if let Some(wal) = &wal {
-                    runner.attach_wal(Arc::clone(wal));
+                    session.attach_wal(Arc::clone(wal));
                 }
                 let started = std::time::Instant::now();
                 let answers: Vec<Option<Value>> = stream
                     .iter()
-                    .map(|args| runner.run(args).expect("staged request").value)
+                    .map(|args| session.run(args).expect("staged request").value)
                     .collect();
                 // Durability is only real once buffered records hit
                 // storage, so a group-commit run pays its final flush
@@ -561,7 +570,7 @@ pub fn exp_wal_overhead(requests: usize) -> Vec<WalOverheadPoint> {
                     wal.flush().expect("final flush");
                 }
                 let elapsed = started.elapsed().as_nanos();
-                (elapsed, answers == reference, runner.stats().wal_appends())
+                (elapsed, answers == reference, session.stats().wal_appends())
             };
             let (off_nanos, off_ok, _) = timed(None);
             let wal = Arc::new(ds_runtime::Wal::in_memory(
@@ -661,7 +670,6 @@ pub fn exp_scaling(
     let artifact = Arc::new(StagedArtifact::new(&spec, &part));
     let ropts = RunnerOptions {
         rebuild_budget: requests as u32,
-        store_capacity,
         ..RunnerOptions::default()
     };
 

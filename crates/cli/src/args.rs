@@ -243,7 +243,7 @@ impl Args {
         }
     }
 
-    /// `--workers N`: serving threads for `serve` (1 by default; each
+    /// `--workers N`: daemon worker threads for `serve` (1 by default; each
     /// worker gets its own session over the shared artifact and store).
     pub fn workers(&self) -> Result<usize, UsageError> {
         match self.options.get("workers") {
@@ -258,7 +258,8 @@ impl Args {
     }
 
     /// `--store-capacity N`: maximum sealed caches the polyvariant store
-    /// keeps (one per invariant fingerprint), LRU-evicted beyond that.
+    /// keeps (one per invariant fingerprint), LRU-evicted beyond that
+    /// (`serve` defaults to 16).
     pub fn store_capacity(&self) -> Result<Option<usize>, UsageError> {
         match self.options.get("store-capacity") {
             None => Ok(None),
@@ -364,7 +365,8 @@ impl Args {
     }
 
     /// `--deadline-ms N`: per-request deadline for `serve --listen`
-    /// (`None` disables deadline enforcement).
+    /// (`None` disables deadline enforcement). Listen-only: a requests
+    /// file is served without a deadline.
     pub fn deadline_ms(&self) -> Result<Option<u64>, UsageError> {
         match self.options.get("deadline-ms") {
             None => Ok(None),
@@ -378,7 +380,8 @@ impl Args {
     }
 
     /// `--max-queue N`: bounded queue capacity for `serve --listen`;
-    /// requests beyond it are shed (default 64).
+    /// requests beyond it are shed (default 64). Listen-only: a requests
+    /// file gets a queue as long as the file, so nothing is shed.
     pub fn max_queue(&self) -> Result<usize, UsageError> {
         match self.options.get("max-queue") {
             None => Ok(64),
@@ -393,6 +396,8 @@ impl Args {
 
     /// `--admission always|auto|N`: when `serve --listen` specializes a
     /// fingerprint (default `auto`, the §4.3 cost-model breakeven).
+    /// Listen-only: a requests file specializes every fingerprint
+    /// (`always`).
     pub fn admission(&self) -> Result<ds_runtime::Admission, UsageError> {
         match self.options.get("admission") {
             None => Ok(ds_runtime::Admission::Auto),

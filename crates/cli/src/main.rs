@@ -19,11 +19,11 @@
 //! dsc serve FILE --vary a,b --requests PATH [--policy P] [--cache-file PATH]
 //!           [--workers N] [--store-capacity N] [--wal PATH]
 //!           [--checkpoint-every N] [--trace-out PATH] [--stats-every N]
-//!     specialize once, then serve a stream of argument vectors through the
-//!     staged-execution runtime (cache lifecycle, integrity validation,
-//!     graceful degradation, optional fault injection); `--workers`
-//!     partitions the stream across threads sharing one artifact and one
-//!     polyvariant cache store; `--wal` makes sealed-cache installs durable
+//!     specialize once, then serve a file of argument vectors through the
+//!     serving daemon (cache lifecycle, integrity validation, graceful
+//!     degradation, optional fault injection) and print the answers in file
+//!     order; `--workers` threads share one artifact and one polyvariant
+//!     cache store; `--wal` makes sealed-cache installs durable
 //!     (recovered crash-consistently on the next start); `--trace-out`
 //!     streams per-request trace events as JSONL and `--stats-every`
 //!     heartbeats progress to stderr
@@ -43,13 +43,15 @@
 //! and/or runtime robustness counters) as a versioned `ds-telemetry` JSON
 //! document.
 //!
-//! `dsc serve --listen` turns the batch server into an online daemon:
-//! requests stream in over stdin (one argument vector per line), answers
-//! stream out as they complete, and the serving loop is hardened with
-//! single-flight staging latches, §4.3 cost-model admission
-//! (`--admission`), per-request deadlines (`--deadline-ms`), a bounded
-//! queue with load shedding (`--max-queue`) and graceful drain on EOF or
-//! SIGTERM (finish in-flight work, checkpoint the WAL, flush telemetry).
+//! Both serve modes run on the same daemon. `dsc serve --listen` feeds it
+//! online: requests stream in over stdin (one argument vector per line),
+//! answers stream out as they complete, and the serving loop adds §4.3
+//! cost-model admission (`--admission`), per-request deadlines
+//! (`--deadline-ms`), a bounded queue with load shedding (`--max-queue`)
+//! and graceful drain on EOF or SIGTERM (finish in-flight work, checkpoint
+//! the WAL, flush telemetry). A requests file is served with admission
+//! `always`, no deadline and a queue as long as the file, then drained at
+//! end of file.
 //!
 //! Exit codes are classified so scripts can tell failure modes apart (see
 //! [`exit`]): `2` usage error, `3` frontend/specialization error, `4`
@@ -64,14 +66,16 @@ mod exit;
 
 use args::{parse, parse_value_list, Args, UsageError};
 use ds_core::{specialize, InputPartition, SpecializeOptions};
+use ds_interp::Value;
 use ds_lang::Program;
 use ds_runtime::{
-    CacheStore, Fault, FaultInjector, RunnerStats, RuntimeError, Session, StagedArtifact,
+    Admission, CacheStore, Daemon, DaemonConfig, DaemonResponse, Fault, FaultInjector, RunnerStats,
+    RuntimeError, Session, StagedArtifact,
 };
 use ds_telemetry::{format_nanos, Json, LatencyHist, Timing};
 use std::fmt;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -187,16 +191,18 @@ term is printed with the caching rule (Figure 3 / §4.3) that labeled it;
 with `--engine vm-batch` it also previews the profile-guided
 superinstruction plan (the hot adjacent opcode pairs the batch VM fuses).
 `serve` replays a requests file (one `--args`-style vector per line,
-`#` comments allowed) through the staged-execution runtime: caches are
-fingerprinted, validated and rebuilt as inputs change, `--policy` decides
-how failures degrade, `--cache-file` persists the cache between runs, and
-`--inject` plants one deterministic fault (corrupt-slot, drop-store,
-truncate-buffer, fuel:N, corrupt-file, truncate-file, torn-write:N,
-crash-at-byte:N) placed by `--seed`.
-`--workers N` partitions the requests across N threads, each serving its
-own session over the shared artifact and a polyvariant cache store (one
-sealed cache per invariant fingerprint, LRU-bounded by
-`--store-capacity`); per-worker stats are merged deterministically.
+`#` comments allowed) through the serving daemon and prints the answers
+in file order: caches are fingerprinted, validated and rebuilt as inputs
+change, `--policy` decides how failures degrade, `--cache-file` persists
+the cache store between runs, and `--inject` plants one deterministic
+fault (corrupt-slot, drop-store, truncate-buffer, fuel:N, corrupt-file,
+truncate-file, torn-write:N, crash-at-byte:N) placed by `--seed`; an
+in-memory fault strikes the first request.
+`--workers N` serves on N threads, each with its own session over the
+shared artifact and a polyvariant cache store (one sealed cache per
+invariant fingerprint, LRU-bounded by `--store-capacity`, default 16);
+per-worker stats are merged in worker order. A requests file runs with
+admission `always`, no deadline and a queue as long as the file.
 `--wal PATH` write-ahead-logs every sealed-cache install before the
 request is acknowledged and recovers the store crash-consistently on the
 next start (checkpointing into the `--cache-file` bundle — or
@@ -208,16 +214,17 @@ every append); a crash loses at most the buffered suffix, never a
 flushed record.
 `--listen` switches serve to online mode: argument vectors stream in on
 stdin (one per line, `#` comments allowed) and are answered as they
-complete, tagged `[n]` in arrival order. Concurrent first requests for
-one fingerprint coalesce onto a single stager (per-fingerprint latches);
-`--admission` decides when a fingerprint is worth specializing (`auto` =
-the paper's §4.3 breakeven from calibrated costs, `always`, or a fixed
-rate) — a fingerprint specializes once its exponentially-decaying
-arrival rate reaches breakeven, so one-shot and thinly-spread
-fingerprints are served by the unspecialized fragment, bit-identically. `--max-queue N` bounds the request queue
-(overflow is shed with a typed error, exit 8), `--deadline-ms N` fails
-requests that cannot be answered in time (never partially, exit 9), and
-EOF or SIGTERM drains gracefully: no new admissions (late arrivals exit
+complete, tagged `[n]` in arrival order. In both modes concurrent first
+requests for one fingerprint coalesce onto a single stager
+(per-fingerprint latches). Online only: `--admission` decides when a
+fingerprint is worth specializing (`auto` = the paper's §4.3 breakeven
+from calibrated costs, `always`, or a fixed rate) — a fingerprint
+specializes once its exponentially-decaying arrival rate reaches
+breakeven, so one-shot and thinly-spread fingerprints are served by the
+unspecialized fragment, bit-identically; `--max-queue N` bounds the
+request queue (overflow is shed with a typed error, exit 8),
+`--deadline-ms N` fails requests that cannot be answered in time (never
+partially, exit 9), and EOF or SIGTERM drains gracefully: no new admissions (late arrivals exit
 10), in-flight and queued requests finish, the WAL is checkpointed and
 the telemetry envelope flushed before exit.
 `--metrics-out PATH` writes a versioned ds-telemetry JSON document with
@@ -644,17 +651,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Repeated-run mode: specialize once, then serve a requests file through
-/// the staged-execution runtime with the full cache lifecycle — staleness
-/// detection, integrity validation, policy-driven degradation and
-/// (optionally) one injected fault. With `--workers N` the request file is
-/// partitioned across N threads, each running its own [`Session`] over the
-/// shared `Arc<StagedArtifact>` and polyvariant cache store; per-worker
-/// statistics are merged deterministically (worker order) into one
-/// envelope. The exit code reports the worst thing that happened: `5` for
-/// any integrity violation, `4` for any evaluation failure, `0` when every
-/// request was served.
-/// Everything batch `serve` and `serve --listen` share: the specialized
+/// What both serve modes set up before the daemon starts: the specialized
 /// artifact, the shared polyvariant store, WAL recovery (with group
 /// commit), cache-file adoption and deterministic fault arming.
 struct ServeSetup {
@@ -714,6 +711,9 @@ fn serve_exit(
     }
 }
 
+/// Store capacity when `--store-capacity` is not given.
+const DEFAULT_STORE_CAPACITY: usize = 16;
+
 fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
     let (program, _) = load(args)?;
     let entry = args.entry(&program)?.to_string();
@@ -736,15 +736,14 @@ fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
     if let Some(budget) = args.rebuild_budget()? {
         ropts.rebuild_budget = budget;
     }
-    if let Some(cap) = args.store_capacity()? {
-        ropts.store_capacity = cap;
-    }
     ropts.eval.profile = args.metrics_out().is_some();
 
     // The immutable artifact and the polyvariant store are shared by every
     // session; each worker owns only its VM and working buffer.
     let artifact = Arc::new(StagedArtifact::new(&spec, &partition));
-    let store = Arc::new(CacheStore::new(ropts.store_capacity));
+    let store = Arc::new(CacheStore::new(
+        args.store_capacity()?.unwrap_or(DEFAULT_STORE_CAPACITY),
+    ));
 
     let inject = args.inject()?;
     let seed = args.seed()?;
@@ -867,347 +866,6 @@ fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
     })
 }
 
-fn cmd_serve(args: &Args) -> Result<(), CliError> {
-    if args.flag("listen") {
-        if args.requests().is_some() {
-            return Err(CliError::Usage(
-                "--listen reads requests from stdin; drop --requests".into(),
-            ));
-        }
-        return cmd_serve_listen(args);
-    }
-    let requests_path = args
-        .requests()
-        .ok_or_else(|| UsageError("serve needs --requests PATH (or --listen)".into()))?;
-    let requests_text = std::fs::read_to_string(requests_path)
-        .map_err(|e| CliError::Usage(format!("cannot read `{requests_path}`: {e}")))?;
-    let setup = serve_setup(args)?;
-    let ServeSetup {
-        entry,
-        vary,
-        engine,
-        policy,
-        ropts,
-        artifact,
-        store,
-        wal,
-        mut bootstrap,
-        mem_fault,
-        seed,
-        mut integrity_errors,
-    } = setup;
-    let workers = args.workers()?;
-    let trace_out = args.trace_out();
-    let stats_every = args.stats_every()?;
-    let mut eval_errors = 0u64;
-    let mut crashed = false;
-    let mut shed = 0u64;
-    let mut deadline_missed = 0u64;
-    let mut drain_rejected = 0u64;
-
-    // The whole request file is parsed before any worker starts, so a bad
-    // line is a usage error (exit 2), never a half-served stream.
-    let mut requests: Vec<Vec<ds_interp::Value>> = Vec::new();
-    for (lineno, line) in requests_text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        requests.push(
-            parse_value_list(line).map_err(|e| {
-                CliError::Usage(format!("`{requests_path}` line {}: {e}", lineno + 1))
-            })?,
-        );
-    }
-
-    println!(
-        "serving `{entry}` (engine {engine}, policy {policy}, varying {{{}}}, \
-         workers {workers}, store capacity {})",
-        vary.join(", "),
-        store.capacity(),
-    );
-
-    // Partition the requests into contiguous per-worker chunks; worker 0
-    // starts from the bootstrap session (inheriting the adopted local
-    // cache and any armed fault), the rest open fresh sessions against
-    // the same store. Results keep their request index so the output is
-    // printed in file order whatever the interleaving was.
-    let chunk = requests.len().div_ceil(workers.max(1)).max(1);
-    let mut results: Vec<Option<Result<ds_interp::Outcome, RuntimeError>>> = Vec::new();
-    results.resize_with(requests.len(), || None);
-    let mut worker_stats: Vec<RunnerStats> = Vec::new();
-    let mut worker_timing: Vec<Timing> = Vec::new();
-    let mut traces: Vec<ds_runtime::RequestTrace> = Vec::new();
-    let serve_started = Instant::now();
-    let progress = AtomicU64::new(0);
-    {
-        let mut sessions: Vec<Session> = Vec::new();
-        for w in 0..workers.min(requests.len()) {
-            let mut session = if w == 0 {
-                // With no requests at all this branch never runs, so the
-                // bootstrap session (and its adoption bookkeeping) stays
-                // put for the merge below.
-                std::mem::replace(
-                    &mut bootstrap,
-                    Session::new(Arc::clone(&artifact), Arc::clone(&store), ropts),
-                )
-            } else {
-                Session::new(Arc::clone(&artifact), Arc::clone(&store), ropts)
-            };
-            if w > 0 {
-                if let Some(wal) = &wal {
-                    session.attach_wal(Arc::clone(wal));
-                }
-            }
-            if w == 0 {
-                if let Some(fault) = mem_fault {
-                    session.inject(fault, seed).map_err(CliError::Usage)?;
-                }
-            }
-            session.set_tracing(trace_out.is_some());
-            sessions.push(session);
-        }
-        type WorkerOutput = (
-            Vec<(usize, Result<ds_interp::Outcome, RuntimeError>)>,
-            RunnerStats,
-            Timing,
-            Vec<ds_runtime::RequestTrace>,
-        );
-        let total_requests = requests.len() as u64;
-        let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let handles: Vec<_> = sessions
-                .into_iter()
-                .zip(requests.chunks(chunk).map(<[_]>::to_vec).enumerate())
-                .map(|(mut session, (w, batch))| {
-                    let progress = &progress;
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity(batch.len());
-                        for (i, values) in batch.iter().enumerate() {
-                            let res = session.run(values);
-                            let dead = matches!(
-                                &res,
-                                Err(RuntimeError::Wal(ds_runtime::WalError::Crashed { .. }))
-                            );
-                            out.push((w * chunk + i, res));
-                            if let Some(every) = stats_every {
-                                let done = progress.fetch_add(1, Ordering::Relaxed) + 1;
-                                if done.is_multiple_of(every) || done == total_requests {
-                                    let secs = serve_started.elapsed().as_secs_f64();
-                                    eprintln!(
-                                        "serve: {done}/{total_requests} requests \
-                                         ({:.0} req/s)",
-                                        done as f64 / secs.max(1e-9),
-                                    );
-                                }
-                            }
-                            if dead {
-                                // The log writer is dead: model process
-                                // death — the rest of this worker's slice
-                                // is never served.
-                                break;
-                            }
-                        }
-                        let mut local_traces = session.take_traces();
-                        for t in &mut local_traces {
-                            // Rebase this worker's local serve order onto
-                            // the global request index.
-                            t.seq += (w * chunk) as u64;
-                        }
-                        (
-                            out,
-                            session.stats().clone(),
-                            session.timing().clone(),
-                            local_traces,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("serve worker panicked"))
-                .collect()
-        });
-        for (chunk_results, stats, timing, worker_traces) in outputs {
-            for (idx, res) in chunk_results {
-                results[idx] = Some(res);
-            }
-            worker_stats.push(stats);
-            worker_timing.push(timing);
-            traces.extend(worker_traces);
-        }
-    }
-    let wall = serve_started.elapsed();
-    traces.sort_by_key(|t| t.seq);
-
-    for (idx, res) in results.into_iter().enumerate() {
-        let n = idx + 1;
-        match res {
-            None => println!("[{n}] not served: write-ahead-log writer crashed"),
-            Some(Ok(out)) => match out.value {
-                Some(v) => println!("[{n}] result: {v}  (cost {})", out.cost),
-                None => println!("[{n}] result: (void)  (cost {})", out.cost),
-            },
-            Some(Err(e)) => {
-                match e {
-                    RuntimeError::Integrity(_) => integrity_errors += 1,
-                    RuntimeError::Eval(_) | RuntimeError::RebuildBudgetExhausted { .. } => {
-                        eval_errors += 1
-                    }
-                    RuntimeError::Wal(_) => crashed = true,
-                    RuntimeError::DeadlineExceeded { .. } => deadline_missed += 1,
-                    RuntimeError::Overloaded { .. } => shed += 1,
-                    RuntimeError::Draining => drain_rejected += 1,
-                }
-                println!("[{n}] error: {e}");
-            }
-        }
-    }
-    if wal.as_ref().is_some_and(|w| w.is_crashed()) {
-        crashed = true;
-    }
-
-    // Merge per-worker statistics in worker order (merge is associative
-    // and commutative, so this is deterministic however requests raced).
-    // The bootstrap session contributes cache-file adoption bookkeeping
-    // when worker 0 did not consume it (no requests at all).
-    let mut st = bootstrap.stats().clone();
-    for ws in &worker_stats {
-        st.merge(ws);
-    }
-    println!("---");
-    println!("requests:            {}", st.requests);
-    println!("loads:               {}", st.loads);
-    println!("stale reloads:       {}", st.stale_reloads);
-    println!("reader failures:     {}", st.reader_failures);
-    println!("rebuilds:            {}", st.rebuilds());
-    println!("fallbacks:           {}", st.fallbacks());
-    println!("validation failures: {}", st.validation_failures());
-    println!("store hits:          {}", st.store_hits());
-    println!("store misses:        {}", st.store_misses());
-    println!("store evictions:     {}", st.store_evictions());
-    if wal.is_some() {
-        println!("wal appends:         {}", st.wal_appends());
-        println!("wal replays:         {}", st.wal_replays());
-        println!("recovered caches:    {}", st.recovered_caches());
-    }
-
-    // Latency is merged the same way as stats (worker order; the merge is
-    // associative and commutative), but kept in its own side-channel: the
-    // numbers are wall-clock and therefore nondeterministic, so they never
-    // enter the `stats` document the parity suites compare.
-    let mut timing = bootstrap.timing().clone();
-    for t in &worker_timing {
-        timing.merge(t);
-    }
-    if !timing.total.is_empty() {
-        println!("latency end-to-end:  {}", timing.total);
-        for (stage, hist) in &timing.stages {
-            println!("latency {:<12} {hist}", format!("{stage}:"));
-        }
-        println!(
-            "throughput:          {:.0} req/s ({} requests in {:.1} ms)",
-            st.requests as f64 / wall.as_secs_f64().max(1e-9),
-            st.requests,
-            wall.as_secs_f64() * 1e3,
-        );
-    }
-
-    if let Some(path) = trace_out {
-        let header = ds_telemetry::envelope(
-            "trace",
-            vec![
-                ("entry".to_string(), Json::from(entry.as_str())),
-                ("engine".to_string(), Json::from(engine.to_string())),
-                ("policy".to_string(), Json::from(policy.to_string())),
-                ("workers".to_string(), Json::from(workers as u64)),
-                ("events".to_string(), Json::from(traces.len())),
-            ],
-        );
-        let mut text = header.compact();
-        text.push('\n');
-        for t in &traces {
-            text.push_str(&t.to_json().compact());
-            text.push('\n');
-        }
-        std::fs::write(path, text)
-            .map_err(|e| CliError::Usage(format!("cannot write `{path}`: {e}")))?;
-        println!("trace: wrote {path} ({} event(s))", traces.len());
-    }
-
-    if let Some(path) = args.metrics_out() {
-        let doc = ds_telemetry::envelope(
-            "serve",
-            vec![
-                ("entry".to_string(), Json::from(entry.as_str())),
-                (
-                    "varying".to_string(),
-                    Json::Arr(vary.iter().map(|v| Json::from(v.as_str())).collect()),
-                ),
-                ("engine".to_string(), Json::from(engine.to_string())),
-                ("policy".to_string(), Json::from(policy.to_string())),
-                ("workers".to_string(), Json::from(workers as u64)),
-                (
-                    "store_capacity".to_string(),
-                    Json::from(store.capacity() as u64),
-                ),
-                ("stats".to_string(), st.to_json()),
-                (
-                    "worker_stats".to_string(),
-                    Json::Arr(worker_stats.iter().map(RunnerStats::to_json).collect()),
-                ),
-                ("wall_ms".to_string(), Json::from(wall.as_secs_f64() * 1e3)),
-                (
-                    "throughput_rps".to_string(),
-                    Json::from(st.requests as f64 / wall.as_secs_f64().max(1e-9)),
-                ),
-                ("latency".to_string(), timing.to_json()),
-                (
-                    "worker_latency".to_string(),
-                    Json::Arr(worker_timing.iter().map(Timing::to_json).collect()),
-                ),
-            ],
-        );
-        write_metrics(path, &doc)?;
-        println!("metrics: wrote {path}");
-    }
-
-    // Persist every validated store entry for the next invocation. In WAL
-    // mode a clean exit compacts everything into a checkpoint; a crashed
-    // writer leaves its log exactly as the crash left it, for recovery.
-    if let Some(w) = &wal {
-        if w.is_crashed() {
-            println!("wal: writer crashed; log left on disk for recovery on restart");
-        } else {
-            w.checkpoint(&store)
-                .map_err(|e| CliError::Usage(format!("cannot checkpoint at exit: {e}")))?;
-            println!("wal: checkpointed store at exit");
-        }
-    } else if let Some(path) = args.cache_file() {
-        let snapshot = store.snapshot();
-        if snapshot.is_empty() {
-            println!("cache: cold at exit; `{path}` not written");
-        } else {
-            let entries: Vec<(u64, ds_interp::CacheBuf)> = snapshot
-                .into_iter()
-                .map(|(fp, entry)| (fp, entry.cache))
-                .collect();
-            let text = ds_runtime::save_store(&entries, artifact.layout_fingerprint());
-            std::fs::write(path, text)
-                .map_err(|e| CliError::Usage(format!("cannot write `{path}`: {e}")))?;
-            println!("cache: wrote `{path}`");
-        }
-    }
-
-    serve_exit(
-        crashed,
-        integrity_errors,
-        eval_errors,
-        shed,
-        deadline_missed,
-        drain_rejected,
-    )
-}
-
 /// Flushes stdout after every response line: the daemon's consumers read
 /// a pipe (block-buffered by default), and an answer that sits in a
 /// buffer is an answer not yet served.
@@ -1246,11 +904,46 @@ fn install_term_flag() -> &'static std::sync::atomic::AtomicBool {
     &TERM
 }
 
-/// `dsc serve --listen`: the online specialize-on-demand daemon. Requests
-/// stream in on stdin, answers stream out as they complete; EOF or
-/// SIGTERM drains gracefully (finish queued and in-flight work, final WAL
-/// checkpoint, flush telemetry).
-fn cmd_serve_listen(args: &Args) -> Result<(), CliError> {
+/// `dsc serve`: specialize once, then serve requests through the
+/// [`Daemon`] — the full cache lifecycle (staleness detection, integrity
+/// validation, policy-driven degradation, optional injected fault) on
+/// `--workers` threads, each running its own [`Session`] over the shared
+/// artifact and polyvariant store. The two modes differ only in where
+/// requests come from and in print order:
+///
+/// * `--requests PATH` parses the whole file first (a bad line is a usage
+///   error, never a half-served stream), submits each request with its
+///   0-based index as sequence number, drains at end of file and prints
+///   the answers in file order. The mode fixes the daemon's settings:
+///   admission `always`, no deadline, and a queue as long as the file, so
+///   nothing is shed.
+/// * `--listen` reads requests from stdin on its own thread and prints
+///   answers in completion order, tagged with their arrival number; EOF
+///   or SIGTERM drains gracefully.
+///
+/// Both end the same way: one stats block, the trace file, the `serve`
+/// envelope, checkpoint or cache-file persistence, and an exit code for
+/// the worst thing that happened (see [`serve_exit`]).
+fn cmd_serve(args: &Args) -> Result<(), CliError> {
+    let listen = args.flag("listen");
+    let requests_file = match (listen, args.requests()) {
+        (true, Some(_)) => {
+            return Err(CliError::Usage(
+                "--listen reads requests from stdin; drop --requests".into(),
+            ))
+        }
+        (true, None) => None,
+        (false, None) => {
+            return Err(CliError::Usage(
+                "serve needs --requests PATH (or --listen)".into(),
+            ))
+        }
+        (false, Some(path)) => Some((
+            path,
+            std::fs::read_to_string(path)
+                .map_err(|e| CliError::Usage(format!("cannot read `{path}`: {e}")))?,
+        )),
+    };
     let ServeSetup {
         entry,
         vary,
@@ -1265,169 +958,145 @@ fn cmd_serve_listen(args: &Args) -> Result<(), CliError> {
         seed,
         mut integrity_errors,
     } = serve_setup(args)?;
-    let cfg = ds_runtime::DaemonConfig {
-        workers: args.workers()?,
-        max_queue: args.max_queue()?,
-        deadline_ms: args.deadline_ms()?,
-        admission: args.admission()?,
-        runner: ropts,
-        tracing: args.trace_out().is_some(),
+    let requests = requests_file
+        .map(|(path, text)| parse_requests(path, &text))
+        .transpose()?;
+    let workers = args.workers()?;
+    let tracing = args.trace_out().is_some();
+    let cfg = match &requests {
+        Some(reqs) => DaemonConfig {
+            workers,
+            max_queue: reqs.len().max(1),
+            deadline_ms: None,
+            admission: Admission::Always,
+            runner: ropts,
+            tracing,
+        },
+        None => DaemonConfig {
+            workers,
+            max_queue: args.max_queue()?,
+            deadline_ms: args.deadline_ms()?,
+            admission: args.admission()?,
+            runner: ropts,
+            tracing,
+        },
     };
     let stats_every = args.stats_every()?;
     // The bootstrap session only contributed recovery/adoption
     // bookkeeping; the daemon's workers own their sessions.
     let bootstrap_stats = bootstrap.stats().clone();
-    let bootstrap_timing = bootstrap.timing().clone();
     drop(bootstrap);
 
-    println!(
-        "listening: `{entry}` (engine {engine}, policy {policy}, varying {{{}}}, \
-         workers {}, queue {}, deadline {}, admission {})",
-        vary.join(", "),
-        cfg.workers,
-        cfg.max_queue,
-        cfg.deadline_ms
-            .map_or("none".to_string(), |d| format!("{d} ms")),
-        cfg.admission,
-    );
+    let varying = vary.join(", ");
+    if requests.is_some() {
+        println!(
+            "serving `{entry}` (engine {engine}, policy {policy}, varying {{{varying}}}, \
+             workers {workers}, store capacity {})",
+            store.capacity(),
+        );
+    } else {
+        println!(
+            "listening: `{entry}` (engine {engine}, policy {policy}, varying {{{varying}}}, \
+             workers {workers}, queue {}, deadline {}, admission {})",
+            cfg.max_queue,
+            cfg.deadline_ms
+                .map_or("none".to_string(), |d| format!("{d} ms")),
+            cfg.admission,
+        );
+    }
     flush_stdout();
 
-    let term = install_term_flag();
+    // SIGTERM drains an online serve. A file serve keeps the default
+    // action: every request is already queued before the first answer.
+    let term = listen.then(install_term_flag);
+    let terminated = || term.is_some_and(|t| t.load(Ordering::SeqCst));
     let serve_started = Instant::now();
-    let (daemon, rx) =
-        ds_runtime::Daemon::start(Arc::clone(&artifact), Arc::clone(&store), wal.clone(), cfg);
+    let (daemon, rx) = Daemon::start(Arc::clone(&artifact), Arc::clone(&store), wal.clone(), cfg);
     let daemon = Arc::new(daemon);
-
-    // The reader thread parses stdin and submits; admission rejections
-    // (shed, draining) come back synchronously and are printed here, so
-    // the response channel only ever carries executed requests. On EOF it
-    // starts the drain. It is deliberately never joined: after SIGTERM it
-    // may still be parked in a (restarted) stdin read, and process exit
-    // reaps it.
-    {
-        let daemon = Arc::clone(&daemon);
-        let first_fault = mem_fault.map(|f| (f, seed));
-        std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            let mut line = String::new();
-            let mut seq = 0u64;
-            let mut first = true;
-            loop {
-                line.clear();
-                match stdin.read_line(&mut line) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-                let trimmed = line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    continue;
-                }
-                seq += 1;
-                let n = seq;
-                let values = match parse_value_list(trimmed) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        println!("[{n}] error: {e}");
-                        flush_stdout();
-                        continue;
-                    }
-                };
-                // An armed in-memory fault strikes the first request, the
-                // same placement batch serve gives it.
-                let fault = if first {
-                    first = false;
-                    first_fault
-                } else {
-                    None
-                };
-                if let Err(e) = daemon.submit(n, values, fault) {
-                    println!("[{n}] error: {e}");
-                    flush_stdout();
+    // An armed in-memory fault strikes the first request.
+    let first_fault = mem_fault.map(|f| (f, seed));
+    let total = requests.as_ref().map(|r| r.len() as u64);
+    // File mode keeps each answer line until the drain, to print them in
+    // file order; listen mode prints each as it completes.
+    let mut in_file_order: Vec<Option<String>> = vec![None; total.unwrap_or(0) as usize];
+    match requests {
+        Some(requests) => {
+            for (i, values) in requests.into_iter().enumerate() {
+                let fault = if i == 0 { first_fault } else { None };
+                if let Err(e) = daemon.submit(i as u64, values, fault) {
+                    in_file_order[i] = Some(format!("[{}] error: {e}", i + 1));
                 }
             }
             daemon.drain();
-        });
+        }
+        None => read_stdin_requests(Arc::clone(&daemon), first_fault),
     }
 
-    // Response loop: print answers in completion order (tagged with their
-    // arrival number), watching the SIGTERM flag between messages. The
+    // Response loop, watching the SIGTERM flag between messages. The
     // channel disconnects when the last worker exits after the drain —
     // the natural end of the serve.
     let mut served = 0u64;
     let mut eval_errors = 0u64;
     let mut crashed = false;
     loop {
-        if term.load(Ordering::SeqCst) {
+        if terminated() {
             daemon.drain();
         }
-        match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-            Ok(resp) => {
-                served += 1;
-                let n = resp.seq;
-                match &resp.result {
-                    Ok(out) => {
-                        let suffix = if resp.specialized {
-                            ""
-                        } else {
-                            "  (unspecialized)"
-                        };
-                        match &out.value {
-                            Some(v) => println!("[{n}] result: {v}  (cost {}){suffix}", out.cost),
-                            None => println!("[{n}] result: (void)  (cost {}){suffix}", out.cost),
-                        }
-                    }
-                    Err(e) => {
-                        match e {
-                            RuntimeError::Integrity(_) => integrity_errors += 1,
-                            RuntimeError::Eval(_) | RuntimeError::RebuildBudgetExhausted { .. } => {
-                                eval_errors += 1
-                            }
-                            RuntimeError::Wal(_) => crashed = true,
-                            // Deadline misses and admission rejections are
-                            // already counted by the daemon's counters.
-                            RuntimeError::DeadlineExceeded { .. }
-                            | RuntimeError::Overloaded { .. }
-                            | RuntimeError::Draining => {}
-                        }
-                        println!("[{n}] error: {e}");
-                    }
-                }
-                flush_stdout();
-                if let Some(every) = stats_every {
-                    if served.is_multiple_of(every) {
-                        let secs = serve_started.elapsed().as_secs_f64();
-                        eprintln!(
-                            "serve: {served} response(s) ({:.0} req/s)",
-                            served as f64 / secs.max(1e-9),
-                        );
-                    }
+        let resp = match rx.recv_timeout(std::time::Duration::from_millis(50)) {
+            Ok(resp) => resp,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+        };
+        served += 1;
+        match &resp.result {
+            Err(RuntimeError::Integrity(_)) => integrity_errors += 1,
+            Err(RuntimeError::Eval(_) | RuntimeError::RebuildBudgetExhausted { .. }) => {
+                eval_errors += 1
+            }
+            Err(RuntimeError::Wal(_)) => crashed = true,
+            // Deadline misses and admission rejections are counted by the
+            // daemon's counters.
+            _ => {}
+        }
+        if listen {
+            println!("{}", response_line(resp.seq, &resp));
+            flush_stdout();
+        } else {
+            in_file_order[resp.seq as usize] = Some(response_line(resp.seq + 1, &resp));
+        }
+        if let Some(every) = stats_every {
+            if served.is_multiple_of(every) || Some(served) == total {
+                let rate = served as f64 / serve_started.elapsed().as_secs_f64().max(1e-9);
+                match total {
+                    Some(total) => eprintln!("serve: {served}/{total} requests ({rate:.0} req/s)"),
+                    None => eprintln!("serve: {served} response(s) ({rate:.0} req/s)"),
                 }
             }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
     let report = daemon.join();
     let wall = serve_started.elapsed();
+    for line in in_file_order.into_iter().flatten() {
+        println!("{line}");
+    }
     if wal.as_ref().is_some_and(|w| w.is_crashed()) {
         crashed = true;
     }
 
     let mut st = bootstrap_stats;
     st.merge(&report.stats);
-    let mut timing = bootstrap_timing;
-    timing.merge(&report.timing);
-    let counters = Arc::clone(&report.counters);
+    let timing = &report.timing;
+    let counters = &report.counters;
+    let throughput = st.requests as f64 / wall.as_secs_f64().max(1e-9);
 
     println!("---");
     println!(
-        "drained: {} ({} response(s) in {:.1} ms)",
-        if term.load(Ordering::SeqCst) {
+        "drained: {} ({served} response(s) in {:.1} ms)",
+        if terminated() {
             "SIGTERM"
         } else {
             "end of input"
         },
-        served,
         wall.as_secs_f64() * 1e3,
     );
     println!("requests:            {}", st.requests);
@@ -1457,11 +1126,19 @@ fn cmd_serve_listen(args: &Args) -> Result<(), CliError> {
         Some(None) => println!("breakeven:           never (specialization does not pay)"),
         Some(Some(b)) => println!("breakeven:           {b} use(s)"),
     }
+    // Latency is a side-channel beside the stats: the numbers are
+    // wall-clock and therefore nondeterministic, so they never enter the
+    // `stats` document the parity suites compare.
     if !timing.total.is_empty() {
         println!("latency end-to-end:  {}", timing.total);
         for (stage, hist) in &timing.stages {
             println!("latency {:<12} {hist}", format!("{stage}:"));
         }
+        println!(
+            "throughput:          {throughput:.0} req/s ({} requests in {:.1} ms)",
+            st.requests,
+            wall.as_secs_f64() * 1e3,
+        );
     }
 
     if let Some(path) = args.trace_out() {
@@ -1471,7 +1148,7 @@ fn cmd_serve_listen(args: &Args) -> Result<(), CliError> {
                 ("entry".to_string(), Json::from(entry.as_str())),
                 ("engine".to_string(), Json::from(engine.to_string())),
                 ("policy".to_string(), Json::from(policy.to_string())),
-                ("workers".to_string(), Json::from(cfg.workers as u64)),
+                ("workers".to_string(), Json::from(workers as u64)),
                 ("events".to_string(), Json::from(report.traces.len())),
             ],
         );
@@ -1502,18 +1179,29 @@ fn cmd_serve_listen(args: &Args) -> Result<(), CliError> {
                 ),
                 ("engine".to_string(), Json::from(engine.to_string())),
                 ("policy".to_string(), Json::from(policy.to_string())),
-                ("workers".to_string(), Json::from(cfg.workers as u64)),
+                ("workers".to_string(), Json::from(workers as u64)),
                 (
                     "store_capacity".to_string(),
                     Json::from(store.capacity() as u64),
                 ),
                 ("stats".to_string(), st.to_json()),
-                ("wall_ms".to_string(), Json::from(wall.as_secs_f64() * 1e3)),
                 (
-                    "throughput_rps".to_string(),
-                    Json::from(st.requests as f64 / wall.as_secs_f64().max(1e-9)),
+                    "worker_stats".to_string(),
+                    Json::Arr(
+                        report
+                            .worker_stats
+                            .iter()
+                            .map(RunnerStats::to_json)
+                            .collect(),
+                    ),
                 ),
+                ("wall_ms".to_string(), Json::from(wall.as_secs_f64() * 1e3)),
+                ("throughput_rps".to_string(), Json::from(throughput)),
                 ("latency".to_string(), timing.to_json()),
+                (
+                    "worker_latency".to_string(),
+                    Json::Arr(report.worker_timing.iter().map(Timing::to_json).collect()),
+                ),
                 (
                     "daemon".to_string(),
                     Json::obj([
@@ -1533,9 +1221,9 @@ fn cmd_serve_listen(args: &Args) -> Result<(), CliError> {
         println!("metrics: wrote {path}");
     }
 
-    // Final durability step of the drain: compact the surviving store
-    // into a checkpoint (or persist the cache file), exactly like batch
-    // serve's clean exit.
+    // Persist every validated store entry for the next invocation. In WAL
+    // mode a clean exit compacts everything into a checkpoint; a crashed
+    // writer leaves its log exactly as the crash left it, for recovery.
     if let Some(w) = &wal {
         if w.is_crashed() {
             println!("wal: writer crashed; log left on disk for recovery on restart");
@@ -1569,6 +1257,80 @@ fn cmd_serve_listen(args: &Args) -> Result<(), CliError> {
         counters.deadline_missed(),
         counters.drain_rejected(),
     )
+}
+
+/// Parses a requests file: one `--args`-style vector per line, blank lines
+/// and `#` comments skipped.
+fn parse_requests(path: &str, text: &str) -> Result<Vec<Vec<Value>>, CliError> {
+    let mut requests = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        requests.push(
+            parse_value_list(line)
+                .map_err(|e| CliError::Usage(format!("`{path}` line {}: {e}", lineno + 1)))?,
+        );
+    }
+    Ok(requests)
+}
+
+/// One answer line, `[n] result: ...` or `[n] error: ...`; requests the
+/// admission policy served unspecialized are marked as such.
+fn response_line(n: u64, resp: &DaemonResponse) -> String {
+    match &resp.result {
+        Ok(out) => {
+            let suffix = if resp.specialized {
+                ""
+            } else {
+                "  (unspecialized)"
+            };
+            match &out.value {
+                Some(v) => format!("[{n}] result: {v}  (cost {}){suffix}", out.cost),
+                None => format!("[{n}] result: (void)  (cost {}){suffix}", out.cost),
+            }
+        }
+        Err(e) => format!("[{n}] error: {e}"),
+    }
+}
+
+/// Starts the `--listen` reader thread: it parses stdin and submits each
+/// request under its 1-based arrival number. Parse errors and admission
+/// rejections (shed, draining) are printed here, so the response channel
+/// only ever carries executed requests. On EOF it starts the drain. It is
+/// deliberately never joined: after SIGTERM it may still be parked in a
+/// (restarted) stdin read, and process exit reaps it.
+fn read_stdin_requests(daemon: Arc<Daemon>, mut fault: Option<(Fault, u64)>) {
+    std::thread::spawn(move || {
+        let stdin = std::io::stdin();
+        let mut line = String::new();
+        let mut n = 0u64;
+        loop {
+            line.clear();
+            match stdin.read_line(&mut line) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                continue;
+            }
+            n += 1;
+            let submitted = parse_value_list(trimmed)
+                .map_err(|e| e.to_string())
+                .and_then(|values| {
+                    daemon
+                        .submit(n, values, fault.take())
+                        .map_err(|e| e.to_string())
+                });
+            if let Err(e) = submitted {
+                println!("[{n}] error: {e}");
+                flush_stdout();
+            }
+        }
+        daemon.drain();
+    });
 }
 
 /// `dsc report`: render ds-telemetry files (serve metrics, trace JSONL,

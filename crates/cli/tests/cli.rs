@@ -205,6 +205,21 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("dsc-test-{}-{name}", std::process::id()))
 }
 
+/// The `[n] result: VALUE` prefix of every answer line, cost dropped:
+/// which request of a fingerprint pays the loader (and so its cost)
+/// depends on the race for the staging latch and on what a log
+/// recovered, never the value.
+fn answers(text: &str) -> Vec<String> {
+    text.lines()
+        .filter(|l| l.starts_with('[') && l.contains("] result: "))
+        .map(|l| {
+            let (head, value) = l.split_once("] result: ").expect("answer line");
+            let value = value.split_whitespace().next().unwrap_or("");
+            format!("{head}] result: {value}")
+        })
+        .collect()
+}
+
 #[test]
 fn serve_replays_requests_and_persists_the_cache() {
     let src = write_temp("serve.mc", DOTPROD);
@@ -637,8 +652,114 @@ fn serve_publishes_latency_and_streams_traces() {
     );
     assert_eq!(latency.total.count(), 3);
 
+    // File mode runs on the daemon: every request is admitted, each worker
+    // reports its own stats, and the answers print in file order exactly
+    // as a single worker prints them.
+    let admitted = doc
+        .get("daemon")
+        .and_then(|d| d.get("counters"))
+        .and_then(|c| c.get("admitted"))
+        .and_then(ds_telemetry::Json::as_u64);
+    assert_eq!(admitted, Some(3));
+    let worker_stats = doc
+        .get("worker_stats")
+        .and_then(|j| j.as_arr())
+        .expect("worker_stats array");
+    assert_eq!(worker_stats.len(), 2);
+    let solo = dsc(&[
+        "serve",
+        src.to_str().expect("utf8"),
+        "--vary",
+        "z1,z2",
+        "--requests",
+        reqs.to_str().expect("utf8"),
+        "--workers",
+        "1",
+    ]);
+    assert_eq!(solo.status.code(), Some(0));
+    let solo_answers = answers(&String::from_utf8_lossy(&solo.stdout));
+    assert_eq!(solo_answers.len(), 3);
+    assert_eq!(answers(&text), solo_answers);
+
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&metrics);
+}
+
+/// A file-mode serve whose log writer crashes mid-record exits 6; a
+/// restart on the same log recovers the sealed caches logged before the
+/// crash and answers exactly as a WAL-less run does.
+#[test]
+fn serve_wal_crash_exits_6_and_the_restart_recovers() {
+    let src = write_temp("serve-crash.mc", DOTPROD);
+    // Contexts A, A, B (the crash strikes B's install), A again (served
+    // from the store) and C (an install after the crash).
+    let reqs = write_temp(
+        "serve-crash-reqs.txt",
+        "1.0,2.0,3.0,4.0,5.0,6.0,2.0\n\
+         1.0,2.0,9.0,4.0,5.0,9.0,2.0\n\
+         1.0,2.0,3.0,4.0,5.0,6.0,0.0\n\
+         1.0,2.0,7.0,4.0,5.0,7.0,2.0\n\
+         3.0,2.0,3.0,4.0,5.0,6.0,2.0\n",
+    );
+    let wal = temp_path("serve-crash.wal");
+    let checkpoint = temp_path("serve-crash.wal.checkpoint");
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(&checkpoint);
+    let serve = |extra: &[&str]| {
+        let mut argv = vec![
+            "serve",
+            src.to_str().expect("utf8"),
+            "--vary",
+            "z1,z2",
+            "--requests",
+            reqs.to_str().expect("utf8"),
+        ];
+        argv.extend_from_slice(extra);
+        dsc(&argv)
+    };
+
+    let reference = serve(&[]);
+    assert_eq!(reference.status.code(), Some(0));
+    let reference = answers(&String::from_utf8_lossy(&reference.stdout));
+    assert_eq!(reference.len(), 5);
+
+    let wal_arg = wal.to_str().expect("utf8");
+    let crashed = serve(&["--wal", wal_arg, "--inject", "crash-at-byte:150"]);
+    assert_eq!(crashed.status.code(), Some(6));
+    let text = String::from_utf8_lossy(&crashed.stdout);
+    // Requests queued after the crash are still served: each is answered
+    // or fails with the typed log error — none is silently dropped.
+    let crash_error = "error: durability failure: write-ahead log writer crashed";
+    let line = |n: u32| {
+        text.lines()
+            .find(|l| l.starts_with(&format!("[{n}] ")))
+            .unwrap_or_else(|| panic!("no line for request {n}: {text}"))
+    };
+    assert_eq!(answers(&text)[..2], reference[..2], "{text}");
+    assert!(line(3).contains(crash_error), "{text}");
+    assert_eq!(
+        answers(line(4))[0],
+        reference[3],
+        "a store hit needs no log"
+    );
+    assert!(line(5).contains(crash_error), "{text}");
+    assert!(!text.contains("not served"), "{text}");
+    assert!(text.contains("log left on disk for recovery"), "{text}");
+
+    let restart = serve(&["--wal", wal_arg]);
+    assert_eq!(restart.status.code(), Some(0));
+    let text = String::from_utf8_lossy(&restart.stdout);
+    let recovered: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("wal: recovered "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no recovery line: {text}"));
+    assert!(recovered >= 1, "{text}");
+    assert_eq!(answers(&text), reference, "{text}");
+
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(&checkpoint);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! | `budget`    | §4.3  | every cache budget from 0 to full is semantics-preserving and within bound |
 //! | `normalize` | §4.1  | phi insertion is semantics-preserving and idempotent |
 //! | `reassoc`   | §4.2  | reassociation preserves semantics (exact for loader/reader vs fragment, ≤1e-6 relative vs source) at equal cost |
-//! | `serve`     | §5    | N parallel workers over a shared store ≡ solo serve, bit-exact |
+//! | `serve`     | §5    | a 3-worker `Daemon` over a shared store ≡ solo serve, bit-exact |
 //! | `recovery`  | —     | crash the WAL at any byte: reopen recovers a prefix of the logged history and re-serves the stream bit-exact |
 //! | `batch`     | —     | SoA batch executor ≡ per-lane scalar runs on both engines (values, errors, cost, Profile), fused and unfused, incl. faulting lanes and warm-cache readers |
 //!
@@ -21,8 +21,8 @@ use crate::case::FuzzCase;
 use ds_core::{specialize, InputPartition, Specialization, SpecializeOptions};
 use ds_interp::{CacheBuf, Engine, EvalError, EvalOptions, Outcome, Value};
 use ds_runtime::{
-    recover, recover_or_degrade, scan_log, CacheStore, FaultInjector, Policy, RunnerOptions,
-    RuntimeError, Session, StagedArtifact, Wal,
+    recover, recover_or_degrade, scan_log, Admission, CacheStore, Daemon, DaemonConfig,
+    FaultInjector, Policy, RunnerOptions, RuntimeError, Session, StagedArtifact, Wal,
 };
 use std::fmt;
 use std::str::FromStr;
@@ -543,9 +543,11 @@ fn describe_serve(r: &Result<Outcome, RuntimeError>) -> String {
     }
 }
 
-/// Staged-serving oracle: on both engines, serving the stream with three
-/// workers over a shared polyvariant store returns bit-identical values and
-/// traces (and field-equal errors) to a solo session serving it in order.
+/// Staged-serving oracle: on both engines, serving the stream through a
+/// three-worker [`Daemon`] over a shared polyvariant store returns
+/// bit-identical values and traces (and field-equal errors) to a solo
+/// session serving it in order. Responses are matched to requests by
+/// their submission sequence number.
 fn check_serve(case: &FuzzCase) -> Result<(), String> {
     const WORKERS: usize = 3;
     let part = partition(case);
@@ -565,29 +567,31 @@ fn check_serve(case: &FuzzCase) -> Result<(), String> {
             stream.iter().map(|req| session.run(req)).collect()
         };
         let store = Arc::new(CacheStore::new(stream.len().max(1)));
-        let chunk = stream.len().div_ceil(WORKERS);
-        let mut sharded: Vec<Option<Result<Outcome, RuntimeError>>> = vec![None; stream.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = stream
-                .chunks(chunk)
-                .map(|reqs| {
-                    let artifact = artifact.clone();
-                    let store = store.clone();
-                    scope.spawn(move || {
-                        let mut session = Session::new(artifact, store, opts);
-                        reqs.iter().map(|req| session.run(req)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for (w, handle) in handles.into_iter().enumerate() {
-                let outs = handle.join().expect("serve worker panicked");
-                for (j, out) in outs.into_iter().enumerate() {
-                    sharded[w * chunk + j] = Some(out);
-                }
-            }
-        });
-        for (i, (a, b)) in solo.iter().zip(&sharded).enumerate() {
-            let b = b.as_ref().expect("every request was served");
+        let cfg = DaemonConfig {
+            workers: WORKERS,
+            max_queue: stream.len().max(1),
+            deadline_ms: None,
+            admission: Admission::Always,
+            runner: opts,
+            tracing: false,
+        };
+        let (daemon, rx) = Daemon::start(artifact.clone(), store, None, cfg);
+        for (i, req) in stream.iter().enumerate() {
+            daemon
+                .submit(i as u64, req.clone(), None)
+                .map_err(|e| format!("[{engine:?}] request {i}: rejected at submit: {e}"))?;
+        }
+        daemon.drain();
+        let mut served: Vec<Option<Result<Outcome, RuntimeError>>> = vec![None; stream.len()];
+        // The channel disconnects once the drained workers exit.
+        for resp in rx {
+            served[resp.seq as usize] = Some(resp.result);
+        }
+        daemon.join();
+        for (i, (a, b)) in solo.iter().zip(&served).enumerate() {
+            let Some(b) = b else {
+                return Err(format!("[{engine:?}] request {i}: never answered"));
+            };
             let ok = match (a, b) {
                 (Ok(x), Ok(y)) => outcomes_eq(x, y),
                 (Err(x), Err(y)) => x == y,
@@ -595,7 +599,7 @@ fn check_serve(case: &FuzzCase) -> Result<(), String> {
             };
             if !ok {
                 return Err(format!(
-                    "[{engine:?}] request {i}: solo {} vs {WORKERS}-worker {}",
+                    "[{engine:?}] request {i}: solo {} vs {WORKERS}-worker daemon {}",
                     describe_serve(a),
                     describe_serve(b)
                 ));

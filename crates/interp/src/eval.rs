@@ -79,7 +79,7 @@ pub struct Profile {
     pub cost: u64,
     /// Loader re-runs triggered by the staged-execution runtime (stale
     /// invariants, failed validation, reader recovery). Always 0 for a bare
-    /// engine run; `ds-runtime`'s `StagedRunner` fills it in.
+    /// engine run; `ds-runtime`'s `Session` fills it in.
     pub rebuilds: u64,
     /// Requests the runtime served by falling back to the unspecialized
     /// fragment. Always 0 for a bare engine run.

@@ -1,22 +1,26 @@
 //! The versioned, checksummed cache-file format.
 //!
-//! A warm [`CacheBuf`] can be persisted and later re-attached to a runner,
+//! A cache store can be persisted and later re-adopted by a session,
 //! amortizing the loader across *processes*, not just requests. The file is
-//! a `ds-telemetry` JSON envelope (`kind: "cache"`, schema-versioned like
-//! every other export), carrying:
+//! a `ds-telemetry` JSON envelope (`kind: "cache-store"`, schema-versioned
+//! like every other export) holding one entry per sealed cache. The bundle
+//! header carries the layout fingerprint, the entry count and the
+//! write-ahead-log chaining LSN under a header checksum; each entry
+//! carries:
 //!
 //! * the **layout fingerprint** of the specialization that filled it, so a
 //!   cache can never be consumed by a reader of a different specialization;
 //! * the **inputs fingerprint** of the invariant-input vector it was loaded
-//!   for, so staleness is detected on the first request;
+//!   for, so each entry serves only its own invariant context;
 //! * every slot as a `(type, bit-pattern)` pair — bit patterns are stored
 //!   as hex strings because JSON numbers are doubles and would silently
 //!   lose `i64` precision and `NaN`/`-0.0` distinctions;
 //! * an **FNV-1a checksum** over the semantic content, so any byte-level
 //!   corruption of a semantically relevant field is rejected at load.
 //!
-//! Loading validates envelope → checksum → layout → per-slot types, in that
-//! order, and returns a typed [`IntegrityError`] for the first violation.
+//! Loading validates envelope → header → per entry checksum → layout →
+//! slot types, in that order, and returns a typed [`IntegrityError`] for
+//! the first violation.
 //! The invariant the chaos suite pins down: **a load either fails with a
 //! typed error or yields a cache semantically identical to the one saved.**
 
@@ -25,9 +29,6 @@ use ds_core::CacheLayout;
 use ds_interp::{value_bits, CacheBuf, Value};
 use ds_lang::Type;
 use ds_telemetry::{Fnv64, Json};
-
-/// The envelope `kind` of a single-entry cache file.
-pub const CACHE_KIND: &str = "cache";
 
 /// The envelope `kind` of a polyvariant cache-store bundle (one entry per
 /// invariant fingerprint).
@@ -108,9 +109,9 @@ pub struct LoadedCache {
     pub inputs_fingerprint: u64,
 }
 
-/// The semantic fields of one cache entry — the body of a single-entry
-/// file and of each element of a bundle's `entries` array. Every entry
-/// carries its own checksum, so corruption is pinpointed per entry.
+/// The semantic fields of one cache entry — each element of a bundle's
+/// `entries` array. Every entry carries its own checksum, so corruption is
+/// pinpointed per entry.
 fn payload_fields(cache: &CacheBuf, layout_fp: u64, inputs_fp: u64) -> Vec<(String, Json)> {
     let entries: Vec<Option<(Type, u64)>> = (0..cache.len())
         .map(|i| {
@@ -148,12 +149,6 @@ fn payload_fields(cache: &CacheBuf, layout_fp: u64, inputs_fp: u64) -> Vec<(Stri
             Json::from(hex(checksum(layout_fp, inputs_fp, &entries)).as_str()),
         ),
     ]
-}
-
-/// Serializes `cache` as a versioned, checksummed cache file.
-pub fn save_cache(cache: &CacheBuf, layout_fp: u64, inputs_fp: u64) -> String {
-    let doc = ds_telemetry::envelope(CACHE_KIND, payload_fields(cache, layout_fp, inputs_fp));
-    doc.pretty() + "\n"
 }
 
 /// The header checksum of a store bundle covers the fields that steer
@@ -221,52 +216,31 @@ fn hex_field(doc: &Json, name: &str) -> Result<u64, IntegrityError> {
     parse_hex(s, name)
 }
 
-/// Parses and fully validates a cache file against `layout`.
+/// Parses and fully validates a cache-store bundle against `layout`.
+/// Every entry is validated; the first violation rejects the whole file.
 ///
 /// # Errors
 ///
 /// A typed [`IntegrityError`] for the first violation found:
 /// [`IntegrityError::Malformed`] for truncated/unparseable documents or a
 /// foreign envelope, [`IntegrityError::ChecksumMismatch`] for post-write
-/// corruption, [`IntegrityError::LayoutMismatch`] when the cache belongs to
-/// a different specialization, and [`IntegrityError::SlotTypeDrift`] when a
-/// slot's stored type contradicts the layout.
-pub fn parse_cache(text: &str, layout: &CacheLayout) -> Result<LoadedCache, IntegrityError> {
-    let doc = ds_telemetry::parse(text).map_err(|e| IntegrityError::Malformed {
-        detail: e.to_string(),
-    })?;
-    let kind = ds_telemetry::validate_envelope(&doc)
-        .map_err(|detail| IntegrityError::Malformed { detail })?;
-    if kind != CACHE_KIND {
-        return Err(IntegrityError::Malformed {
-            detail: format!("envelope kind `{kind}` is not `{CACHE_KIND}`"),
-        });
-    }
-    parse_payload(&doc, layout)
-}
-
-/// Parses and fully validates a cache file of *either* kind: a legacy
-/// single-entry `cache` file (returned as a one-element vector) or a
-/// `cache-store` bundle. Every entry is validated exactly as strictly as
-/// a single-entry file; the first violation rejects the whole file.
-///
-/// # Errors
-///
-/// The same taxonomy as [`parse_cache`], applied per entry.
+/// corruption, [`IntegrityError::LayoutMismatch`] when the bundle belongs
+/// to a different specialization, and [`IntegrityError::SlotTypeDrift`]
+/// when a slot's stored type contradicts the layout.
 pub fn parse_store(text: &str, layout: &CacheLayout) -> Result<Vec<LoadedCache>, IntegrityError> {
     parse_store_with_lsn(text, layout).map(|(entries, _)| entries)
 }
 
 /// [`parse_store`] plus the checkpoint chaining LSN: the last write-ahead
 /// log sequence number the bundle compacts (0 for legacy bundles written
-/// before checkpoints existed, and for single-entry `cache` files). When
+/// before checkpoints existed). When
 /// the file carries a `wal_lsn` it must also carry a valid
 /// `header_checksum`, so byte damage to the chaining metadata is rejected
 /// rather than silently replaying the wrong log suffix.
 ///
 /// # Errors
 ///
-/// The same taxonomy as [`parse_cache`].
+/// The same taxonomy as [`parse_store`].
 pub fn parse_store_with_lsn(
     text: &str,
     layout: &CacheLayout,
@@ -276,69 +250,66 @@ pub fn parse_store_with_lsn(
     })?;
     let kind = ds_telemetry::validate_envelope(&doc)
         .map_err(|detail| IntegrityError::Malformed { detail })?;
-    match kind.as_str() {
-        CACHE_KIND => Ok((vec![parse_payload(&doc, layout)?], 0)),
-        STORE_KIND => {
-            let layout_fp = hex_field(&doc, "layout_fingerprint")?;
-            if layout_fp != layout.fingerprint() {
-                return Err(IntegrityError::LayoutMismatch {
-                    detail: format!(
-                        "bundle fingerprint {:#018x}, current layout {:#018x}",
-                        layout_fp,
-                        layout.fingerprint()
-                    ),
-                });
-            }
-            let entry_count =
-                field(&doc, "entry_count")?
-                    .as_u64()
-                    .ok_or_else(|| IntegrityError::Malformed {
-                        detail: "`entry_count` is not a non-negative integer".to_string(),
-                    })? as usize;
-            let Json::Arr(raw) = field(&doc, "entries")? else {
-                return Err(IntegrityError::Malformed {
-                    detail: "`entries` is not an array".to_string(),
-                });
-            };
-            if raw.len() != entry_count {
-                return Err(IntegrityError::Malformed {
-                    detail: format!(
-                        "`entry_count` says {entry_count} but `entries` has {} entries",
-                        raw.len()
-                    ),
-                });
-            }
-            // Chaining metadata (absent on legacy bundles): `wal_lsn` and
-            // `header_checksum` travel together, and the checksum must
-            // validate before the LSN may steer recovery.
-            let wal_lsn = match (doc.get("wal_lsn"), doc.get("header_checksum")) {
-                (None, None) => 0,
-                (Some(_), None) | (None, Some(_)) => {
-                    return Err(IntegrityError::Malformed {
-                        detail: "`wal_lsn` and `header_checksum` must both be present".to_string(),
-                    })
-                }
-                (Some(_), Some(_)) => {
-                    let wal_lsn = hex_field(&doc, "wal_lsn")?;
-                    let stored = hex_field(&doc, "header_checksum")?;
-                    let found = header_checksum(layout_fp, entry_count, wal_lsn);
-                    if stored != found {
-                        return Err(IntegrityError::ChecksumMismatch {
-                            expected: stored,
-                            found,
-                        });
-                    }
-                    wal_lsn
-                }
-            };
-            let entries: Result<Vec<LoadedCache>, IntegrityError> =
-                raw.iter().map(|e| parse_payload(e, layout)).collect();
-            Ok((entries?, wal_lsn))
-        }
-        other => Err(IntegrityError::Malformed {
-            detail: format!("envelope kind `{other}` is neither `{CACHE_KIND}` nor `{STORE_KIND}`"),
-        }),
+    if kind != STORE_KIND {
+        return Err(IntegrityError::Malformed {
+            detail: format!("envelope kind `{kind}` is not `{STORE_KIND}`"),
+        });
     }
+    let layout_fp = hex_field(&doc, "layout_fingerprint")?;
+    if layout_fp != layout.fingerprint() {
+        return Err(IntegrityError::LayoutMismatch {
+            detail: format!(
+                "bundle fingerprint {:#018x}, current layout {:#018x}",
+                layout_fp,
+                layout.fingerprint()
+            ),
+        });
+    }
+    let entry_count =
+        field(&doc, "entry_count")?
+            .as_u64()
+            .ok_or_else(|| IntegrityError::Malformed {
+                detail: "`entry_count` is not a non-negative integer".to_string(),
+            })? as usize;
+    let Json::Arr(raw) = field(&doc, "entries")? else {
+        return Err(IntegrityError::Malformed {
+            detail: "`entries` is not an array".to_string(),
+        });
+    };
+    if raw.len() != entry_count {
+        return Err(IntegrityError::Malformed {
+            detail: format!(
+                "`entry_count` says {entry_count} but `entries` has {} entries",
+                raw.len()
+            ),
+        });
+    }
+    // Chaining metadata (absent on legacy bundles): `wal_lsn` and
+    // `header_checksum` travel together, and the checksum must
+    // validate before the LSN may steer recovery.
+    let wal_lsn = match (doc.get("wal_lsn"), doc.get("header_checksum")) {
+        (None, None) => 0,
+        (Some(_), None) | (None, Some(_)) => {
+            return Err(IntegrityError::Malformed {
+                detail: "`wal_lsn` and `header_checksum` must both be present".to_string(),
+            })
+        }
+        (Some(_), Some(_)) => {
+            let wal_lsn = hex_field(&doc, "wal_lsn")?;
+            let stored = hex_field(&doc, "header_checksum")?;
+            let found = header_checksum(layout_fp, entry_count, wal_lsn);
+            if stored != found {
+                return Err(IntegrityError::ChecksumMismatch {
+                    expected: stored,
+                    found,
+                });
+            }
+            wal_lsn
+        }
+    };
+    let entries: Result<Vec<LoadedCache>, IntegrityError> =
+        raw.iter().map(|e| parse_payload(e, layout)).collect();
+    Ok((entries?, wal_lsn))
 }
 
 /// Validates one entry's payload fields against `layout`: checksum →
@@ -452,6 +423,12 @@ mod tests {
         ])
     }
 
+    /// One entry, saved as a bundle and parsed back.
+    fn round_trip(c: &CacheBuf, l: &CacheLayout, fp: u64) -> LoadedCache {
+        let text = save_store(&[(fp, c.clone())], l.fingerprint());
+        parse_store(&text, l).expect("load").remove(0)
+    }
+
     fn warm_cache() -> CacheBuf {
         let mut c = CacheBuf::new(3);
         c.set(0, Value::Float(-0.0));
@@ -464,8 +441,7 @@ mod tests {
     fn round_trips_bit_exactly_including_awkward_values() {
         let l = layout();
         let c = warm_cache();
-        let text = save_cache(&c, l.fingerprint(), 42);
-        let back = parse_cache(&text, &l).expect("load");
+        let back = round_trip(&c, &l, 42);
         assert_eq!(back.inputs_fingerprint, 42);
         assert_eq!(back.cache.content_hash(), c.content_hash());
         // -0.0 must round-trip as -0.0, not 0.0.
@@ -478,7 +454,7 @@ mod tests {
         let l = layout();
         let mut c = CacheBuf::new(3);
         c.set(1, Value::Int(7));
-        let back = parse_cache(&save_cache(&c, l.fingerprint(), 0), &l).expect("load");
+        let back = round_trip(&c, &l, 0);
         assert_eq!(back.cache.filled(), 1);
         assert_eq!(back.cache.get(0), None);
         assert_eq!(back.cache.get(1), Some(Value::Int(7)));
@@ -489,16 +465,16 @@ mod tests {
         let l = CacheLayout::new([(TermId(1), Type::Float, "x".to_string())]);
         let mut c = CacheBuf::new(1);
         c.set(0, Value::Float(f64::NAN));
-        let back = parse_cache(&save_cache(&c, l.fingerprint(), 0), &l).expect("load");
+        let back = round_trip(&c, &l, 0);
         assert!(back.cache.get(0).unwrap().bits_eq(&Value::Float(f64::NAN)));
     }
 
     #[test]
     fn truncated_file_is_malformed() {
         let l = layout();
-        let text = save_cache(&warm_cache(), l.fingerprint(), 0);
+        let text = save_store(&[(0, warm_cache())], l.fingerprint());
         for cut in [0, 1, text.len() / 2, text.len() - 3] {
-            let err = parse_cache(&text[..cut], &l).unwrap_err();
+            let err = parse_store(&text[..cut], &l).unwrap_err();
             assert!(
                 matches!(err, IntegrityError::Malformed { .. }),
                 "cut at {cut}: {err}"
@@ -509,13 +485,13 @@ mod tests {
     #[test]
     fn corrupted_content_fails_the_checksum() {
         let l = layout();
-        let text = save_cache(&warm_cache(), l.fingerprint(), 0);
+        let text = save_store(&[(0, warm_cache())], l.fingerprint());
         // Flip one hex digit inside a slot's bit pattern.
         let idx = text.find("\"bits\": \"0x").expect("bits field") + 11;
         let mut bytes = text.into_bytes();
         bytes[idx] = if bytes[idx] == b'0' { b'1' } else { b'0' };
         let corrupted = String::from_utf8(bytes).unwrap();
-        let err = parse_cache(&corrupted, &l).unwrap_err();
+        let err = parse_store(&corrupted, &l).unwrap_err();
         assert!(
             matches!(err, IntegrityError::ChecksumMismatch { .. }),
             "{err}"
@@ -525,21 +501,21 @@ mod tests {
     #[test]
     fn layout_drift_is_rejected() {
         let l = layout();
-        let text = save_cache(&warm_cache(), l.fingerprint(), 0);
+        let text = save_store(&[(0, warm_cache())], l.fingerprint());
         // Same slot count, different producing terms.
         let other = CacheLayout::new([
             (TermId(9), Type::Float, "a * b".to_string()),
             (TermId(2), Type::Int, "n + 1".to_string()),
             (TermId(3), Type::Bool, "p".to_string()),
         ]);
-        let err = parse_cache(&text, &other).unwrap_err();
+        let err = parse_store(&text, &other).unwrap_err();
         assert!(
             matches!(err, IntegrityError::LayoutMismatch { .. }),
             "{err}"
         );
         // Different slot count entirely.
         let fewer = CacheLayout::new([(TermId(1), Type::Float, "a * b".to_string())]);
-        let err = parse_cache(&text, &fewer).unwrap_err();
+        let err = parse_store(&text, &fewer).unwrap_err();
         assert!(
             matches!(err, IntegrityError::LayoutMismatch { .. }),
             "{err}"
@@ -554,8 +530,8 @@ mod tests {
         let l = layout();
         let mut c = CacheBuf::new(3);
         c.set(0, Value::Int(1)); // layout declares float
-        let text = save_cache(&c, l.fingerprint(), 0);
-        let err = parse_cache(&text, &l).unwrap_err();
+        let text = save_store(&[(0, c)], l.fingerprint());
+        let err = parse_store(&text, &l).unwrap_err();
         assert_eq!(
             err,
             IntegrityError::SlotTypeDrift {
@@ -581,15 +557,6 @@ mod tests {
         assert_eq!(back[0].cache.content_hash(), warm_cache().content_hash());
         assert_eq!(back[1].inputs_fingerprint, 22);
         assert_eq!(back[1].cache.content_hash(), c2.content_hash());
-    }
-
-    #[test]
-    fn parse_store_accepts_legacy_single_entry_files() {
-        let l = layout();
-        let text = save_cache(&warm_cache(), l.fingerprint(), 42);
-        let back = parse_store(&text, &l).expect("legacy file");
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].inputs_fingerprint, 42);
     }
 
     #[test]
@@ -672,9 +639,14 @@ mod tests {
     fn foreign_envelopes_are_rejected() {
         let l = layout();
         let not_cache = ds_telemetry::envelope("run", vec![]).pretty();
-        let err = parse_cache(&not_cache, &l).unwrap_err();
+        let err = parse_store(&not_cache, &l).unwrap_err();
         assert!(matches!(err, IntegrityError::Malformed { .. }), "{err}");
-        let err = parse_cache("{}", &l).unwrap_err();
+        let err = parse_store("{}", &l).unwrap_err();
+        assert!(matches!(err, IntegrityError::Malformed { .. }), "{err}");
+        // The retired single-entry format is a foreign envelope too.
+        let single =
+            ds_telemetry::envelope("cache", payload_fields(&warm_cache(), l.fingerprint(), 0));
+        let err = parse_store(&single.pretty(), &l).unwrap_err();
         assert!(matches!(err, IntegrityError::Malformed { .. }), "{err}");
     }
 }

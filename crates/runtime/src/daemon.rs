@@ -66,8 +66,7 @@ use crate::artifact::StagedArtifact;
 use crate::error::RuntimeError;
 use crate::fault::Fault;
 use crate::latch::LatchTable;
-use crate::runner::{RunnerOptions, RunnerStats};
-use crate::session::Session;
+use crate::session::{RunnerOptions, RunnerStats, Session};
 use crate::store::CacheStore;
 use crate::timing::{RequestOutcome, RequestTrace};
 use crate::wal::Wal;
@@ -147,7 +146,7 @@ pub struct DaemonConfig {
     pub deadline_ms: Option<u64>,
     /// When to specialize a fingerprint.
     pub admission: Admission,
-    /// Session configuration (engine, policy, budgets, store capacity).
+    /// Session configuration (engine, policy, rebuild budget, engine options).
     pub runner: RunnerOptions,
     /// Collect a [`RequestTrace`] per request.
     pub tracing: bool,
@@ -190,6 +189,12 @@ pub struct DaemonReport {
     /// Merged latency histograms: per-session serving stages plus the
     /// daemon-level `queue` and `unspec` stages.
     pub timing: Timing,
+    /// Each worker's own statistics, in worker order; `stats` is their
+    /// merge.
+    pub worker_stats: Vec<RunnerStats>,
+    /// Each worker's own latency histograms, in worker order; `timing` is
+    /// their exact merge.
+    pub worker_timing: Vec<Timing>,
     /// Per-request traces (only when `tracing` was enabled), sorted by
     /// submission sequence number.
     pub traces: Vec<RequestTrace>,
@@ -372,17 +377,23 @@ impl Daemon {
         let handles: Vec<_> = lock(&self.workers).drain(..).collect();
         let mut stats = RunnerStats::default();
         let mut timing = Timing::new();
+        let mut worker_stats = Vec::with_capacity(handles.len());
+        let mut worker_timing = Vec::with_capacity(handles.len());
         let mut traces = Vec::new();
         for h in handles {
             let (ws, wt, wtr) = h.join().expect("daemon worker panicked");
             stats.merge(&ws);
             timing.merge(&wt);
+            worker_stats.push(ws);
+            worker_timing.push(wt);
             traces.extend(wtr);
         }
         traces.sort_by_key(|t| t.seq);
         DaemonReport {
             stats,
             timing,
+            worker_stats,
+            worker_timing,
             traces,
             counters: Arc::clone(&self.shared.counters),
             breakeven: *lock(&self.shared.breakeven),
@@ -607,7 +618,7 @@ fn worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Policy;
+    use crate::session::Policy;
     use ds_core::{specialize_source, InputPartition, SpecializeOptions};
     use ds_interp::Engine;
     use ds_telemetry::LatencyHist;
@@ -1126,6 +1137,17 @@ mod tests {
             Some(6)
         );
         assert!(!report.timing.total.is_empty());
+        // The per-worker breakdown folds back into the merged report.
+        assert_eq!(report.worker_stats.len(), 2);
+        assert_eq!(report.worker_timing.len(), 2);
+        let mut refolded = Timing::new();
+        let mut restats = RunnerStats::default();
+        for (ws, wt) in report.worker_stats.iter().zip(&report.worker_timing) {
+            restats.merge(ws);
+            refolded.merge(wt);
+        }
+        assert_eq!(refolded, report.timing);
+        assert_eq!(restats, report.stats);
         // Policies that can fail fast still produce typed errors, so the
         // daemon invariant (answer or typed error) is engine-independent.
         assert_eq!(report.stats.requests, 6);

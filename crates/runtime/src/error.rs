@@ -119,10 +119,10 @@ impl fmt::Display for WalError {
 
 impl Error for WalError {}
 
-/// A failure of a [`StagedRunner`](crate::StagedRunner) request.
+/// A failure of a [`Session`](crate::Session) request.
 ///
 /// Every failure mode of staged execution maps onto one of these variants;
-/// the chaos suite's core guarantee is that a faulted runner returns either
+/// the chaos suite's core guarantee is that a faulted session returns either
 /// the reference answer or one of these — never a silently wrong value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {

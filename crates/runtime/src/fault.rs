@@ -196,13 +196,17 @@ impl FaultInjector {
     }
 
     /// Cuts `text` at a seeded interior position (always strictly shorter
-    /// than the input when the input is non-empty).
+    /// than the input when the input is non-empty). The cut always removes
+    /// content: a position that would only shave trailing whitespace moves
+    /// back to the start of the last non-whitespace character, since such
+    /// a cut leaves the document intact.
     pub fn truncate_text(&mut self, text: &str) -> String {
         if text.is_empty() {
             return String::new();
         }
         let cut = self.pick(text.len() as u64) as usize;
-        text[..cut].to_string()
+        let last_content = text.trim_end().char_indices().last().map_or(0, |(i, _)| i);
+        text[..cut.min(last_content)].to_string()
     }
 }
 
@@ -252,6 +256,13 @@ mod tests {
         for _ in 0..50 {
             assert_ne!(inj.corrupt_text(text), text);
             assert!(inj.truncate_text(text).len() < text.len());
+        }
+        // A pretty-printed file ends in a newline; the cut still removes
+        // content, never only the trailing whitespace.
+        let text = "{\"kind\": \"cache-store\"}\n\n";
+        for seed in 0..64 {
+            let cut = FaultInjector::new(seed).truncate_text(text);
+            assert!(cut.len() < text.trim_end().len(), "seed {seed}: {cut:?}");
         }
     }
 

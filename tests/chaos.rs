@@ -1,7 +1,7 @@
 //! Chaos suite: fault injection against the staged-execution runtime.
 //!
 //! The guarantee under test (ISSUE 3's acceptance criterion): for **every
-//! fault class × both engines × every policy**, a [`StagedRunner`] returns
+//! fault class × both engines × every policy**, a [`Session`] returns
 //! either the *reference answer* (the uncached tree-walked fragment — the
 //! differential oracle) or a **typed `RuntimeError`** — never a silently
 //! wrong value. And a corrupted or truncated cache *file* is always
@@ -16,15 +16,19 @@
 #[allow(dead_code)]
 mod paper;
 
+#[path = "common/session.rs"]
+mod session;
+
 use std::sync::Arc;
 
 use ds_core::{specialize_source, InputPartition, SpecializeOptions};
 use ds_interp::{Engine, EvalOptions, Value};
 use ds_runtime::{
-    recover_or_degrade, Fault, FaultInjector, IntegrityError, Policy, RunnerOptions, RuntimeError,
-    StagedRunner, Wal, WalError,
+    recover_or_degrade, Fault, FaultInjector, IntegrityError, LoadedCache, Policy, RunnerOptions,
+    RuntimeError, Session, Wal, WalError,
 };
 use paper::paper_examples;
+use session::{solo_session, STORE_CAPACITY};
 
 const ENGINES: [Engine; 2] = [Engine::Tree, Engine::Vm];
 const POLICIES: [Policy; 3] = [
@@ -44,9 +48,9 @@ fn specialized(
     (spec, part)
 }
 
-fn runner_for(src: &str, entry: &str, varying: &[&str], opts: RunnerOptions) -> StagedRunner {
+fn runner_for(src: &str, entry: &str, varying: &[&str], opts: RunnerOptions) -> Session {
     let (spec, part) = specialized(src, entry, varying);
-    StagedRunner::new(&spec, &part, opts)
+    solo_session(&spec, &part, opts, STORE_CAPACITY)
 }
 
 /// Runs one request and asserts the chaos invariant: a successful outcome
@@ -54,7 +58,7 @@ fn runner_for(src: &str, entry: &str, varying: &[&str], opts: RunnerOptions) -> 
 /// typed `RuntimeError` (which the type system already guarantees — we
 /// record it for the scenario-level assertions). Returns whether the
 /// request succeeded.
-fn checked_request(r: &mut StagedRunner, args: &[Value], ctx: &str) -> bool {
+fn checked_request(r: &mut Session, args: &[Value], ctx: &str) -> bool {
     let want = r
         .reference(args)
         .unwrap_or_else(|e| panic!("{ctx}: reference oracle failed: {e}"))
@@ -263,6 +267,14 @@ fn truncation_and_fuel_faults_take_their_taxonomy_paths() {
     }
 }
 
+/// What a parsed cache file means: each entry's fingerprint and content.
+fn semantics(entries: &[LoadedCache]) -> Vec<(u64, u64)> {
+    entries
+        .iter()
+        .map(|e| (e.inputs_fingerprint, e.cache.content_hash()))
+        .collect()
+}
+
 /// Every single-byte corruption and every truncation of a cache file is
 /// either rejected with a typed integrity error or — in the rare benign
 /// case — parses to a cache *semantically identical* to the original.
@@ -270,11 +282,12 @@ fn truncation_and_fuel_faults_take_their_taxonomy_paths() {
 #[test]
 fn damaged_cache_files_are_always_rejected_or_harmless() {
     let (spec, part) = specialized(paper::DOTPROD_SRC, "dotprod", &["z1", "z2"]);
-    let mut r = StagedRunner::new(&spec, &part, RunnerOptions::default());
+    let mut r = solo_session(&spec, &part, RunnerOptions::default(), STORE_CAPACITY);
     let args = &paper_examples()[0].arg_sets[0];
     r.run(args).unwrap();
-    let text = r.save_cache_text().expect("warm");
-    let pristine = ds_runtime::parse_cache(&text, &spec.layout).expect("pristine loads");
+    let text = r.save_store_text().expect("warm");
+    let pristine =
+        semantics(&ds_runtime::parse_store(&text, &spec.layout).expect("pristine loads"));
 
     // Exhaustive single-byte flips.
     let bytes = text.as_bytes();
@@ -282,11 +295,11 @@ fn damaged_cache_files_are_always_rejected_or_harmless() {
         let mut mutated = bytes.to_vec();
         mutated[i] ^= 1; // stays ASCII: still a valid String
         let mutated = String::from_utf8(mutated).unwrap();
-        match ds_runtime::parse_cache(&mutated, &spec.layout) {
+        match ds_runtime::parse_store(&mutated, &spec.layout) {
             Err(_) => {} // typed rejection: the required outcome
             Ok(loaded) => assert_eq!(
-                (loaded.cache.content_hash(), loaded.inputs_fingerprint),
-                (pristine.cache.content_hash(), pristine.inputs_fingerprint),
+                semantics(&loaded),
+                pristine,
                 "byte {i}: accepted a semantically different cache"
             ),
         }
@@ -296,11 +309,11 @@ fn damaged_cache_files_are_always_rejected_or_harmless() {
     // still parse — they must then be semantically identical; every cut
     // into the document body must be rejected.
     for cut in 0..text.len() {
-        match ds_runtime::parse_cache(&text[..cut], &spec.layout) {
+        match ds_runtime::parse_store(&text[..cut], &spec.layout) {
             Err(_) => {}
             Ok(loaded) => assert_eq!(
-                (loaded.cache.content_hash(), loaded.inputs_fingerprint),
-                (pristine.cache.content_hash(), pristine.inputs_fingerprint),
+                semantics(&loaded),
+                pristine,
                 "truncation at {cut}: accepted a semantically different cache"
             ),
         }
@@ -310,30 +323,30 @@ fn damaged_cache_files_are_always_rejected_or_harmless() {
     for seed in 0..32u64 {
         let mut inj = FaultInjector::new(seed);
         let corrupted = inj.corrupt_text(&text);
-        if let Ok(loaded) = ds_runtime::parse_cache(&corrupted, &spec.layout) {
-            assert_eq!(loaded.cache.content_hash(), pristine.cache.content_hash());
+        if let Ok(loaded) = ds_runtime::parse_store(&corrupted, &spec.layout) {
+            assert_eq!(semantics(&loaded), pristine);
         }
         assert!(
-            ds_runtime::parse_cache(&inj.truncate_text(&text), &spec.layout).is_err(),
+            ds_runtime::parse_store(&inj.truncate_text(&text), &spec.layout).is_err(),
             "seed {seed}: truncated file accepted"
         );
     }
 }
 
 /// A cache file saved under one specialization never loads under another
-/// (layout fingerprint), and a runner adopting a valid file serves
+/// (layout fingerprint), and a session adopting a valid file serves
 /// requests that match the reference.
 #[test]
 fn cross_specialization_cache_files_are_rejected() {
     let (spec_a, part_a) = specialized(paper::DOTPROD_SRC, "dotprod", &["z1", "z2"]);
-    let mut a = StagedRunner::new(&spec_a, &part_a, RunnerOptions::default());
+    let mut a = solo_session(&spec_a, &part_a, RunnerOptions::default(), STORE_CAPACITY);
     let args = &paper_examples()[0].arg_sets[0];
     a.run(args).unwrap();
-    let text = a.save_cache_text().unwrap();
+    let text = a.save_store_text().unwrap();
 
     // Same program, different partition: different layout.
     let (spec_b, part_b) = specialized(paper::DOTPROD_SRC, "dotprod", &["z1", "z2", "scale"]);
-    let mut b = StagedRunner::new(&spec_b, &part_b, RunnerOptions::default());
+    let mut b = solo_session(&spec_b, &part_b, RunnerOptions::default(), STORE_CAPACITY);
     let err = b.load_cache_text(&text).unwrap_err();
     assert!(
         matches!(
@@ -343,15 +356,16 @@ fn cross_specialization_cache_files_are_rejected() {
         "{err}"
     );
 
-    // Adoption by a matching runner works and is differentially correct.
+    // Adoption by a matching session works and is differentially correct.
     for engine in ENGINES {
-        let mut fresh = StagedRunner::new(
+        let mut fresh = solo_session(
             &spec_a,
             &part_a,
             RunnerOptions {
                 engine,
                 ..RunnerOptions::default()
             },
+            STORE_CAPACITY,
         );
         fresh.load_cache_text(&text).expect("matching layout");
         assert!(checked_request(&mut fresh, args, "adopted cache"));
@@ -428,7 +442,8 @@ fn wal_faults_tear_or_crash_but_never_corrupt_an_answer() {
                                 ..RunnerOptions::default()
                             },
                         );
-                        let wal = Arc::new(Wal::in_memory(r.layout_fingerprint(), Some(2)));
+                        let wal =
+                            Arc::new(Wal::in_memory(r.artifact().layout_fingerprint(), Some(2)));
                         r.attach_wal(Arc::clone(&wal));
                         r.inject(fault, at).expect("wal fault arms");
                         let mut crashes = 0u64;
@@ -530,7 +545,7 @@ fn crashed_writer_restart_serves_recovered_caches_without_restaging() {
             ..RunnerOptions::default()
         },
     );
-    let wal = Arc::new(Wal::in_memory(r.layout_fingerprint(), None));
+    let wal = Arc::new(Wal::in_memory(r.artifact().layout_fingerprint(), None));
     r.attach_wal(Arc::clone(&wal));
     // Stage the first argument set cleanly, then arm a crash far enough
     // out that the *second* install dies mid-record. The second set must
@@ -601,7 +616,7 @@ fn latency_faults_cost_time_but_never_answers() {
                         },
                     );
                     // slow-io needs a log to slow down; stall ignores it.
-                    let wal = Arc::new(Wal::in_memory(r.layout_fingerprint(), None));
+                    let wal = Arc::new(Wal::in_memory(r.artifact().layout_fingerprint(), None));
                     r.attach_wal(Arc::clone(&wal));
                     r.inject(fault, 7).expect("latency fault arms");
                     let started = std::time::Instant::now();

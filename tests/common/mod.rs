@@ -18,6 +18,9 @@ pub mod paper;
 #[allow(dead_code)] // each test binary uses the subset it needs
 pub mod props;
 
+#[allow(dead_code)] // each test binary uses the subset it needs
+pub mod session;
+
 /// Number of float parameters of every generated program.
 pub const N_PARAMS: usize = 5;
 

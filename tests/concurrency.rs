@@ -53,11 +53,10 @@ fn mixed_stream(requests: usize, contexts: usize) -> Vec<Vec<Value>> {
         .collect()
 }
 
-fn opts_for(engine: Engine, capacity: usize) -> RunnerOptions {
+fn opts_for(engine: Engine) -> RunnerOptions {
     RunnerOptions {
         engine,
         policy: Policy::RebuildThenFallback,
-        store_capacity: capacity,
         eval: EvalOptions {
             profile: true,
             ..EvalOptions::default()
@@ -156,7 +155,7 @@ fn parallel_mixed_streams_match_the_single_threaded_reference() {
     let art = artifact();
     let stream = mixed_stream(240, 5);
     for engine in ENGINES {
-        let opts = opts_for(engine, 8);
+        let opts = opts_for(engine);
         // Single-threaded reference serving (one session, same store type).
         let solo_store = Arc::new(CacheStore::new(8));
         let mut solo = Session::new(Arc::clone(&art), Arc::clone(&solo_store), opts);
@@ -205,7 +204,7 @@ fn eviction_pressure_at_capacity_one_stays_correct_and_counts() {
     let stream = mixed_stream(160, 4);
     for engine in ENGINES {
         let store = Arc::new(CacheStore::new(1));
-        let (answers, stats) = serve_parallel(&art, &store, &stream, 4, opts_for(engine, 1), None);
+        let (answers, stats) = serve_parallel(&art, &store, &stream, 4, opts_for(engine), None);
         assert!(
             answers.iter().all(Option::is_some),
             "{engine:?}: every request answered"
@@ -233,7 +232,7 @@ fn faults_in_one_worker_never_tear_the_shared_store() {
             for policy in [Policy::FailFast, Policy::RebuildThenFallback] {
                 let opts = RunnerOptions {
                     policy,
-                    ..opts_for(engine, 4)
+                    ..opts_for(engine)
                 };
                 let store = Arc::new(CacheStore::new(4));
                 // Worker 0 carries the fault; workers 1-3 are bystanders
@@ -282,7 +281,7 @@ fn faults_in_one_worker_never_tear_the_shared_store() {
 fn merged_latency_is_the_exact_merge_of_worker_histograms() {
     let art = artifact();
     let stream = mixed_stream(96, 4);
-    let opts = opts_for(Engine::Tree, 8);
+    let opts = opts_for(Engine::Tree);
     let store = Arc::new(CacheStore::new(8));
     let workers = 3;
     let chunk = stream.len().div_ceil(workers);

@@ -10,6 +10,10 @@
 #[allow(dead_code)]
 mod paper;
 
+#[path = "common/session.rs"]
+#[allow(dead_code)]
+mod session;
+
 use ds_core::{specialize_source, InputPartition, SpecializeOptions};
 use ds_interp::{CacheBuf, Engine, EvalOptions, Outcome, Profile};
 use paper::paper_examples;
@@ -124,7 +128,7 @@ fn exported_profile_json_round_trips_and_is_consistent() {
 /// which engine served the stream.
 #[test]
 fn store_counters_are_engine_invariant() {
-    use ds_runtime::{RunnerOptions, StagedRunner};
+    use ds_runtime::RunnerOptions;
 
     let ex = &paper_examples()[0]; // s2_dotprod
     let part = InputPartition::varying(ex.varying.iter().copied());
@@ -140,15 +144,15 @@ fn store_counters_are_engine_invariant() {
     let docs: Vec<String> = [Engine::Tree, Engine::Vm]
         .into_iter()
         .map(|engine| {
-            let mut r = StagedRunner::new(
+            let mut r = session::solo_session(
                 &spec,
                 &part,
                 RunnerOptions {
                     engine,
-                    store_capacity: 1,
                     eval: popts(),
                     ..RunnerOptions::default()
                 },
+                1,
             );
             for args in sequence {
                 r.run(args).unwrap_or_else(|e| panic!("{engine:?}: {e}"));

@@ -12,15 +12,18 @@
 #[allow(dead_code)]
 mod paper;
 
+#[path = "common/session.rs"]
+mod session;
+
 use std::sync::Arc;
 
 use ds_core::{specialize_source, InputPartition, Specialization, SpecializeOptions};
 use ds_interp::Value;
 use ds_runtime::wal::encode_record;
 use ds_runtime::{
-    recover, recover_or_degrade, scan_log, Fault, Policy, RunnerOptions, StagedRunner, Wal, WalOp,
-    WalRecord,
+    recover, recover_or_degrade, scan_log, Fault, Policy, RunnerOptions, Wal, WalOp, WalRecord,
 };
+use session::{solo_session, STORE_CAPACITY};
 
 /// A real WAL produced by driving dotprod through installs, a detected
 /// corruption (one invalidate), and the rebuild that follows it.
@@ -44,15 +47,19 @@ fn fixture(checkpoint_every: Option<u64>) -> Fixture {
     let part = InputPartition::varying(ex.varying.iter().copied());
     let spec = specialize_source(ex.src, ex.entry, &part, &SpecializeOptions::new())
         .unwrap_or_else(|e| panic!("specialize: {e}"));
-    let mut r = StagedRunner::new(
+    let mut r = solo_session(
         &spec,
         &part,
         RunnerOptions {
             policy: Policy::RebuildThenFallback,
             ..RunnerOptions::default()
         },
+        STORE_CAPACITY,
     );
-    let wal = Arc::new(Wal::in_memory(r.layout_fingerprint(), checkpoint_every));
+    let wal = Arc::new(Wal::in_memory(
+        r.artifact().layout_fingerprint(),
+        checkpoint_every,
+    ));
     r.attach_wal(Arc::clone(&wal));
     // Two clean installs; then a loader with a corrupted write (its
     // install is suppressed — see `tampered_installs_are_never_logged`),
@@ -83,7 +90,12 @@ impl Fixture {
     /// invariant; the caller asserts the "valid prefix" half.
     fn assert_recovery_serves(&self, checkpoint: Option<&str>, log: &str, ctx: &str) {
         let (rec, _ckpt_err) = recover_or_degrade(checkpoint, log, &self.spec.layout);
-        let mut r = StagedRunner::new(&self.spec, &self.part, RunnerOptions::default());
+        let mut r = solo_session(
+            &self.spec,
+            &self.part,
+            RunnerOptions::default(),
+            STORE_CAPACITY,
+        );
         r.adopt_recovery(&rec);
         for (i, args) in self.arg_sets.iter().enumerate() {
             let want = r
