@@ -1121,6 +1121,20 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     println!("peak queue depth:    {}", counters.peak_queue_depth());
     println!("staged serves:       {}", counters.staged_serves());
     println!("unspecialized:       {}", counters.unspec_serves());
+    let blocks = &report.blocks;
+    if blocks.blocks > 0 {
+        println!(
+            "lockstep:            {} request(s) in {} block(s); sent back: {} miss, {} seal, \
+             {} reader error, {} fault, {} unadmitted",
+            blocks.lockstep_lanes,
+            blocks.blocks,
+            blocks.miss,
+            blocks.seal,
+            blocks.reader_error,
+            blocks.fault,
+            blocks.unadmitted,
+        );
+    }
     match report.breakeven {
         None => {}
         Some(None) => println!("breakeven:           never (specialization does not pay)"),
@@ -1204,16 +1218,20 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 ),
                 (
                     "daemon".to_string(),
-                    Json::obj([
-                        ("admission", Json::from(cfg.admission.to_string())),
-                        ("max_queue", Json::from(cfg.max_queue as u64)),
-                        (
-                            "deadline_ms",
-                            cfg.deadline_ms.map_or(Json::Null, Json::from),
-                        ),
-                        ("breakeven", breakeven_json),
-                        ("counters", counters.to_json()),
-                    ]),
+                    Json::obj(
+                        [
+                            ("admission", Json::from(cfg.admission.to_string())),
+                            ("max_queue", Json::from(cfg.max_queue as u64)),
+                            (
+                                "deadline_ms",
+                                cfg.deadline_ms.map_or(Json::Null, Json::from),
+                            ),
+                            ("breakeven", breakeven_json),
+                            ("counters", counters.to_json()),
+                        ]
+                        .into_iter()
+                        .chain(report.blocks.json_fields()),
+                    ),
                 ),
             ],
         );

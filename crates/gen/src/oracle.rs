@@ -10,16 +10,21 @@
 //! | `budget`    | §4.3  | every cache budget from 0 to full is semantics-preserving and within bound |
 //! | `normalize` | §4.1  | phi insertion is semantics-preserving and idempotent |
 //! | `reassoc`   | §4.2  | reassociation preserves semantics (exact for loader/reader vs fragment, ≤1e-6 relative vs source) at equal cost |
-//! | `serve`     | §5    | a 3-worker `Daemon` over a shared store ≡ solo serve, bit-exact |
+//! | `serve`     | §5    | a 3-worker `Daemon` (block dequeue, lockstep store hits) over a shared store ≡ solo serve, bit-exact |
 //! | `recovery`  | —     | crash the WAL at any byte: reopen recovers a prefix of the logged history and re-serves the stream bit-exact |
-//! | `batch`     | —     | SoA batch executor ≡ per-lane scalar runs on both engines (values, errors, cost, Profile), fused and unfused, incl. faulting lanes and warm-cache readers |
+//! | `batch`     | —     | SoA batch executor ≡ per-lane scalar runs on both engines (values, errors, cost, Profile), fused and unfused, incl. faulting lanes, warm-cache readers and per-lane caches with unfilled slots |
 //!
 //! All value and trace comparisons are bit-exact (`f64::to_bits`) unless an
 //! oracle says otherwise; typed errors compare field-exact via `PartialEq`.
+//! The `serve` and `batch` bodies run under `catch_unwind`: a panic
+//! anywhere in them — a daemon worker's included — is a violation.
 
 use crate::case::FuzzCase;
+use crate::rng::Rng;
 use ds_core::{specialize, InputPartition, Specialization, SpecializeOptions};
-use ds_interp::{CacheBuf, Engine, EvalError, EvalOptions, Outcome, Value};
+use ds_interp::{
+    BatchVm, CacheBuf, CompiledProgram, Engine, EvalError, EvalOptions, Outcome, Value,
+};
 use ds_runtime::{
     recover, recover_or_degrade, scan_log, Admission, CacheStore, Daemon, DaemonConfig,
     FaultInjector, Policy, RunnerOptions, RuntimeError, Session, StagedArtifact, Wal,
@@ -96,11 +101,25 @@ impl Oracle {
             Oracle::Budget => check_budget(case),
             Oracle::Normalize => check_normalize(case),
             Oracle::Reassoc => check_reassoc(case),
-            Oracle::Serve => check_serve(case),
+            Oracle::Serve => unwinding(|| check_serve(case)),
             Oracle::Recovery => check_recovery(case),
-            Oracle::Batch => check_batch(case),
+            Oracle::Batch => unwinding(|| check_batch(case)),
         }
     }
+}
+
+/// Runs an oracle body, turning a panic into a violation: library code
+/// must not panic on any input, so the fuzzer treats one like a wrong
+/// answer (and shrinks it the same way).
+fn unwinding(body: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string payload".to_string());
+        Err(format!("panicked: {msg}"))
+    })
 }
 
 impl fmt::Display for Oracle {
@@ -860,10 +879,12 @@ fn check_batch(case: &FuzzCase) -> Result<(), String> {
             got,
         )?;
     }
-    // Warm-cache readers: fill a cache once through the loader, then the
-    // batch reader must match scalar readers over the same sealed cache.
     let spec = specialized(case, &SpecializeOptions::new())?;
     let spec_prog = spec.as_program();
+    let spec_compiled = ds_interp::compile(&spec_prog);
+    check_own_caches(&lanes, &spec_prog, &spec_compiled, spec.slot_count(), opts)?;
+    // Warm-cache readers: fill a cache once through the loader, then the
+    // batch reader must match scalar readers over the same sealed cache.
     let reader = format!("{ENTRY}__reader");
     let mut cache = CacheBuf::new(spec.slot_count());
     let loaded = run(
@@ -878,13 +899,102 @@ fn check_batch(case: &FuzzCase) -> Result<(), String> {
         // Checked field-exact by the semantics oracle; no cache to read.
         return Ok(());
     }
-    let spec_compiled = ds_interp::compile(&spec_prog);
     let reader_batch = spec_compiled.run_batch_soa(&reader, &lanes, Some(&mut cache), opts);
     for engine in [Engine::Tree, Engine::Vm] {
         for (i, (lane, got)) in lanes.iter().zip(&reader_batch).enumerate() {
             let expected = run(engine, &spec_prog, &reader, lane, Some(&mut cache), true);
             lane_same(&format!("[{engine:?}] reader lane {i}"), &expected, got)?;
         }
+    }
+    Ok(())
+}
+
+/// The per-lane half of the batch oracle: every lane's cache is filled by
+/// the loader from that lane's own request (a lane whose loader fails
+/// keeps what it filled), and a seeded quarter of the lanes loses one
+/// slot. Each lane of [`BatchVm::run_lanes`] must match a scalar reader
+/// over a copy of its own cache on both engines — a read of the emptied
+/// slot raising the exact `UnfilledSlot` error — and the emptied slots
+/// must not push a block out of lockstep: they only ever mask lanes.
+fn check_own_caches(
+    lanes: &[Vec<Value>],
+    spec_prog: &ds_lang::Program,
+    spec_compiled: &CompiledProgram,
+    slots: usize,
+    opts: EvalOptions,
+) -> Result<(), String> {
+    let loader = format!("{ENTRY}__loader");
+    let reader = format!("{ENTRY}__reader");
+    let filled: Vec<CacheBuf> = lanes
+        .iter()
+        .map(|lane| {
+            let mut cache = CacheBuf::new(slots);
+            let _ = run(
+                Engine::Vm,
+                spec_prog,
+                &loader,
+                lane,
+                Some(&mut cache),
+                false,
+            );
+            cache
+        })
+        .collect();
+    // Seeded by the program text, so a reproducer replays the same holes.
+    let text = ds_lang::print_program(spec_prog);
+    let seed = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    let mut rng = Rng::new(seed);
+    let mut holed = filled.clone();
+    if slots > 0 {
+        for cache in &mut holed {
+            if rng.chance(25) {
+                cache.tamper(rng.below(slots), None);
+            }
+        }
+    }
+    let run_own = |caches: &[CacheBuf]| {
+        let own: Vec<(&[Value], &CacheBuf)> = lanes.iter().map(Vec::as_slice).zip(caches).collect();
+        let mut bvm = BatchVm::new();
+        let outs = bvm.run_lanes(spec_compiled, &reader, &own, opts);
+        (outs, bvm.stats())
+    };
+    let (_, whole) = run_own(&filled);
+    let (outs, holes) = run_own(&holed);
+    let mut unfilled = 0;
+    for engine in [Engine::Tree, Engine::Vm] {
+        for (i, ((lane, cache), got)) in lanes.iter().zip(&holed).zip(&outs).enumerate() {
+            let expected = run(
+                engine,
+                spec_prog,
+                &reader,
+                lane,
+                Some(&mut cache.clone()),
+                true,
+            );
+            if engine == Engine::Vm && matches!(expected, Err(EvalError::UnfilledSlot { .. })) {
+                unfilled += 1;
+            }
+            lane_same(
+                &format!("[{engine:?}] own-cache reader lane {i}"),
+                &expected,
+                got,
+            )?;
+        }
+    }
+    if holes.divergent_blocks > whole.divergent_blocks {
+        return Err(format!(
+            "unfilled slots pushed per-lane blocks out of lockstep: {} divergent with holes, \
+             {} without",
+            holes.divergent_blocks, whole.divergent_blocks
+        ));
+    }
+    if holes.divergent_blocks == 0 && holes.masked_lanes < unfilled {
+        return Err(format!(
+            "{unfilled} lane(s) read an unfilled slot but only {} were masked in lockstep",
+            holes.masked_lanes
+        ));
     }
     Ok(())
 }
@@ -900,6 +1010,21 @@ mod tests {
             assert_eq!(o.name().parse::<Oracle>().unwrap(), o);
         }
         assert!("bogus".parse::<Oracle>().is_err());
+    }
+
+    #[test]
+    fn a_panicking_oracle_body_is_a_violation() {
+        assert_eq!(unwinding(|| Ok(())), Ok(()));
+        assert_eq!(unwinding(|| Err("wrong".into())), Err("wrong".to_string()));
+        assert_eq!(
+            unwinding(|| panic!("boom")),
+            Err("panicked: boom".to_string())
+        );
+        let n = 7;
+        assert_eq!(
+            unwinding(|| panic!("lane {n}")),
+            Err("panicked: lane 7".to_string())
+        );
     }
 
     #[test]

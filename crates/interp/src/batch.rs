@@ -34,6 +34,22 @@
 //!   across the batch — which covers the shape that matters: specialized
 //!   readers read slots, only loaders write them.
 //!
+//! ## Per-lane caches
+//!
+//! [`BatchVm::run`] shares one cache across the batch: a slider sweep
+//! over one invariant context. [`BatchVm::run_lanes`] instead gives every
+//! lane its own read-only cache, so a frame whose pixels each have their
+//! own sealed cache (the paper's §5 session, served by the daemon) still
+//! runs in lockstep: `Op::CacheRead` fills lane `j` from lane `j`'s cache,
+//! and a lane whose slot is unfilled is masked with the scalar VM's
+//! `UnfilledSlot` error while the others go on. The batch never writes a
+//! lane's cache: divergence re-runs and the sequential path run each lane
+//! on the scalar VM against a scratch copy of its own cache, which is
+//! what a serving session does with a store entry.
+//!
+//! Every exit from lockstep is counted in [`BatchStats`], a side channel
+//! like [`BatchVm::fused_dispatches`] that never enters a [`Profile`].
+//!
 //! ## Profile invariance
 //!
 //! While in lockstep every live lane executes the same instruction with
@@ -184,6 +200,60 @@ fn regs_written_before_read(prog: &CompiledProgram, entry_idx: usize) -> bool {
     true
 }
 
+/// Where the executor's lanes come from: one argument vector per lane,
+/// plus the cache their `Op::CacheRead`s and `Op::CacheWrite`s see.
+enum Inputs<'a, 'c> {
+    /// Every lane shares one optional cache; on the sequential path lane
+    /// `i`'s writes are visible to lane `i + 1`.
+    Shared(&'a [Vec<Value>], Option<&'c mut CacheBuf>),
+    /// Lane `j` reads only its own cache, which the batch never writes.
+    Own(&'a [(&'a [Value], &'a CacheBuf)]),
+}
+
+impl Inputs<'_, '_> {
+    fn len(&self) -> usize {
+        match self {
+            Inputs::Shared(args, _) => args.len(),
+            Inputs::Own(lanes) => lanes.len(),
+        }
+    }
+
+    fn args(&self, j: usize) -> &[Value] {
+        match self {
+            Inputs::Shared(args, _) => &args[j],
+            Inputs::Own(lanes) => lanes[j].0,
+        }
+    }
+}
+
+/// How often a [`BatchVm`] left its lockstep fast path, across its life.
+/// Wall-time diagnostics only, like the fused-dispatch count: none of it
+/// ever enters a [`Profile`], and none of it changes an outcome.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchStats {
+    /// Fused superinstructions dispatched in lockstep (one per batch-wide
+    /// dispatch, not per lane).
+    pub fused_dispatches: u64,
+    /// Blocks whose live lanes disagreed on a branch and were re-run lane
+    /// by lane on the scalar VM.
+    pub divergent_blocks: u64,
+    /// Lanes masked out of lockstep with a typed error (a bad argument, a
+    /// faulting instruction, an unfilled slot, the step limit).
+    pub masked_lanes: u64,
+    /// Blocks of a cache-writing program, run on the sequential path.
+    pub sequential_runs: u64,
+}
+
+impl BatchStats {
+    /// Accumulates `other` into `self`, field-wise.
+    pub fn merge(&mut self, other: &BatchStats) {
+        self.fused_dispatches += other.fused_dispatches;
+        self.divergent_blocks += other.divergent_blocks;
+        self.masked_lanes += other.masked_lanes;
+        self.sequential_runs += other.sequential_runs;
+    }
+}
+
 /// A reusable structure-of-arrays batch executor.
 ///
 /// Holds the columnar register file, a scratch buffer and an embedded
@@ -199,10 +269,11 @@ pub struct BatchVm {
     argbuf: Vec<Value>,
     /// Scalar engine for divergence fallback and the sequential path.
     scalar: Vm,
-    /// Side-channel count of fused superinstructions dispatched, across
-    /// the life of this `BatchVm`. Wall-time diagnostics only — never
-    /// part of a [`Profile`].
-    fused_dispatches: u64,
+    /// Scratch copy of one lane's own cache for a scalar re-run.
+    lane_cache: CacheBuf,
+    /// Side-channel exit counts across the life of this `BatchVm`.
+    /// Wall-time diagnostics only — never part of a [`Profile`].
+    stats: BatchStats,
 }
 
 impl BatchVm {
@@ -216,7 +287,14 @@ impl BatchVm {
     /// side-channel diagnostic, like the latency histograms: it never
     /// enters a [`Profile`].
     pub fn fused_dispatches(&self) -> u64 {
-        self.fused_dispatches
+        self.stats.fused_dispatches
+    }
+
+    /// Every lockstep exit this VM has counted so far (see
+    /// [`BatchStats`]). A side-channel diagnostic: it never enters a
+    /// [`Profile`].
+    pub fn stats(&self) -> BatchStats {
+        self.stats
     }
 
     /// Runs `entry` over every lane of `inputs`, returning one `Result`
@@ -243,23 +321,81 @@ impl BatchVm {
         opts: EvalOptions,
     ) -> Vec<Result<Outcome, EvalError>> {
         if inputs.len() <= BLOCK_LANES {
-            return self.run_block(prog, entry, inputs, cache, opts);
+            return self.run_block(prog, entry, Inputs::Shared(inputs, cache), opts);
         }
         let mut out = Vec::with_capacity(inputs.len());
         for block in inputs.chunks(BLOCK_LANES) {
-            out.extend(self.run_block(prog, entry, block, cache.as_deref_mut(), opts));
+            out.extend(self.run_block(
+                prog,
+                entry,
+                Inputs::Shared(block, cache.as_deref_mut()),
+                opts,
+            ));
         }
         out
     }
 
-    /// One cache-resident block of [`run`](BatchVm::run): the actual
-    /// lockstep interpreter loop.
+    /// Runs `entry` once per lane of `lanes`, each lane a pair of its
+    /// arguments and its own cache, returning one `Result` per lane in
+    /// lane order.
+    ///
+    /// Observationally identical to running the scalar VM once per lane
+    /// against a private copy of that lane's cache: same values, costs,
+    /// traces and [`Profile`] counters, and the same typed error — a lane
+    /// reading a slot its cache never filled gets the scalar VM's exact
+    /// `UnfilledSlot` error and the other lanes stay in lockstep. The
+    /// caches are only read; a cache-writing program runs each lane on
+    /// the sequential path against a scratch copy of its cache. Wide
+    /// batches are blocked as in [`run`](BatchVm::run).
+    pub fn run_lanes(
+        &mut self,
+        prog: &CompiledProgram,
+        entry: &str,
+        lanes: &[(&[Value], &CacheBuf)],
+        opts: EvalOptions,
+    ) -> Vec<Result<Outcome, EvalError>> {
+        if lanes.len() <= BLOCK_LANES {
+            return self.run_block(prog, entry, Inputs::Own(lanes), opts);
+        }
+        let mut out = Vec::with_capacity(lanes.len());
+        for block in lanes.chunks(BLOCK_LANES) {
+            out.extend(self.run_block(prog, entry, Inputs::Own(block), opts));
+        }
+        out
+    }
+
+    /// Runs lane `j` alone on the scalar VM: against the shared cache, or
+    /// against a scratch copy of the lane's own cache.
+    fn run_scalar(
+        &mut self,
+        prog: &CompiledProgram,
+        entry: &str,
+        inputs: &mut Inputs<'_, '_>,
+        j: usize,
+        opts: EvalOptions,
+    ) -> Result<Outcome, EvalError> {
+        match inputs {
+            Inputs::Shared(args, cache) => {
+                self.scalar
+                    .run(prog, entry, &args[j], cache.as_deref_mut(), opts)
+            }
+            Inputs::Own(lanes) => {
+                let (args, cache) = lanes[j];
+                self.lane_cache.clone_from(cache);
+                self.scalar
+                    .run(prog, entry, args, Some(&mut self.lane_cache), opts)
+            }
+        }
+    }
+
+    /// One cache-resident block of [`run`](BatchVm::run) or
+    /// [`run_lanes`](BatchVm::run_lanes): the actual lockstep interpreter
+    /// loop.
     fn run_block(
         &mut self,
         prog: &CompiledProgram,
         entry: &str,
-        inputs: &[Vec<Value>],
-        mut cache: Option<&mut CacheBuf>,
+        mut inputs: Inputs<'_, '_>,
         opts: EvalOptions,
     ) -> Vec<Result<Outcome, EvalError>> {
         let n = inputs.len();
@@ -273,36 +409,37 @@ impl BatchVm {
         };
         if writes_cache(prog, entry_idx) {
             // Sequential path: one scalar run per lane, in lane order.
-            return inputs
-                .iter()
-                .map(|args| {
-                    self.scalar
-                        .run(prog, entry, args, cache.as_deref_mut(), opts)
-                })
+            self.stats.sequential_runs += 1;
+            return (0..n)
+                .map(|j| self.run_scalar(prog, entry, &mut inputs, j, opts))
                 .collect();
         }
 
         let mut results: Vec<Option<Result<Outcome, EvalError>>> = vec![None; n];
         let mut alive: Vec<bool> = vec![true; n];
         let mut live = n;
+        // Lanes masked with a typed error, folded into `stats` on exit.
+        let mut masked = 0u64;
 
         let mut proc_idx = entry_idx;
         let mut proc = &prog.procs[proc_idx];
-        for (j, args) in inputs.iter().enumerate() {
-            if let Err(e) = check_args(proc, args) {
+        for j in 0..n {
+            if let Err(e) = check_args(proc, inputs.args(j)) {
                 alive[j] = false;
                 results[j] = Some(Err(e));
                 live -= 1;
+                masked += 1;
             }
         }
 
         macro_rules! finish {
-            () => {
+            () => {{
+                self.stats.masked_lanes += masked;
                 return results
                     .into_iter()
                     .map(|r| r.expect("every lane resolved"))
-                    .collect()
-            };
+                    .collect();
+            }};
         }
         if live == 0 {
             finish!();
@@ -323,9 +460,9 @@ impl BatchVm {
         let argc = proc.params.len();
         for i in 0..argc {
             let ci = i * n;
-            for (j, args) in inputs.iter().enumerate() {
-                if alive[j] {
-                    self.cols[ci + j] = args[i].clone();
+            for (j, &on) in alive.iter().enumerate() {
+                if on {
+                    self.cols[ci + j] = inputs.args(j)[i].clone();
                 }
             }
         }
@@ -344,6 +481,7 @@ impl BatchVm {
                 alive[$j] = false;
                 results[$j] = Some(Err($e));
                 live -= 1;
+                masked += 1;
             }};
         }
         // A lane-uniform failure: every live lane gets the same error
@@ -356,6 +494,7 @@ impl BatchVm {
                         results[j] = Some(Err(e.clone()));
                     }
                 }
+                masked += live as u64;
                 finish!();
             }};
         }
@@ -368,21 +507,16 @@ impl BatchVm {
             };
         }
         // Lockstep is no longer sound (lane-divergent branch): re-run
-        // every remaining lane on the scalar VM from the start. The
-        // cache is read-only on this path (writers were routed to the
-        // sequential loop), so a fresh scalar run observes the same
-        // cache state the lane's solo run would.
+        // every remaining lane on the scalar VM from the start, against
+        // its own cache. Caches are read-only on this path (writers were
+        // routed to the sequential loop), so a fresh scalar run observes
+        // the same cache state the lane's solo run would.
         macro_rules! diverge {
             () => {{
+                self.stats.divergent_blocks += 1;
                 for j in 0..n {
                     if alive[j] {
-                        results[j] = Some(self.scalar.run(
-                            prog,
-                            entry,
-                            &inputs[j],
-                            cache.as_deref_mut(),
-                            opts,
-                        ));
+                        results[j] = Some(self.run_scalar(prog, entry, &mut inputs, j, opts));
                     }
                 }
                 finish!();
@@ -1077,23 +1211,39 @@ impl BatchVm {
                         p.cache_reads += 1;
                     }
                     let span = proc.spans[pc - 1];
-                    // The cache is shared and read-only on this path, so
-                    // one lookup serves — and one failure fails — every
-                    // lane identically.
-                    let slot_val = match cache.as_deref() {
-                        None => Err(EvalError::NoCache(span)),
-                        Some(cb) => cb.get(slot as usize).ok_or(EvalError::UnfilledSlot {
-                            slot: slot as usize,
-                            span,
-                        }),
-                    };
-                    match slot_val {
-                        Err(e) => all_fail!(e),
-                        Ok(v) => {
-                            let di = (base + dst as usize) * n;
-                            assert!(di + n <= self.cols.len());
+                    let slot = slot as usize;
+                    let di = (base + dst as usize) * n;
+                    assert!(di + n <= self.cols.len());
+                    match &inputs {
+                        // The cache is shared and read-only on this path,
+                        // so one lookup serves — and one failure fails —
+                        // every lane identically.
+                        Inputs::Shared(_, cache) => {
+                            let slot_val = match cache.as_deref() {
+                                None => Err(EvalError::NoCache(span)),
+                                Some(cb) => {
+                                    cb.get(slot).ok_or(EvalError::UnfilledSlot { slot, span })
+                                }
+                            };
+                            match slot_val {
+                                Err(e) => all_fail!(e),
+                                Ok(v) => {
+                                    let cols_ = &mut self.cols[..];
+                                    lanes!(|j| cols_[di + j] = v.clone());
+                                }
+                            }
+                        }
+                        // Lane `j` gathers from its own cache; a lane whose
+                        // slot is unfilled is masked, the rest go on.
+                        Inputs::Own(lanes) => {
                             let cols_ = &mut self.cols[..];
-                            lanes!(|j| cols_[di + j] = v.clone());
+                            lanes!(|j| match lanes[j].1.get(slot) {
+                                Some(v) => cols_[di + j] = v,
+                                None => kill!(j, EvalError::UnfilledSlot { slot, span }),
+                            });
+                            if live == 0 {
+                                finish!();
+                            }
                         }
                     }
                 }
@@ -1101,7 +1251,7 @@ impl BatchVm {
                     unreachable!("cache-writing programs run on the sequential batch path")
                 }
                 Op::Fused { pair } => {
-                    self.fused_dispatches += 1;
+                    self.stats.fused_dispatches += 1;
                     let (first, second) = proc.fused[pair as usize];
                     let spans = [proc.spans[pc - 1], proc.spans[pc]];
                     for (part, span) in [first, second].into_iter().zip(spans) {
@@ -1142,6 +1292,15 @@ impl BatchVm {
 }
 
 impl CompiledProgram {
+    /// Does any procedure reachable from `entry` write the cache? A batch
+    /// runs such a program on the sequential path, lane by lane, so a
+    /// caller with a lockstep-only use for the batch VM routes it
+    /// elsewhere. `false` for an unknown entry.
+    pub fn writes_cache(&self, entry: &str) -> bool {
+        self.proc_index(entry)
+            .is_some_and(|i| writes_cache(self, i))
+    }
+
     /// Runs `entry` once per lane of `inputs` on a fresh [`BatchVm`],
     /// sharing one cache (if given) across the batch.
     ///
@@ -1352,6 +1511,143 @@ mod tests {
             // The fused program on the scalar VM must also agree.
             assert_eq!(vm.run(&cp, "f", args, None, popts()), reference);
         }
+    }
+
+    /// Compiles `src` with every float literal `100.0` turned into a read
+    /// of cache slot 0 and every `200.0` into a read of slot 1.
+    fn with_slot_reads(src: &str) -> CompiledProgram {
+        use ds_lang::{ExprKind, SlotId};
+        let mut prog = checked(src);
+        for p in &mut prog.procs {
+            p.walk_exprs_mut(&mut |e| {
+                if let ExprKind::FloatLit(x) = e.kind {
+                    if x == 100.0 || x == 200.0 {
+                        e.kind = ExprKind::CacheRef(SlotId(u32::from(x == 200.0)), Type::Float);
+                    }
+                }
+            });
+        }
+        prog.renumber();
+        compile(&prog)
+    }
+
+    fn two_slots(a: f64, b: Option<f64>) -> CacheBuf {
+        let mut c = CacheBuf::new(2);
+        c.set(0, Value::Float(a));
+        if let Some(b) = b {
+            c.set(1, Value::Float(b));
+        }
+        c
+    }
+
+    /// Per-lane output must equal a scalar run of each lane against a
+    /// copy of that lane's own cache.
+    fn assert_own_lanes_match(cp: &CompiledProgram, entry: &str, lanes: &[(Vec<Value>, CacheBuf)]) {
+        let refs: Vec<(&[Value], &CacheBuf)> =
+            lanes.iter().map(|(a, c)| (a.as_slice(), c)).collect();
+        let mut bvm = BatchVm::new();
+        let batch = bvm.run_lanes(cp, entry, &refs, popts());
+        assert_eq!(batch.len(), lanes.len());
+        let mut vm = Vm::new();
+        for (j, (args, cache)) in lanes.iter().enumerate() {
+            let scalar = vm.run(cp, entry, args, Some(&mut cache.clone()), popts());
+            assert_eq!(batch[j], scalar, "lane {j} diverged on {args:?}");
+        }
+    }
+
+    #[test]
+    fn per_lane_caches_stay_in_lockstep_and_mask_unfilled_slots() {
+        let cp = with_slot_reads(
+            "float r(float x) { if (x > 0.0) { return x * 100.0 + 200.0; } return x - 100.0; }",
+        );
+        // Every lane takes the same branch but reads different slots; lane
+        // 2's cache never filled slot 1.
+        let lanes: Vec<(Vec<Value>, CacheBuf)> = (1..6)
+            .map(|i| {
+                let b = (i != 3).then_some(i as f64 * 10.0);
+                (vec![Value::Float(i as f64)], two_slots(i as f64 + 0.5, b))
+            })
+            .collect();
+        assert_own_lanes_match(&cp, "r", &lanes);
+        let refs: Vec<(&[Value], &CacheBuf)> =
+            lanes.iter().map(|(a, c)| (a.as_slice(), c)).collect();
+        let mut bvm = BatchVm::new();
+        let outs = bvm.run_lanes(&cp, "r", &refs, popts());
+        assert!(matches!(
+            outs[2],
+            Err(EvalError::UnfilledSlot { slot: 1, .. })
+        ));
+        for healthy in [0, 1, 3, 4] {
+            assert_eq!(
+                outs[healthy].as_ref().unwrap().value,
+                Some(Value::Float(
+                    (healthy + 1) as f64 * (healthy as f64 + 1.5) + (healthy + 1) as f64 * 10.0
+                ))
+            );
+        }
+        let stats = bvm.stats();
+        assert_eq!(stats.divergent_blocks, 0, "the branch was lane-uniform");
+        assert_eq!(
+            stats.masked_lanes, 1,
+            "only the unfilled lane left lockstep"
+        );
+    }
+
+    #[test]
+    fn divergent_per_lane_blocks_rerun_on_each_lanes_own_cache() {
+        let cp = with_slot_reads(
+            "float r(float x) { if (x > 0.0) { return x * 100.0 + 200.0; } return x - 100.0; }",
+        );
+        let lanes: Vec<(Vec<Value>, CacheBuf)> = (-3..4)
+            .map(|i| {
+                let b = (i != 2).then_some(i as f64 * 3.0);
+                (vec![Value::Float(i as f64)], two_slots(i as f64 * 0.25, b))
+            })
+            .collect();
+        assert_own_lanes_match(&cp, "r", &lanes);
+        let refs: Vec<(&[Value], &CacheBuf)> =
+            lanes.iter().map(|(a, c)| (a.as_slice(), c)).collect();
+        let mut bvm = BatchVm::new();
+        bvm.run_lanes(&cp, "r", &refs, popts());
+        assert_eq!(bvm.stats().divergent_blocks, 1);
+        // A wide per-lane batch is blocked like a shared-cache one.
+        let wide: Vec<(Vec<Value>, CacheBuf)> = (0..(BLOCK_LANES + 5))
+            .map(|i| {
+                (
+                    vec![Value::Float(1.0 + i as f64)],
+                    two_slots(i as f64, Some(2.0)),
+                )
+            })
+            .collect();
+        assert_own_lanes_match(&cp, "r", &wide);
+    }
+
+    #[test]
+    fn per_lane_mode_never_writes_a_lane_cache() {
+        use ds_lang::{ExprKind, SlotId, StmtKind};
+        let mut prog = parse_program("float loader(float k) { return k * k; }").unwrap();
+        if let StmtKind::Return(Some(e)) = &mut prog.procs[0].body.stmts[0].kind {
+            let inner = e.clone();
+            e.kind = ExprKind::CacheStore(SlotId(0), Box::new(inner));
+        }
+        prog.renumber();
+        let cp = compile(&prog);
+        assert!(cp.writes_cache("loader"));
+        assert!(!cp.writes_cache("nope"));
+        let lanes: Vec<(Vec<Value>, CacheBuf)> = (1..4)
+            .map(|i| (vec![Value::Float(i as f64)], CacheBuf::new(1)))
+            .collect();
+        assert_own_lanes_match(&cp, "loader", &lanes);
+        let refs: Vec<(&[Value], &CacheBuf)> =
+            lanes.iter().map(|(a, c)| (a.as_slice(), c)).collect();
+        let mut bvm = BatchVm::new();
+        let outs = bvm.run_lanes(&cp, "loader", &refs, popts());
+        assert!(outs.iter().all(Result::is_ok));
+        assert_eq!(bvm.stats().sequential_runs, 1);
+        assert!(
+            lanes.iter().all(|(_, c)| c.filled() == 0),
+            "the lanes' own caches are read-only"
+        );
     }
 
     #[test]

@@ -120,6 +120,13 @@ impl Clone for CacheBuf {
     }
 }
 
+/// An empty buffer with no slots.
+impl Default for CacheBuf {
+    fn default() -> Self {
+        CacheBuf::new(0)
+    }
+}
+
 /// Equality compares observable slot contents only — fault-injection
 /// bookkeeping (shadow, armed state) is not part of a cache's value.
 impl PartialEq for CacheBuf {

@@ -16,8 +16,10 @@
 //!   can communicate;
 //! * [`BatchVm`] / [`CompiledProgram::run_batch_soa`] — the
 //!   structure-of-arrays batch executor that replays one compiled reader
-//!   over many inputs in lockstep, with profile-guided superinstruction
-//!   fusion ([`fuse_hot_pairs`]);
+//!   over many inputs in lockstep, sharing one cache or reading one cache
+//!   per lane ([`BatchVm::run_lanes`]), with profile-guided
+//!   superinstruction fusion ([`fuse_hot_pairs`]) and its lockstep exits
+//!   counted in [`BatchStats`];
 //! * [`Value`] / [`Outcome`] / [`EvalError`] — results and failures;
 //! * [`noise`] — the deterministic gradient-noise / fBm / turbulence
 //!   library behind the `noise*`, `fbm3` and `turb3` builtins.
@@ -49,7 +51,7 @@ pub mod noise;
 pub mod value;
 pub mod vm;
 
-pub use batch::BatchVm;
+pub use batch::{BatchStats, BatchVm};
 pub use cache::{corrupt_value, value_bits, CacheBuf, CacheError, WriteFault};
 pub use compile::{
     compile, fuse_hot_pairs, static_op_histogram, CompiledProgram, DEFAULT_FUSION_TOP_K,

@@ -16,6 +16,34 @@
 //!   once, by the worker; a hit is one store probe, a copy into the
 //!   session's private buffer, validation and the reader. Submitters wake
 //!   a worker only when one is idle.
+//! * **Lockstep blocks.** A worker that wakes takes a block of queued
+//!   requests under one lock: its share of the queue, `queue_len /
+//!   workers`, between one request and 64. Deadlines are checked per
+//!   request at dequeue, each request is hashed once, and admission runs
+//!   in arrival order. The session walks the lanes as if
+//!   serving them one at a time: a lane of the fingerprint it would be
+//!   warm on by then is a warm serve, and any other lane probes the store
+//!   once and has its hit's sealed entry checked in place. The lanes that
+//!   pass run the reader in lockstep on the worker's [`BatchVm`], each
+//!   lane reading its own cache, and are answered first. Every other
+//!   lane takes the per-request path unchanged, with the fingerprint it
+//!   was hashed with: a store miss (single-flight staging, reusing the
+//!   block's probe), an entry that fails its checks (invalidated, logged,
+//!   policy), a reader error or masked lane (served again, so the failure
+//!   is counted and the policy applies), a request carrying a fault or a
+//!   session with one pending, and a request admission leaves
+//!   unspecialized. Each answer equals [`Session::run`]'s on the same
+//!   request. Deadlines are checked again before each lane served per
+//!   request executes, and as each answer is sent. A lone request, the
+//!   tree walker and cache-writing readers take the per-request path
+//!   only.
+//!
+//!   Counters and traces stay per request: a lockstep lane counts as a
+//!   store hit when it probed its entry and as a warm serve otherwise. Its
+//!   `store_probe`, `validate` and `read` stages are its share of the
+//!   block's time in each phase, and the rest of its time since the
+//!   block's dequeue is its `block_wait` stage. [`DaemonReport::blocks`]
+//!   counts blocks, lockstep lanes and lanes sent back by reason.
 //! * **Admission control (§4.3).** Under [`Admission::Auto`] the daemon
 //!   calibrates the paper's cost model (original vs loader vs reader
 //!   abstract cost) and specializes a fingerprint only once its
@@ -25,8 +53,8 @@
 //!   stream never pays for a loader run. Colder fingerprints are served by
 //!   the unspecialized fragment — bit-identical by the core theorem, just
 //!   not specialized.
-//! * **Deadlines.** A per-request deadline is checked both at dequeue and
-//!   after execution; a late request gets a typed
+//! * **Deadlines.** A per-request deadline is checked at dequeue, before
+//!   execution and after it; a late request gets a typed
 //!   [`RuntimeError::DeadlineExceeded`], never a partial or late answer.
 //! * **Backpressure.** The queue is bounded; a full queue sheds the
 //!   request at submission with a typed [`RuntimeError::Overloaded`].
@@ -61,17 +89,21 @@
 //! * a response is small: [`Outcome`] boxes its optional profile, so the
 //!   channel blocks a lagging consumer leaves queued hold about a third of
 //!   the bytes they used to.
+//!
+//! Each worker also owns one [`BatchVm`] for its whole life. Its column
+//! file holds `nregs × lanes` values of 32 bytes: about 100 KiB for a
+//! 50-register reader at 64 lanes.
 
 use crate::artifact::StagedArtifact;
 use crate::error::RuntimeError;
 use crate::fault::Fault;
 use crate::latch::LatchTable;
-use crate::session::{RunnerOptions, RunnerStats, Session};
+use crate::session::{BlockLane, Exit, Probe, RunnerOptions, RunnerStats, Served, Session};
 use crate::store::CacheStore;
 use crate::timing::{RequestOutcome, RequestTrace};
 use crate::wal::Wal;
-use ds_interp::{Outcome, Value};
-use ds_telemetry::{ServeCounters, Timing};
+use ds_interp::{BatchStats, BatchVm, Outcome, Value};
+use ds_telemetry::{Json, ServeCounters, Timing};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -198,11 +230,82 @@ pub struct DaemonReport {
     /// Per-request traces (only when `tracing` was enabled), sorted by
     /// submission sequence number.
     pub traces: Vec<RequestTrace>,
+    /// How blocks of queued requests were served, merged across workers.
+    pub blocks: BlockStats,
     /// Admission/backpressure/drain counters (shared with the live daemon).
     pub counters: Arc<ServeCounters>,
     /// The calibrated §4.3 breakeven: `None` until calibration ran,
     /// `Some(None)` when specialization never pays for this artifact.
     pub breakeven: Option<Option<u32>>,
+}
+
+/// How a daemon's blocks were served: lockstep runs, the requests
+/// answered in them, and the requests of a block sent back to the
+/// per-request path, by reason. Wall-time diagnostics, like [`Timing`]:
+/// which requests share a block depends on how the queue raced, so none
+/// of this enters [`RunnerStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockStats {
+    /// Blocks of two or more requests that reached the session's block
+    /// path.
+    pub blocks: u64,
+    /// Requests answered by a lockstep reader run.
+    pub lockstep_lanes: u64,
+    /// Sent back: the store had no entry (single-flight staging).
+    pub miss: u64,
+    /// Sent back: the entry failed the slot-count, tamper or seal check.
+    pub seal: u64,
+    /// Sent back: the reader failed or was masked in lockstep.
+    pub reader_error: u64,
+    /// Sent back: the request carried a fault, or the session had one
+    /// pending.
+    pub fault: u64,
+    /// Sent back: admission served the request unspecialized.
+    pub unadmitted: u64,
+    /// The workers' batch VMs' own lockstep exits.
+    pub engine: BatchStats,
+}
+
+impl BlockStats {
+    /// Accumulates `other` into `self`, field-wise.
+    pub fn merge(&mut self, other: &BlockStats) {
+        self.blocks += other.blocks;
+        self.lockstep_lanes += other.lockstep_lanes;
+        self.miss += other.miss;
+        self.seal += other.seal;
+        self.reader_error += other.reader_error;
+        self.fault += other.fault;
+        self.unadmitted += other.unadmitted;
+        self.engine.merge(&other.engine);
+    }
+
+    /// The `blocks`, `lockstep_lanes`, `sent_back` and `batch` entries of
+    /// the serve envelope's `daemon` section.
+    pub fn json_fields(&self) -> [(&'static str, Json); 4] {
+        [
+            ("blocks", Json::from(self.blocks)),
+            ("lockstep_lanes", Json::from(self.lockstep_lanes)),
+            (
+                "sent_back",
+                Json::obj([
+                    ("miss", Json::from(self.miss)),
+                    ("seal", Json::from(self.seal)),
+                    ("reader_error", Json::from(self.reader_error)),
+                    ("fault", Json::from(self.fault)),
+                    ("unadmitted", Json::from(self.unadmitted)),
+                ]),
+            ),
+            (
+                "batch",
+                Json::obj([
+                    ("divergent_blocks", Json::from(self.engine.divergent_blocks)),
+                    ("masked_lanes", Json::from(self.engine.masked_lanes)),
+                    ("sequential_runs", Json::from(self.engine.sequential_runs)),
+                    ("fused_dispatches", Json::from(self.engine.fused_dispatches)),
+                ]),
+            ),
+        ]
+    }
 }
 
 struct Queued {
@@ -239,7 +342,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-type WorkerOut = (RunnerStats, Timing, Vec<RequestTrace>);
+type WorkerOut = (RunnerStats, Timing, Vec<RequestTrace>, BlockStats);
 
 /// The online serving daemon. See the [module docs](self).
 pub struct Daemon {
@@ -380,13 +483,15 @@ impl Daemon {
         let mut worker_stats = Vec::with_capacity(handles.len());
         let mut worker_timing = Vec::with_capacity(handles.len());
         let mut traces = Vec::new();
+        let mut blocks = BlockStats::default();
         for h in handles {
-            let (ws, wt, wtr) = h.join().expect("daemon worker panicked");
+            let (ws, wt, wtr, wb) = h.join().expect("daemon worker panicked");
             stats.merge(&ws);
             timing.merge(&wt);
             worker_stats.push(ws);
             worker_timing.push(wt);
             traces.extend(wtr);
+            blocks.merge(&wb);
         }
         traces.sort_by_key(|t| t.seq);
         DaemonReport {
@@ -395,23 +500,38 @@ impl Daemon {
             worker_stats,
             worker_timing,
             traces,
+            blocks,
             counters: Arc::clone(&self.shared.counters),
             breakeven: *lock(&self.shared.breakeven),
         }
     }
 }
 
-/// Dequeues until the queue is empty *and* draining; `None` ends the
-/// worker.
-fn dequeue(shared: &Shared) -> Option<Queued> {
+/// The most requests a worker dequeues as one block: half the batch VM's
+/// own `BLOCK_LANES`. A worker's column file grows with the block, and on
+/// the `drag` benchmark (2 workers, 2 vCPUs) 64-lane blocks answered as
+/// many requests per second as 128-lane ones while adding half as much to
+/// peak memory (about 0.3 MB instead of 0.6 MB over one-request serving).
+const MAX_BLOCK: usize = 64;
+
+/// Moves the next block of queued requests into `block`, waiting for
+/// work; `false` (queue empty *and* draining) ends the worker. A block is
+/// the worker's share of the queue, `queue_len / workers`, between one
+/// request and `max` ([`MAX_BLOCK`] for a lockstep-capable session): a
+/// long queue fills whole lockstep blocks, and a short one leaves work
+/// for the other workers.
+fn dequeue(shared: &Shared, block: &mut Vec<Queued>, max: usize) -> bool {
     let mut q = lock(&shared.q);
     loop {
-        if let Some(req) = q.queue.pop_front() {
+        let queued = q.queue.len();
+        if queued > 0 {
+            let take = (queued / shared.cfg.workers.max(1)).clamp(1, max);
+            block.extend(q.queue.drain(..take));
             shared.counters.note_dequeued(q.queue.len() as u64);
-            return Some(req);
+            return true;
         }
         if q.draining {
-            return None;
+            return false;
         }
         q.idle += 1;
         q = shared.cv.wait(q).unwrap_or_else(PoisonError::into_inner);
@@ -505,6 +625,21 @@ fn calibrate(shared: &Shared, args: &[Value]) -> Option<u32> {
     breakeven_uses(orig, loader, reader)
 }
 
+/// One worker thread's serving state: its session, its batch VM and
+/// what it has measured so far.
+struct Worker {
+    shared: Arc<Shared>,
+    session: Session,
+    batch: BatchVm,
+    tx: Sender<DaemonResponse>,
+    deadline: Option<Duration>,
+    /// Daemon-level latency overlay: queue wait for every request, plus
+    /// end-to-end time of unspecialized serves (which bypass the session).
+    overlay: Timing,
+    traces: Vec<RequestTrace>,
+    blocks: BlockStats,
+}
+
 fn worker(
     shared: Arc<Shared>,
     store: Arc<CacheStore>,
@@ -516,62 +651,159 @@ fn worker(
         session.attach_wal(wal);
     }
     session.set_tracing(shared.cfg.tracing);
-    // Daemon-level latency overlay: queue wait for every request, plus
-    // end-to-end time of unspecialized serves (which bypass the session).
-    let mut overlay = Timing::new();
-    let mut traces: Vec<RequestTrace> = Vec::new();
-    let deadline = shared.cfg.deadline_ms.map(Duration::from_millis);
-    while let Some(req) = dequeue(&shared) {
-        let queue_nanos = req.enqueued.elapsed().as_nanos() as u64;
-        overlay.record_stage("queue", queue_nanos);
-        // Deadline check at dequeue: a request that already waited out its
-        // deadline in the queue is failed without executing at all.
-        if let Some(d) = deadline.filter(|&d| req.enqueued.elapsed() > d) {
-            shared.counters.note_deadline_missed();
-            if shared.cfg.tracing {
-                traces.push(RequestTrace {
-                    seq: req.seq,
-                    inputs_fp: session.inputs_fingerprint(&req.args),
-                    outcome: RequestOutcome::Error,
-                    total_nanos: queue_nanos,
-                    stages: vec![("queue", queue_nanos)],
-                });
+    let mut w = Worker {
+        deadline: shared.cfg.deadline_ms.map(Duration::from_millis),
+        shared,
+        session,
+        batch: BatchVm::new(),
+        tx,
+        overlay: Timing::new(),
+        traces: Vec::new(),
+        blocks: BlockStats::default(),
+    };
+    // The tree walker (the reference engine) and cache-writing readers
+    // are served one request at a time: they have no lockstep path.
+    let max_block = if w.session.serves_blocks() {
+        MAX_BLOCK
+    } else {
+        1
+    };
+    let mut block = Vec::new();
+    let mut ready = Vec::new();
+    while dequeue(&w.shared, &mut block, max_block) {
+        let since = Instant::now();
+        for req in block.drain(..) {
+            if let Some(queue_nanos) = w.dequeued_in_time(&req) {
+                ready.push((req, queue_nanos));
             }
-            let _ = tx.send(DaemonResponse {
+        }
+        if ready.len() > 1 {
+            w.serve_block(&mut ready, since);
+        } else if let Some((req, queue_nanos)) = ready.pop() {
+            // A lone request: the per-request path, exactly.
+            let fp = w.session.inputs_fingerprint(&req.args);
+            let specialized = admit_specialized(&w.shared, &req.args, fp);
+            w.serve_one(&req, fp, specialized, queue_nanos, None, None);
+        }
+    }
+    let mut timing = w.session.timing().clone();
+    timing.merge(&w.overlay);
+    w.blocks.engine = w.batch.stats();
+    (w.session.stats().clone(), timing, w.traces, w.blocks)
+}
+
+impl Worker {
+    /// Records a dequeued request's queue wait and checks its deadline: a
+    /// request that already waited out its deadline in the queue is
+    /// answered with a typed error without executing at all (`None`).
+    fn dequeued_in_time(&mut self, req: &Queued) -> Option<u64> {
+        let waited = req.enqueued.elapsed();
+        let queue_nanos = waited.as_nanos() as u64;
+        self.overlay.record_stage("queue", queue_nanos);
+        let Some(d) = self.deadline.filter(|&d| waited > d) else {
+            return Some(queue_nanos);
+        };
+        let fp = self.session.inputs_fingerprint(&req.args);
+        self.answer_late(req, d, fp, vec![("queue", queue_nanos)]);
+        None
+    }
+
+    /// Answers a request that waited out its deadline `d` with a typed
+    /// error, without executing it; `stages` are the waits it was traced
+    /// with, starting with its queue wait.
+    fn answer_late(
+        &mut self,
+        req: &Queued,
+        d: Duration,
+        fp: u64,
+        stages: Vec<(&'static str, u64)>,
+    ) {
+        self.shared.counters.note_deadline_missed();
+        let queue_nanos = stages[0].1;
+        if self.shared.cfg.tracing {
+            self.traces.push(RequestTrace {
                 seq: req.seq,
-                result: Err(RuntimeError::DeadlineExceeded {
-                    deadline_ms: d.as_millis() as u64,
-                }),
-                specialized: false,
-                queue_nanos,
+                inputs_fp: fp,
+                outcome: RequestOutcome::Error,
+                total_nanos: stages.iter().map(|s| s.1).sum(),
+                stages,
             });
-            continue;
+        }
+        let _ = self.tx.send(DaemonResponse {
+            seq: req.seq,
+            result: Err(RuntimeError::DeadlineExceeded {
+                deadline_ms: d.as_millis() as u64,
+            }),
+            specialized: false,
+            queue_nanos,
+        });
+    }
+
+    /// Serves one request on the per-request path: its fault (if any) is
+    /// scheduled first, then the session serves it single-flight, or the
+    /// unspecialized fragment does when admission said so. A request of a
+    /// block passes the block's dequeue time, `since`: the time it waited
+    /// for the block before its own serve began is its `block_wait` stage.
+    /// A lane the block sent back also passes the block's store `probe`.
+    /// The deadline is checked again first: a request of a block that
+    /// waited it out behind its block-mates fails without executing.
+    fn serve_one(
+        &mut self,
+        req: &Queued,
+        fp: u64,
+        specialized: bool,
+        queue_nanos: u64,
+        since: Option<Instant>,
+        probe: Option<Probe>,
+    ) {
+        let waited = since.map(|t| {
+            let nanos = t.elapsed().as_nanos() as u64;
+            self.overlay.record_stage("block_wait", nanos);
+            ("block_wait", nanos)
+        });
+        if let Some(d) = self.deadline.filter(|&d| req.enqueued.elapsed() > d) {
+            let mut stages = vec![("queue", queue_nanos)];
+            stages.extend(waited);
+            self.answer_late(req, d, fp, stages);
+            return;
         }
         if let Some((fault, seed)) = req.fault {
             // Submitters validate applicability; an inapplicable fault is
             // dropped rather than poisoning the request — injections only
             // ever *degrade* service, never answers.
-            let _ = session.inject(fault, seed);
+            let _ = self.session.inject(fault, seed);
         }
-        // The one fingerprint hash of this request: admission and the
-        // session both key on it.
-        let fp = session.inputs_fingerprint(&req.args);
-        let specialized = admit_specialized(&shared, &req.args, fp);
-        let mut result = if specialized {
-            shared.counters.note_staged_serve();
-            session.run_single_flight(&req.args, fp, &shared.latches)
+        let result = if specialized {
+            self.shared.counters.note_staged_serve();
+            let result = self
+                .session
+                .run_single_flight(&req.args, fp, &self.shared.latches, probe);
+            if self.shared.cfg.tracing {
+                // Sessions stamp a local serve order; rebase each trace
+                // onto the daemon-wide submission sequence.
+                for mut t in self.session.take_traces() {
+                    t.seq = req.seq;
+                    t.stages.splice(0..0, waited);
+                    self.traces.push(t);
+                }
+            }
+            result
         } else {
-            shared.counters.note_unspec_serve();
-            let exec_nanos_probe = Instant::now();
-            let out = shared
+            self.shared.counters.note_unspec_serve();
+            let t = Instant::now();
+            let out = self
+                .shared
                 .artifact
-                .reference(&req.args, shared.cfg.runner.eval)
+                .reference(&req.args, self.shared.cfg.runner.eval)
                 .map_err(RuntimeError::Eval);
-            let exec_nanos = exec_nanos_probe.elapsed().as_nanos() as u64;
-            overlay.record_total(exec_nanos);
-            overlay.record_stage("unspec", exec_nanos);
-            if shared.cfg.tracing {
-                traces.push(RequestTrace {
+            let exec_nanos = t.elapsed().as_nanos() as u64;
+            self.overlay.record_total(exec_nanos);
+            self.overlay.record_stage("unspec", exec_nanos);
+            if self.shared.cfg.tracing {
+                let mut stages = vec![("queue", queue_nanos)];
+                stages.extend(waited);
+                stages.push(("unspec", exec_nanos));
+                self.traces.push(RequestTrace {
                     seq: req.seq,
                     inputs_fp: fp,
                     outcome: if out.is_err() {
@@ -580,39 +812,116 @@ fn worker(
                         RequestOutcome::Fallback
                     },
                     total_nanos: exec_nanos,
-                    stages: vec![("queue", queue_nanos), ("unspec", exec_nanos)],
+                    stages,
                 });
             }
             out
         };
-        // Deadline check after execution: a complete answer that arrives
-        // past the deadline is discarded — never partial, never late.
-        if let Some(d) = deadline {
+        self.respond(req, result, specialized, queue_nanos);
+    }
+
+    /// Serves a block of two or more requests dequeued at `since`.
+    /// Admission runs in arrival order. The admitted, fault-free lanes go
+    /// to the session's block path: its store hits are answered in
+    /// lockstep, first; each lane it sends back is then served on the
+    /// per-request path with the block's probe. Last, the unadmitted and
+    /// fault-carrying lanes take the per-request path, in arrival order.
+    fn serve_block(&mut self, ready: &mut Vec<(Queued, u64)>, since: Instant) {
+        // A pending fault must strike the next request the session
+        // serves, so it sends the whole block down the per-request path.
+        let pending = self.session.has_pending_fault();
+        let mut lanes = Vec::with_capacity(ready.len());
+        let mut routes = Vec::with_capacity(ready.len());
+        for (req, _) in ready.iter() {
+            let fp = self.session.inputs_fingerprint(&req.args);
+            let specialized = admit_specialized(&self.shared, &req.args, fp);
+            let in_block = specialized && req.fault.is_none() && !pending;
+            if in_block {
+                lanes.push(BlockLane {
+                    args: &req.args,
+                    fp,
+                    seq: req.seq,
+                });
+            } else if specialized {
+                self.blocks.fault += 1;
+            } else {
+                self.blocks.unadmitted += 1;
+            }
+            routes.push((fp, specialized, in_block));
+        }
+        if !lanes.is_empty() {
+            self.blocks.blocks += 1;
+            let run = self.session.run_block(&lanes, &mut self.batch);
+            drop(lanes);
+            // A lockstep lane's own time is its share of the block; the
+            // rest of the time since dequeue it waited on the block.
+            let elapsed = since.elapsed().as_nanos() as u64;
+            let mut traces = self.session.take_traces().into_iter();
+            let in_block = ready
+                .iter()
+                .zip(&routes)
+                .filter(|(_, &(_, _, in_block))| in_block)
+                .map(|((req, queue_nanos), &(fp, _, _))| (req, *queue_nanos, fp));
+            let mut sent_back = Vec::new();
+            for ((req, queue_nanos, fp), served) in in_block.zip(run) {
+                match served {
+                    Served::Lockstep { out, nanos } => {
+                        let waited = elapsed.saturating_sub(nanos);
+                        self.blocks.lockstep_lanes += 1;
+                        self.shared.counters.note_staged_serve();
+                        self.overlay.record_stage("block_wait", waited);
+                        if let Some(mut t) = traces.next() {
+                            t.stages.insert(0, ("block_wait", waited));
+                            self.traces.push(t);
+                        }
+                        self.respond(req, Ok(out), true, queue_nanos);
+                    }
+                    Served::SentBack { exit, probe } => {
+                        match exit {
+                            Exit::Miss => self.blocks.miss += 1,
+                            Exit::Seal => self.blocks.seal += 1,
+                            Exit::ReaderError => self.blocks.reader_error += 1,
+                        }
+                        sent_back.push((req, queue_nanos, fp, probe));
+                    }
+                }
+            }
+            for (req, queue_nanos, fp, probe) in sent_back {
+                self.serve_one(req, fp, true, queue_nanos, Some(since), probe);
+            }
+        }
+        for ((req, queue_nanos), (fp, specialized, in_block)) in ready.drain(..).zip(routes) {
+            if !in_block {
+                self.serve_one(&req, fp, specialized, queue_nanos, Some(since), None);
+            }
+        }
+    }
+
+    /// Sends a served request's answer. Deadline check after execution: a
+    /// complete answer that arrives past the deadline is discarded —
+    /// never partial, never late.
+    fn respond(
+        &mut self,
+        req: &Queued,
+        mut result: Result<Outcome, RuntimeError>,
+        specialized: bool,
+        queue_nanos: u64,
+    ) {
+        if let Some(d) = self.deadline {
             if req.enqueued.elapsed() > d && result.is_ok() {
-                shared.counters.note_deadline_missed();
+                self.shared.counters.note_deadline_missed();
                 result = Err(RuntimeError::DeadlineExceeded {
                     deadline_ms: d.as_millis() as u64,
                 });
             }
         }
-        if specialized && shared.cfg.tracing {
-            // Sessions stamp a local serve order; rebase each trace onto
-            // the daemon-wide submission sequence as it is drained.
-            for mut t in session.take_traces() {
-                t.seq = req.seq;
-                traces.push(t);
-            }
-        }
-        let _ = tx.send(DaemonResponse {
+        let _ = self.tx.send(DaemonResponse {
             seq: req.seq,
             result,
             specialized,
             queue_nanos,
         });
     }
-    let mut timing = session.timing().clone();
-    timing.merge(&overlay);
-    (session.stats().clone(), timing, traces)
 }
 
 #[cfg(test)]
@@ -620,7 +929,7 @@ mod tests {
     use super::*;
     use crate::session::Policy;
     use ds_core::{specialize_source, InputPartition, SpecializeOptions};
-    use ds_interp::Engine;
+    use ds_interp::{Engine, EvalError};
     use ds_telemetry::LatencyHist;
 
     const DOTPROD: &str = "float dotprod(float x1, float y1, float z1,
@@ -678,7 +987,7 @@ mod tests {
 
     #[test]
     fn daemon_answers_are_bit_exact_vs_solo_reference() {
-        for engine in [Engine::Tree, Engine::Vm] {
+        for engine in [Engine::Tree, Engine::Vm, Engine::VmBatch] {
             let (artifact, store) = dotprod_parts();
             let cfg = DaemonConfig {
                 workers: 4,
@@ -716,6 +1025,341 @@ mod tests {
             assert_eq!(report.counters.admitted(), 32);
             assert_eq!(report.counters.staged_serves(), 32);
         }
+    }
+
+    /// One worker is wedged on a stalled load while a block queues up
+    /// behind it: store hits, misses (one fingerprint twice), an entry
+    /// tampered after sealing, a hit carrying a fault, a request that
+    /// waits out its deadline in the queue, and one that waits it out
+    /// behind a block-mate's stalled load. The worker then dequeues them
+    /// all as one block.
+    #[test]
+    fn mixed_blocks_answer_like_solo_sessions() {
+        use crate::store::StoreEntry;
+        for engine in [Engine::Vm, Engine::VmBatch] {
+            let (artifact, store) = dotprod_parts();
+            let opts = RunnerOptions {
+                engine,
+                policy: Policy::FallbackToUnspecialized,
+                rebuild_budget: 64,
+                eval: ds_interp::EvalOptions {
+                    profile: true,
+                    ..ds_interp::EvalOptions::default()
+                },
+            };
+            let cfg = DaemonConfig {
+                workers: 1,
+                max_queue: 64,
+                deadline_ms: Some(400),
+                runner: opts,
+                tracing: true,
+                ..DaemonConfig::default()
+            };
+            let (daemon, rx) = Daemon::start(Arc::clone(&artifact), Arc::clone(&store), None, cfg);
+            let mut reqs: Vec<Vec<Value>> = Vec::new();
+            let submit = |reqs: &mut Vec<Vec<Value>>, args: Vec<Value>, fault| {
+                daemon
+                    .submit(reqs.len() as u64, args.clone(), fault)
+                    .expect("submit");
+                reqs.push(args);
+            };
+            // Warm-up, one request at a time: y1 = 1..=5 are staged and
+            // sealed in the store.
+            let mut warm = Vec::new();
+            for y1 in 1..=5 {
+                submit(&mut reqs, argv_fixed(f64::from(y1), 0.5, 0.25), None);
+                warm.extend(collect(&rx, 1));
+            }
+            assert!(warm.iter().all(|r| r.result.is_ok()));
+            // Tamper with y1 = 5's sealed entry behind the seal's back.
+            let tampered_fp = artifact.inputs_fingerprint(&argv_fixed(5.0, 0.0, 0.0));
+            let mut damaged = StoreEntry::clone(&store.get(tampered_fp).expect("staged"));
+            damaged.cache.tamper(0, Some(Value::Float(1e9)));
+            store.insert(tampered_fp, damaged);
+            // Wedge the worker: y1 = 6 misses and its loader stalls while
+            // holding the fingerprint's staging latch.
+            submit(
+                &mut reqs,
+                argv_fixed(6.0, 1.0, 1.0),
+                Some((Fault::Stall(600), 0)),
+            );
+            while daemon.shared.latches.live_entries() == 0 {
+                std::thread::yield_now();
+            }
+            let late = reqs.len() as u64;
+            submit(&mut reqs, argv_fixed(1.0, 9.0, 9.0), None);
+            std::thread::sleep(Duration::from_millis(400));
+            let first_hit = reqs.len();
+            for &(y1, z) in &[(1.0, 2.0), (2.0, 3.0), (1.0, 4.0), (2.0, 5.0), (3.0, 6.0)] {
+                submit(&mut reqs, argv_fixed(y1, z, z + 0.5), None);
+            }
+            let hits = first_hit..reqs.len();
+            for &(y1, z) in &[(7.0, 1.0), (8.0, 2.0), (7.0, 3.0)] {
+                submit(&mut reqs, argv_fixed(y1, z, 0.75), None);
+            }
+            submit(&mut reqs, argv_fixed(5.0, 7.0, 7.0), None);
+            submit(
+                &mut reqs,
+                argv_fixed(4.0, 8.0, 8.0),
+                Some((Fault::ExhaustFuel(3), 0)),
+            );
+            // Fault lanes are served last, in arrival order: y1 = 9's
+            // loader stalls past the deadline, so it is answered late and
+            // the lane after it expires before it executes.
+            let stalled = reqs.len();
+            submit(
+                &mut reqs,
+                argv_fixed(9.0, 1.0, 1.0),
+                Some((Fault::Stall(300), 0)),
+            );
+            let expired = reqs.len();
+            submit(
+                &mut reqs,
+                argv_fixed(3.0, 9.0, 9.0),
+                Some((Fault::ExhaustFuel(3), 0)),
+            );
+            let n = reqs.len();
+            let mut answers: Vec<Option<DaemonResponse>> = (0..n).map(|_| None).collect();
+            for r in collect(&rx, n - 5) {
+                let seq = r.seq as usize;
+                assert!(
+                    answers[seq].replace(r).is_none(),
+                    "seq {seq} answered twice"
+                );
+            }
+            let report = daemon.join();
+
+            // A solo session over its own store is the oracle: a lane in
+            // lockstep answers exactly as a warm reader would, field for
+            // field; every other lane answers the reference value.
+            let mut solo = Session::new(Arc::clone(&artifact), Arc::new(CacheStore::new(16)), opts);
+            let mut deadline_missed = 0;
+            for (seq, answer) in answers.iter().enumerate().skip(5) {
+                let r = answer.as_ref().expect("every request is answered");
+                let args = &reqs[seq];
+                if [late as usize, 5, stalled, expired].contains(&seq) {
+                    assert_eq!(
+                        r.result,
+                        Err(RuntimeError::DeadlineExceeded { deadline_ms: 400 }),
+                        "{engine:?} seq {seq}"
+                    );
+                    deadline_missed += 1;
+                    continue;
+                }
+                let got = r.result.as_ref().expect("answered");
+                if hits.contains(&seq) {
+                    solo.run(&argv_fixed(args[1].as_float().unwrap(), 0.0, 0.0))
+                        .expect("warm the solo session");
+                    let want = solo.run(args).expect("solo reader");
+                    assert!(
+                        got.value
+                            .as_ref()
+                            .unwrap()
+                            .bits_eq(want.value.as_ref().unwrap()),
+                        "{engine:?} seq {seq}"
+                    );
+                    assert_eq!(got.cost, want.cost, "{engine:?} seq {seq}");
+                    assert_eq!(got.profile, want.profile, "{engine:?} seq {seq}");
+                } else {
+                    let want = artifact.reference(args, opts.eval).expect("reference");
+                    assert!(
+                        got.value
+                            .as_ref()
+                            .unwrap()
+                            .bits_eq(want.value.as_ref().unwrap()),
+                        "{engine:?} seq {seq}"
+                    );
+                }
+            }
+
+            let counters = &report.counters;
+            assert_eq!(counters.admitted(), n as u64);
+            assert_eq!(counters.deadline_missed(), deadline_missed);
+            let answered = warm
+                .iter()
+                .chain(answers.iter().flatten())
+                .filter(|r| !matches!(r.result, Err(RuntimeError::DeadlineExceeded { .. })))
+                .count() as u64;
+            assert_eq!(counters.admitted(), answered + counters.deadline_missed());
+            let distinct: std::collections::HashSet<u64> = reqs
+                .iter()
+                .map(|a| artifact.inputs_fingerprint(a))
+                .collect();
+            assert!(
+                report.stats.loads <= distinct.len() as u64,
+                "one load per distinct fingerprint"
+            );
+            assert_eq!(report.stats.validation_failures(), 1);
+            assert!(
+                store.get(tampered_fp).is_none(),
+                "the tampered entry is invalidated"
+            );
+            let b = report.blocks;
+            assert_eq!(b.blocks, 1, "{b:?}");
+            assert_eq!(b.lockstep_lanes, hits.len() as u64, "{b:?}");
+            assert_eq!((b.miss, b.seal, b.fault), (3, 1, 3), "{b:?}");
+            assert_eq!((b.reader_error, b.unadmitted), (0, 0), "{b:?}");
+
+            let seqs: Vec<u64> = report.traces.iter().map(|t| t.seq).collect();
+            assert_eq!(
+                seqs,
+                (0..n as u64).collect::<Vec<_>>(),
+                "one trace per request"
+            );
+            for t in &report.traces {
+                assert!(!t.stages.is_empty(), "seq {} has no stage", t.seq);
+            }
+            // A lockstep lane's stages are its share of the block, after
+            // the time it waited on the rest of the block.
+            for seq in hits {
+                let names: Vec<&str> = report.traces[seq].stages.iter().map(|s| s.0).collect();
+                assert_eq!(names, ["block_wait", "store_probe", "validate", "read"]);
+            }
+            // The lane that expired behind the stall never executed.
+            let t = &report.traces[expired];
+            let names: Vec<&str> = t.stages.iter().map(|s| s.0).collect();
+            assert_eq!(names, ["queue", "block_wait"]);
+            assert_eq!(t.outcome, RequestOutcome::Error);
+            // Every other lane of the block waited on it too, by name.
+            for t in &report.traces[late as usize + 1..] {
+                assert!(
+                    t.stages.iter().any(|s| s.0 == "block_wait"),
+                    "seq {} has no block_wait stage",
+                    t.seq
+                );
+            }
+        }
+    }
+
+    /// A block of one repeated fingerprint is counted as per-request
+    /// serving counts it: one store hit, then warm serves, and the
+    /// session stays warm on it after the block.
+    #[test]
+    fn repeated_fingerprint_blocks_count_like_per_request_serving() {
+        for engine in [Engine::Vm, Engine::VmBatch] {
+            let (artifact, store) = dotprod_parts();
+            let opts = RunnerOptions {
+                engine,
+                ..RunnerOptions::default()
+            };
+            let cfg = DaemonConfig {
+                workers: 1,
+                runner: opts,
+                tracing: true,
+                ..DaemonConfig::default()
+            };
+            let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, None, cfg);
+            let mut reqs = vec![argv_fixed(1.0, 0.5, 0.5)];
+            daemon.submit(0, reqs[0].clone(), None).expect("submit");
+            assert!(collect(&rx, 1)[0].result.is_ok(), "staged y1 = 1");
+            // Wedge the worker on y1 = 2, then queue eight y1 = 1 lanes.
+            reqs.push(argv_fixed(2.0, 0.5, 0.5));
+            daemon
+                .submit(1, reqs[1].clone(), Some((Fault::Stall(100), 0)))
+                .expect("submit");
+            while daemon.shared.latches.live_entries() == 0 {
+                std::thread::yield_now();
+            }
+            for z in 0..8 {
+                let args = argv_fixed(1.0, f64::from(z), 1.5);
+                daemon
+                    .submit(reqs.len() as u64, args.clone(), None)
+                    .expect("submit");
+                reqs.push(args);
+            }
+            assert!(collect(&rx, 9).iter().all(|r| r.result.is_ok()));
+            // A lone request after the block is a warm serve.
+            let args = argv_fixed(1.0, 9.0, 1.5);
+            daemon
+                .submit(reqs.len() as u64, args.clone(), None)
+                .expect("submit");
+            reqs.push(args);
+            assert!(collect(&rx, 1)[0].result.is_ok());
+            let report = daemon.join();
+            assert_eq!(report.blocks.blocks, 1, "{:?}", report.blocks);
+            assert_eq!(report.blocks.lockstep_lanes, 8, "{:?}", report.blocks);
+
+            let mut solo = Session::new(artifact, Arc::new(CacheStore::new(16)), opts);
+            solo.set_tracing(true);
+            for args in &reqs {
+                solo.run(args).expect("solo");
+            }
+            let (got, want) = (&report.stats, solo.stats());
+            assert_eq!(got.requests, want.requests, "{engine:?}");
+            assert_eq!(got.loads, want.loads, "{engine:?}");
+            assert_eq!(got.store_hits(), want.store_hits(), "{engine:?}");
+            assert_eq!(got.store_hits(), 1, "{engine:?}");
+            let outcomes = |traces: &[RequestTrace]| -> Vec<RequestOutcome> {
+                traces.iter().map(|t| t.outcome).collect()
+            };
+            assert_eq!(
+                outcomes(&report.traces),
+                outcomes(&solo.take_traces()),
+                "{engine:?}"
+            );
+        }
+    }
+
+    /// Lanes whose reader faults in lockstep leave the block and are
+    /// served again on the per-request path, where the failure is
+    /// counted and the policy applies; their neighbours stay in lockstep.
+    #[test]
+    fn reader_errors_leave_the_block_with_the_scalar_error() {
+        const SRC: &str = "float f(float k, int i) {
+            float v[3] = k + 1.0;
+            v[0] = sin(k);
+            return v[i] * k;
+        }";
+        let part = InputPartition::varying(["i"]);
+        let spec = specialize_source(SRC, "f", &part, &SpecializeOptions::new()).expect("spec");
+        let artifact = Arc::new(StagedArtifact::new(&spec, &part));
+        let opts = RunnerOptions {
+            engine: Engine::Vm,
+            policy: Policy::FailFast,
+            ..RunnerOptions::default()
+        };
+        let cfg = DaemonConfig {
+            workers: 1,
+            runner: opts,
+            ..DaemonConfig::default()
+        };
+        let store = Arc::new(CacheStore::new(4));
+        let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, None, cfg);
+        let args = |k: f64, i: i64| vec![Value::Float(k), Value::Int(i)];
+        daemon.submit(0, args(2.0, 0), None).expect("submit");
+        assert!(collect(&rx, 1)[0].result.is_ok(), "staged k = 2");
+        // Wedge the worker on another fingerprint, then queue the block.
+        daemon
+            .submit(1, args(3.0, 0), Some((Fault::Stall(100), 0)))
+            .expect("submit");
+        while daemon.shared.latches.live_entries() == 0 {
+            std::thread::yield_now();
+        }
+        let lanes = [0, 1, 9, 2, -1, 1];
+        for (i, &idx) in lanes.iter().enumerate() {
+            daemon
+                .submit(2 + i as u64, args(2.0, idx), None)
+                .expect("submit");
+        }
+        let mut answers = collect(&rx, 1 + lanes.len());
+        answers.sort_by_key(|r| r.seq);
+        let report = daemon.join();
+        let mut solo = Session::new(artifact, Arc::new(CacheStore::new(4)), opts);
+        solo.run(&args(2.0, 0)).expect("warm the solo session");
+        for (r, &idx) in answers[1..].iter().zip(&lanes) {
+            assert_eq!(r.result, solo.run(&args(2.0, idx)), "i = {idx}");
+        }
+        assert!(matches!(
+            answers[3].result,
+            Err(RuntimeError::Eval(EvalError::IndexOutOfBounds {
+                index: 9,
+                ..
+            }))
+        ));
+        let b = report.blocks;
+        assert_eq!((b.lockstep_lanes, b.reader_error), (4, 2), "{b:?}");
+        assert_eq!(b.engine.masked_lanes, 2, "{b:?}");
+        assert_eq!(report.stats.reader_failures, 2);
     }
 
     #[test]

@@ -99,7 +99,9 @@ pub use artifact::StagedArtifact;
 pub use cachefile::{
     parse_store, parse_store_with_lsn, save_store, save_store_at, LoadedCache, STORE_KIND,
 };
-pub use daemon::{breakeven_uses, Admission, Daemon, DaemonConfig, DaemonReport, DaemonResponse};
+pub use daemon::{
+    breakeven_uses, Admission, BlockStats, Daemon, DaemonConfig, DaemonReport, DaemonResponse,
+};
 pub use error::{IntegrityError, RuntimeError, WalError};
 pub use fault::{Fault, FaultInjector};
 pub use latch::{ExclusiveLatch, LatchTable, SharedLatch};

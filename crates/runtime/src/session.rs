@@ -57,6 +57,21 @@
 //! * a cache that fails validation is invalidated in the store *and*
 //!   dropped locally before the policy decides how to recover, so a
 //!   damaged entry is never re-served anywhere.
+//!
+//! ## Blocks
+//!
+//! The [`Daemon`](crate::Daemon) also serves several queued requests at
+//! once through a crate-private block entry point, walking the lanes as
+//! if serving them one at a time. A lane of the fingerprint the session
+//! would be warm on by then is a warm serve; any other lane is probed
+//! once, and a hit whose shared sealed entry passes the same three checks
+//! in place (slot count, tamper shadow, seal) joins the block. The joined
+//! lanes run the reader in lockstep on a batch VM, lane `j` reading its
+//! own cache with no copy, and the session ends warm on the last entry a
+//! lane joined on. Every other lane — a miss, a failed check, a reader
+//! error — takes the per-request lifecycle above, reusing the block's
+//! probe, so its counters, policy and answer are exactly those of
+//! [`Session::run`].
 
 use crate::artifact::StagedArtifact;
 use crate::cachefile;
@@ -68,7 +83,8 @@ use crate::store::{CacheStore, StoreEntry};
 use crate::timing::{RequestOutcome, RequestTrace};
 use crate::wal::{Wal, WalOp};
 use ds_interp::{
-    CacheBuf, Engine, EvalError, EvalOptions, Evaluator, Outcome, Profile, Value, Vm, WriteFault,
+    BatchVm, CacheBuf, Engine, EvalError, EvalOptions, Evaluator, Outcome, Profile, Value, Vm,
+    WriteFault,
 };
 use ds_telemetry::{Json, Timing};
 use std::fmt;
@@ -277,6 +293,77 @@ enum Stage {
     Reader,
 }
 
+/// A store probe already made for a request, with its time: a block's
+/// probe, handed on to the lane's per-request path so it is not repeated.
+pub(crate) struct Probe {
+    entry: Option<Arc<StoreEntry>>,
+    nanos: u64,
+}
+
+/// What [`Session::run_block`] did with one lane of a block.
+pub(crate) enum Served {
+    /// Answered by the lockstep reader run. `nanos` is the lane's own
+    /// time, the sum of its stages.
+    Lockstep { out: Outcome, nanos: u64 },
+    /// Sent back to the per-request path: why, and the store probe its
+    /// serve reuses (`None` when the lane was not probed).
+    SentBack { exit: Exit, probe: Option<Probe> },
+}
+
+/// Where a lane that joins a block reads its cache from.
+enum Source {
+    /// The session's private buffer: the lane is a warm serve.
+    Local,
+    /// A shared sealed entry. `hit` marks the lane that probed it; the
+    /// lanes after it with its fingerprint are warm serves.
+    Store { entry: Arc<StoreEntry>, hit: bool },
+}
+
+/// One request of a block: its arguments, the fingerprint the daemon
+/// hashed them to, and its submission sequence number (stamped on its
+/// trace).
+pub(crate) struct BlockLane<'a> {
+    pub(crate) args: &'a [Value],
+    pub(crate) fp: u64,
+    pub(crate) seq: u64,
+}
+
+/// Why a lane of a block was served on the per-request path instead of
+/// in lockstep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Exit {
+    /// The store had no entry for the lane's fingerprint.
+    Miss,
+    /// The entry failed the slot-count, tamper or seal check.
+    Seal,
+    /// The reader failed, or was masked, in lockstep.
+    ReaderError,
+}
+
+/// Pre-reader integrity validation of a sealed cache: the layout's slot
+/// count, the write-fault shadow, then the seal.
+fn validate_cache(cache: &CacheBuf, declared: usize, seal: u64) -> Result<(), IntegrityError> {
+    if cache.len() != declared {
+        return Err(IntegrityError::LayoutMismatch {
+            detail: format!(
+                "cache has {} slot(s), layout declares {declared}",
+                cache.len(),
+            ),
+        });
+    }
+    if let Some(slot) = cache.first_tampered_slot() {
+        return Err(IntegrityError::TamperedSlot { slot });
+    }
+    let found = cache.content_hash();
+    if found != seal {
+        return Err(IntegrityError::SealBroken {
+            expected: seal,
+            found,
+        });
+    }
+    Ok(())
+}
+
 /// One caller's mutable serving state over a shared artifact and store.
 #[derive(Debug)]
 pub struct Session {
@@ -411,6 +498,23 @@ impl Session {
         matches!(self.state, CacheState::Warm { .. })
     }
 
+    /// Whether a fault scheduled by [`Session::inject`] has yet to strike.
+    pub(crate) fn has_pending_fault(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// Whether [`run_block`](Session::run_block) can serve this session's
+    /// hits in lockstep: a bytecode engine, and a reader that only reads
+    /// its cache. The tree walker is the reference engine and stays
+    /// per-request.
+    pub(crate) fn serves_blocks(&self) -> bool {
+        self.opts.engine != Engine::Tree
+            && !self
+                .artifact
+                .compiled
+                .writes_cache(&self.artifact.reader_name)
+    }
+
     /// Fingerprint of the invariant-input vector within `args`.
     pub fn inputs_fingerprint(&self, args: &[Value]) -> u64 {
         self.artifact.inputs_fingerprint(args)
@@ -462,27 +566,257 @@ impl Session {
     /// is either the reference answer or one of these.
     pub fn run(&mut self, args: &[Value]) -> Result<Outcome, RuntimeError> {
         let fp = self.artifact.inputs_fingerprint(args);
-        self.serve(args, fp, None)
+        self.serve(args, fp, None, None)
     }
 
     /// [`Session::run`] for a caller that already fingerprinted `args`
     /// (`fp` must equal [`Session::inputs_fingerprint`] of them), with
     /// store misses staged single-flight through `latches`: concurrent
-    /// first requests for one fingerprint run its loader once.
+    /// first requests for one fingerprint run its loader once. A lane
+    /// [`run_block`](Session::run_block) sent back passes its `probe`,
+    /// which stands in for the first store probe.
     pub(crate) fn run_single_flight(
         &mut self,
         args: &[Value],
         fp: u64,
         latches: &LatchTable,
+        probe: Option<Probe>,
     ) -> Result<Outcome, RuntimeError> {
-        self.serve(args, fp, Some(latches))
+        self.serve(args, fp, Some(latches), probe)
     }
 
+    /// Serves the store hits of a block of requests the daemon has
+    /// already fingerprinted and admitted. Requires
+    /// [`serves_blocks`](Session::serves_blocks) and no pending fault.
+    ///
+    /// The lanes are walked in arrival order, as if served one at a
+    /// time. A lane whose fingerprint the session would be warm on by
+    /// then (its own warm cache, or the entry of an earlier lane of the
+    /// block) is a warm serve and is not probed. Any other lane probes
+    /// the store once; a hit whose shared sealed entry passes
+    /// [`validate_cache`] in place joins the block. The joined lanes run
+    /// the reader in lockstep on `batch`, lane `j` reading its own cache
+    /// with no copy, and the session ends the block warm on the last
+    /// entry a lane joined on. A lane that misses, fails validation or
+    /// fails in the reader is sent back, with its probe when it made one,
+    /// and so is a lane repeating the fingerprint of a lane sent back;
+    /// the caller serves it through
+    /// [`run_single_flight`](Session::run_single_flight), where a miss is
+    /// staged single-flight, a damaged entry is invalidated and logged, a
+    /// reader error is counted, and the policy applies — so each answer
+    /// is bit-identical to [`Session::run`]'s on the same request.
+    ///
+    /// A lockstep lane is counted and traced as a store hit when it
+    /// probed its entry and as a warm serve otherwise, as the
+    /// per-request path counts them. Its `store_probe` (hits only),
+    /// `validate` and `read` stages are its share of the block's time in
+    /// each phase: the phase's wall time divided by the lanes that took
+    /// part in it.
+    pub(crate) fn run_block(
+        &mut self,
+        lanes: &[BlockLane<'_>],
+        batch: &mut BatchVm,
+    ) -> Vec<Served> {
+        let declared = self.artifact.layout.slot_count();
+        let local = match self.state {
+            CacheState::Warm { inputs_fp, seal } => Some((inputs_fp, seal)),
+            CacheState::Cold => None,
+        };
+        // Probe phase: the lanes that would probe if every hit passed its
+        // checks, probed back to back. Probing each lane between its
+        // neighbours' validations, with a clock read around each, served
+        // 9% fewer `drag` answers per second.
+        let t = Instant::now();
+        let mut probed: Vec<Option<Option<Arc<StoreEntry>>>> = Vec::with_capacity(lanes.len());
+        let (mut warm_fp, mut back_fp) = (local.map(|(fp, _)| fp), None);
+        for lane in lanes {
+            if warm_fp == Some(lane.fp) || back_fp == Some(lane.fp) {
+                probed.push(None);
+                continue;
+            }
+            let entry = self.store.get(lane.fp);
+            if entry.is_some() {
+                warm_fp = Some(lane.fp);
+            } else {
+                back_fp = Some(lane.fp);
+            }
+            probed.push(Some(entry));
+        }
+        let mut probe_nanos = t.elapsed().as_nanos() as u64;
+        let mut probes = probed.iter().filter(|p| p.is_some()).count() as u64;
+
+        // Validation phase: each lane's plan, in arrival order. `warm` is
+        // what the session would be warm on as the lane is served: the
+        // fingerprint, its store entry (`None`: the private buffer) and
+        // whether it passed validation. A lane the probe phase skipped
+        // because an earlier hit was assumed to pass, when it did not, is
+        // probed here.
+        let t = Instant::now();
+        let mut late_probe_nanos = 0;
+        let mut warm = local.map(|(fp, seal)| {
+            let ok = !lanes.iter().any(|l| l.fp == fp)
+                || validate_cache(&self.cache, declared, seal).is_ok();
+            (fp, None, ok)
+        });
+        // The last lane sent back after a probe: a lane repeating its
+        // fingerprint shares its probe and its exit.
+        let mut last_back: Option<(u64, Exit, Option<Arc<StoreEntry>>)> = None;
+        let mut checked = 0u64;
+        let mut plans: Vec<Result<Source, (Exit, Option<Probe>)>> = Vec::with_capacity(lanes.len());
+        for (lane, probed) in lanes.iter().zip(&mut probed) {
+            let probe = |entry| Some(Probe { entry, nanos: 0 });
+            let plan = match (&warm, &last_back) {
+                (Some((fp, entry, ok)), _) if *fp == lane.fp => {
+                    checked += 1;
+                    match (entry, ok) {
+                        (_, false) => Err((Exit::Seal, None)),
+                        (None, true) => Ok(Source::Local),
+                        (Some(e), true) => Ok(Source::Store {
+                            entry: Arc::clone(e),
+                            hit: false,
+                        }),
+                    }
+                }
+                (_, Some((fp, exit, entry))) if *fp == lane.fp => {
+                    Err((*exit, probe(entry.clone())))
+                }
+                _ => {
+                    let entry = probed.take().unwrap_or_else(|| {
+                        let t = Instant::now();
+                        let entry = self.store.get(lane.fp);
+                        late_probe_nanos += t.elapsed().as_nanos() as u64;
+                        probes += 1;
+                        entry
+                    });
+                    match entry {
+                        None => Err((Exit::Miss, probe(None))),
+                        Some(e) => {
+                            checked += 1;
+                            if validate_cache(&e.cache, declared, e.seal).is_ok() {
+                                warm = Some((lane.fp, Some(Arc::clone(&e)), true));
+                                Ok(Source::Store {
+                                    entry: e,
+                                    hit: true,
+                                })
+                            } else {
+                                Err((Exit::Seal, probe(Some(e))))
+                            }
+                        }
+                    }
+                }
+            };
+            if let Err((exit, Some(p))) = &plan {
+                last_back = Some((lane.fp, *exit, p.entry.clone()));
+            }
+            plans.push(plan);
+        }
+        let validate_nanos = (t.elapsed().as_nanos() as u64).saturating_sub(late_probe_nanos);
+        probe_nanos += late_probe_nanos;
+
+        let readers: Vec<(&[Value], &CacheBuf)> = plans
+            .iter()
+            .zip(lanes)
+            .filter_map(|(plan, lane)| match plan {
+                Ok(Source::Local) => Some((lane.args, &self.cache)),
+                Ok(Source::Store { entry, .. }) => Some((lane.args, &entry.cache)),
+                Err(_) => None,
+            })
+            .collect();
+        let t = Instant::now();
+        let art = &self.artifact;
+        let mut read = batch
+            .run_lanes(&art.compiled, &art.reader_name, &readers, self.opts.eval)
+            .into_iter();
+        let read_nanos = t.elapsed().as_nanos() as u64;
+        let joined = readers.len() as u64;
+        drop(readers);
+        if let Some((inputs_fp, Some(entry), true)) = warm {
+            self.cache.clone_from(&entry.cache);
+            self.state = CacheState::Warm {
+                inputs_fp,
+                seal: entry.seal,
+            };
+        }
+
+        let share = |nanos: u64, lanes: u64| nanos / lanes.max(1);
+        let probe_share = share(probe_nanos, probes);
+        let stages = [
+            ("store_probe", probe_share),
+            ("validate", share(validate_nanos, checked)),
+            ("read", share(read_nanos, joined)),
+        ];
+        let mut served = Vec::with_capacity(lanes.len());
+        for (plan, lane) in plans.into_iter().zip(lanes) {
+            let source = match plan {
+                Ok(source) => source,
+                Err((exit, mut probe)) => {
+                    if let Some(p) = &mut probe {
+                        p.nanos = probe_share;
+                    }
+                    served.push(Served::SentBack { exit, probe });
+                    continue;
+                }
+            };
+            let hit = matches!(source, Source::Store { hit: true, .. });
+            let out = match read.next() {
+                Some(Ok(out)) => out,
+                // The reader failure is counted, and the policy applies,
+                // when the lane is served again.
+                _ => {
+                    let probe = match source {
+                        Source::Store { entry, hit: true } => Some(Probe {
+                            entry: Some(entry),
+                            nanos: probe_share,
+                        }),
+                        _ => None,
+                    };
+                    served.push(Served::SentBack {
+                        exit: Exit::ReaderError,
+                        probe,
+                    });
+                    continue;
+                }
+            };
+            let stages = if hit { &stages[..] } else { &stages[1..] };
+            let nanos = stages.iter().map(|s| s.1).sum();
+            self.stats.requests += 1;
+            if hit {
+                self.stats.profile.store_hits += 1;
+            }
+            if let Some(p) = &out.profile {
+                self.stats.profile.merge(p);
+            }
+            self.timing.record_total(nanos);
+            for &(stage, ns) in stages {
+                self.timing.record_stage(stage, ns);
+            }
+            if self.tracing {
+                self.traces.push(RequestTrace {
+                    seq: lane.seq,
+                    inputs_fp: lane.fp,
+                    outcome: if hit {
+                        RequestOutcome::StoreHit
+                    } else {
+                        RequestOutcome::Warm
+                    },
+                    total_nanos: nanos,
+                    stages: stages.to_vec(),
+                });
+            }
+            self.seq += 1;
+            served.push(Served::Lockstep { out, nanos });
+        }
+        served
+    }
+
+    /// The per-request lifecycle. `probe` is a store probe the caller
+    /// already made for `fp`; it stands in for `fetch`'s first probe.
     fn serve(
         &mut self,
         args: &[Value],
         fp: u64,
         latches: Option<&LatchTable>,
+        probe: Option<Probe>,
     ) -> Result<Outcome, RuntimeError> {
         self.stats.requests += 1;
         let started = Instant::now();
@@ -506,7 +840,7 @@ impl Session {
             CacheState::Warm { inputs_fp, seal } if inputs_fp == fp => {
                 self.serve_warm(args, fp, seal)
             }
-            _ => self.fetch(args, fp, latches),
+            _ => self.fetch(args, fp, latches, probe),
         };
         let total_nanos = started.elapsed().as_nanos() as u64;
         self.timing.record_total(total_nanos);
@@ -623,36 +957,12 @@ impl Session {
         }
     }
 
-    /// Pre-reader integrity validation of the local warm, sealed cache.
-    fn validate(&self, seal: u64) -> Result<(), IntegrityError> {
-        let declared = self.artifact.layout.slot_count();
-        if self.cache.len() != declared {
-            return Err(IntegrityError::LayoutMismatch {
-                detail: format!(
-                    "cache has {} slot(s), layout declares {declared}",
-                    self.cache.len(),
-                ),
-            });
-        }
-        if let Some(slot) = self.cache.first_tampered_slot() {
-            return Err(IntegrityError::TamperedSlot { slot });
-        }
-        let found = self.cache.content_hash();
-        if found != seal {
-            return Err(IntegrityError::SealBroken {
-                expected: seal,
-                found,
-            });
-        }
-        Ok(())
-    }
-
     /// Validates the local cache and runs the reader; a failure of either
     /// invalidates the fingerprint everywhere (locally and in the store)
     /// before the policy decides.
     fn serve_warm(&mut self, args: &[Value], fp: u64, seal: u64) -> Result<Outcome, RuntimeError> {
         let t = Instant::now();
-        let validated = self.validate(seal);
+        let validated = validate_cache(&self.cache, self.artifact.layout.slot_count(), seal);
         self.req_stages
             .push(("validate", t.elapsed().as_nanos() as u64));
         if let Err(ie) = validated {
@@ -682,20 +992,29 @@ impl Session {
     /// store before paying for a loader run. With `latches`, a store miss
     /// is staged single-flight: take the exclusive latch and re-probe (a
     /// stager may have published since the first probe) before loading,
-    /// or wait for the worker already staging `fp` and probe again.
+    /// or wait for the worker already staging `fp` and probe again. An
+    /// `earlier` probe stands in for the first one.
     fn fetch(
         &mut self,
         args: &[Value],
         fp: u64,
         latches: Option<&LatchTable>,
+        earlier: Option<Probe>,
     ) -> Result<Outcome, RuntimeError> {
         let was_warm = self.is_warm();
-        let mut probe_nanos = 0;
+        let mut probe_nanos = earlier.as_ref().map_or(0, |p| p.nanos);
+        let mut earlier = earlier.map(|p| p.entry);
         let mut stager = None;
         let probed = loop {
-            let t = Instant::now();
-            let probed = self.store.get(fp);
-            probe_nanos += t.elapsed().as_nanos() as u64;
+            let probed = match earlier.take() {
+                Some(entry) => entry,
+                None => {
+                    let t = Instant::now();
+                    let probed = self.store.get(fp);
+                    probe_nanos += t.elapsed().as_nanos() as u64;
+                    probed
+                }
+            };
             // A hit, a solo session, or a miss re-probed under this
             // session's own exclusive latch settles the probe.
             let (None, Some(latches), None) = (&probed, latches, &stager) else {
@@ -880,27 +1199,16 @@ impl Session {
                     ev.run(name, args)
                 }
             }
-            Engine::Vm => {
+            // A single request runs on the scalar VM under either
+            // bytecode engine: batch parity with it is bit-exact by
+            // contract, and the daemon batches store hits itself.
+            Engine::Vm | Engine::VmBatch => {
                 let cache = if with_cache {
                     Some(&mut self.cache)
                 } else {
                     None
                 };
                 self.vm.run(&art.compiled, name, args, cache, opts)
-            }
-            Engine::VmBatch => {
-                // Serving is one request at a time, so the batch engine
-                // degenerates to a batch of one; parity with the scalar
-                // VM is bit-exact either way.
-                let cache = if with_cache {
-                    Some(&mut self.cache)
-                } else {
-                    None
-                };
-                art.compiled
-                    .run_batch_soa(name, std::slice::from_ref(&args.to_vec()), cache, opts)
-                    .pop()
-                    .expect("a batch of one yields one outcome")
             }
         };
         if let Ok(o) = &out {
