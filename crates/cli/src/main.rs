@@ -1124,15 +1124,19 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let blocks = &report.blocks;
     if blocks.blocks > 0 {
         println!(
-            "lockstep:            {} request(s) in {} block(s); sent back: {} miss, {} seal, \
-             {} reader error, {} fault, {} unadmitted",
+            "lockstep:            {} request(s) read, {} loaded in {} block(s); sent back: {} \
+             miss, {} latched, {} seal, {} reader error, {} fault, {} unadmitted; {} lane(s) \
+             resumed at a branch",
             blocks.lockstep_lanes,
+            blocks.lockstep_loads,
             blocks.blocks,
             blocks.miss,
+            blocks.latched,
             blocks.seal,
             blocks.reader_error,
             blocks.fault,
             blocks.unadmitted,
+            blocks.engine.resumed_lanes,
         );
     }
     match report.breakeven {

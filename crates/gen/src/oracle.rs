@@ -12,7 +12,7 @@
 //! | `reassoc`   | §4.2  | reassociation preserves semantics (exact for loader/reader vs fragment, ≤1e-6 relative vs source) at equal cost |
 //! | `serve`     | §5    | a 3-worker `Daemon` (block dequeue, lockstep store hits) over a shared store ≡ solo serve, bit-exact |
 //! | `recovery`  | —     | crash the WAL at any byte: reopen recovers a prefix of the logged history and re-serves the stream bit-exact |
-//! | `batch`     | —     | SoA batch executor ≡ per-lane scalar runs on both engines (values, errors, cost, Profile), fused and unfused, incl. faulting lanes, warm-cache readers and per-lane caches with unfilled slots |
+//! | `batch`     | —     | SoA batch executor ≡ per-lane scalar runs on both engines (values, errors, cost, Profile), fused and unfused, incl. faulting lanes, warm-cache readers, per-lane caches with unfilled slots, and loaders over per-lane writable caches (filled slots and content hash too, incl. divergent blocks and lanes faulting after some writes) |
 //!
 //! All value and trace comparisons are bit-exact (`f64::to_bits`) unless an
 //! oracle says otherwise; typed errors compare field-exact via `PartialEq`.
@@ -883,6 +883,7 @@ fn check_batch(case: &FuzzCase) -> Result<(), String> {
     let spec_prog = spec.as_program();
     let spec_compiled = ds_interp::compile(&spec_prog);
     check_own_caches(&lanes, &spec_prog, &spec_compiled, spec.slot_count(), opts)?;
+    check_own_loaders(&lanes, &spec_prog, &spec_compiled, spec.slot_count(), opts)?;
     // Warm-cache readers: fill a cache once through the loader, then the
     // batch reader must match scalar readers over the same sealed cache.
     let reader = format!("{ENTRY}__reader");
@@ -907,6 +908,16 @@ fn check_batch(case: &FuzzCase) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// A seed drawn from the program text (FNV-1a), so a reproducer replays
+/// the same seeded choices.
+fn text_seed(prog: &ds_lang::Program) -> u64 {
+    ds_lang::print_program(prog)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 /// The per-lane half of the batch oracle: every lane's cache is filled by
@@ -940,12 +951,7 @@ fn check_own_caches(
             cache
         })
         .collect();
-    // Seeded by the program text, so a reproducer replays the same holes.
-    let text = ds_lang::print_program(spec_prog);
-    let seed = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    });
-    let mut rng = Rng::new(seed);
+    let mut rng = Rng::new(text_seed(spec_prog));
     let mut holed = filled.clone();
     if slots > 0 {
         for cache in &mut holed {
@@ -994,6 +1000,74 @@ fn check_own_caches(
         return Err(format!(
             "{unfilled} lane(s) read an unfilled slot but only {} were masked in lockstep",
             holes.masked_lanes
+        ));
+    }
+    Ok(())
+}
+
+/// The loader half of the per-lane batch oracle: the loader runs over the
+/// lane sweep through [`BatchVm::run_lanes_mut`], each lane writing a
+/// fresh cache of its own, and a seeded third of the lanes gets a cache
+/// one slot short, so its last write faults after its earlier ones
+/// landed. Each lane must match a scalar loader run over the same fresh
+/// cache on both engines — outcome or typed error, cost and Profile —
+/// and must leave the same slots filled with the same content. The sweep
+/// mixes fixed inputs, so blocks whose lanes split at a branch take the
+/// resume path.
+fn check_own_loaders(
+    lanes: &[Vec<Value>],
+    spec_prog: &ds_lang::Program,
+    spec_compiled: &CompiledProgram,
+    slots: usize,
+    opts: EvalOptions,
+) -> Result<(), String> {
+    let loader = format!("{ENTRY}__loader");
+    let mut rng = Rng::new(!text_seed(spec_prog));
+    let fresh: Vec<CacheBuf> = lanes
+        .iter()
+        .map(|_| {
+            let short = slots > 0 && rng.chance(33);
+            CacheBuf::new(slots - usize::from(short))
+        })
+        .collect();
+    let mut filled = fresh.clone();
+    let mut own: Vec<(&[Value], &mut CacheBuf)> = lanes
+        .iter()
+        .map(Vec::as_slice)
+        .zip(filled.iter_mut())
+        .collect();
+    let mut bvm = BatchVm::new();
+    let outs = bvm.run_lanes_mut(spec_compiled, &loader, &mut own, opts);
+    drop(own);
+    if outs.len() != lanes.len() {
+        return Err(format!(
+            "loader batch returned {} outcomes for {} lanes",
+            outs.len(),
+            lanes.len()
+        ));
+    }
+    for engine in [Engine::Tree, Engine::Vm] {
+        for (i, (lane, got)) in lanes.iter().zip(&outs).enumerate() {
+            let mut want = fresh[i].clone();
+            let expected = run(engine, spec_prog, &loader, lane, Some(&mut want), true);
+            let label = format!("[{engine:?}] own-cache loader lane {i}");
+            lane_same(&label, &expected, got)?;
+            let cache = &filled[i];
+            if cache.filled() != want.filled() || cache.content_hash() != want.content_hash() {
+                return Err(format!(
+                    "{label}: filled {} slot(s) (hash {:016x}), the scalar loader {} (hash {:016x})",
+                    cache.filled(),
+                    cache.content_hash(),
+                    want.filled(),
+                    want.content_hash()
+                ));
+            }
+        }
+    }
+    let stats = bvm.stats();
+    if stats.sequential_runs > 0 || (stats.divergent_blocks == 0 && stats.resumed_lanes > 0) {
+        return Err(format!(
+            "writable lane caches left lockstep other than at a divergent branch: {stats:?}"
         ));
     }
     Ok(())

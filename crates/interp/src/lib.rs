@@ -16,8 +16,9 @@
 //!   can communicate;
 //! * [`BatchVm`] / [`CompiledProgram::run_batch_soa`] — the
 //!   structure-of-arrays batch executor that replays one compiled reader
-//!   over many inputs in lockstep, sharing one cache or reading one cache
-//!   per lane ([`BatchVm::run_lanes`]), with profile-guided
+//!   over many inputs in lockstep, sharing one cache, reading one cache
+//!   per lane ([`BatchVm::run_lanes`]) or writing one per lane
+//!   ([`BatchVm::run_lanes_mut`]), with profile-guided
 //!   superinstruction fusion ([`fuse_hot_pairs`]) and its lockstep exits
 //!   counted in [`BatchStats`];
 //! * [`Value`] / [`Outcome`] / [`EvalError`] — results and failures;

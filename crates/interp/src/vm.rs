@@ -120,6 +120,21 @@ pub(crate) struct Frame {
     pub(crate) dst: u32,
 }
 
+/// The machine state a scalar run starts from: the entry procedure at
+/// pc 0 for [`Vm::run`], or the point where a lane left the batch VM's
+/// lockstep for [`Vm::resume`].
+pub(crate) struct Resume<'f> {
+    pub(crate) proc_idx: usize,
+    pub(crate) pc: usize,
+    pub(crate) base: usize,
+    /// The suspended callers, outermost first.
+    pub(crate) frames: &'f [Frame],
+    pub(crate) fuel: u64,
+    pub(crate) cost: u64,
+    pub(crate) trace: Vec<f64>,
+    pub(crate) profile: Option<Profile>,
+}
+
 /// A reusable bytecode executor.
 ///
 /// The register file, frame stack and argument scratch buffer persist
@@ -150,28 +165,71 @@ impl Vm {
         prog: &CompiledProgram,
         entry: &str,
         args: &[Value],
-        mut cache: Option<&mut CacheBuf>,
+        cache: Option<&mut CacheBuf>,
         opts: EvalOptions,
     ) -> Result<Outcome, EvalError> {
         let entry_idx = prog
             .proc_index(entry)
             .ok_or_else(|| EvalError::UnknownProc(entry.to_string()))?;
-
-        let mut proc_idx = entry_idx;
-        let mut proc: &CompiledProc = &prog.procs[proc_idx];
+        let proc = &prog.procs[entry_idx];
         check_args(proc, args)?;
 
-        let mut fuel = opts.step_limit;
-        let mut cost = 0u64;
-        let mut trace: Vec<f64> = Vec::new();
-        let mut profile = opts.profile.then(Profile::default);
-
-        self.frames.clear();
         self.regs.clear();
         self.regs.resize(proc.nregs as usize, Value::Int(0));
         self.regs[..args.len()].clone_from_slice(args);
-        let mut base = 0usize;
-        let mut pc = 0usize;
+        let at = Resume {
+            proc_idx: entry_idx,
+            pc: 0,
+            base: 0,
+            frames: &[],
+            fuel: opts.step_limit,
+            cost: 0,
+            trace: Vec::new(),
+            profile: opts.profile.then(Profile::default),
+        };
+        self.exec(prog, at, cache, opts)
+    }
+
+    /// Continues a run that left the batch VM's lockstep at `at`: `regs`
+    /// is the lane's whole register file (every frame's window), and `at`
+    /// carries the shared frame stack, fuel, cost and profile with the
+    /// lane's own trace. The result is the one an uninterrupted scalar run
+    /// of the lane would return.
+    pub(crate) fn resume(
+        &mut self,
+        prog: &CompiledProgram,
+        regs: impl Iterator<Item = Value>,
+        at: Resume<'_>,
+        cache: Option<&mut CacheBuf>,
+        opts: EvalOptions,
+    ) -> Result<Outcome, EvalError> {
+        self.regs.clear();
+        self.regs.extend(regs);
+        self.exec(prog, at, cache, opts)
+    }
+
+    /// The interpreter loop, from the machine state `at` over the register
+    /// file in `self.regs`.
+    fn exec(
+        &mut self,
+        prog: &CompiledProgram,
+        at: Resume<'_>,
+        mut cache: Option<&mut CacheBuf>,
+        opts: EvalOptions,
+    ) -> Result<Outcome, EvalError> {
+        let Resume {
+            mut proc_idx,
+            mut pc,
+            mut base,
+            frames,
+            mut fuel,
+            mut cost,
+            mut trace,
+            mut profile,
+        } = at;
+        self.frames.clear();
+        self.frames.extend_from_slice(frames);
+        let mut proc: &CompiledProc = &prog.procs[proc_idx];
 
         macro_rules! step1 {
             () => {
