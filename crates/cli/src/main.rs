@@ -1126,7 +1126,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         println!(
             "lockstep:            {} request(s) read, {} loaded in {} block(s); sent back: {} \
              miss, {} latched, {} seal, {} reader error, {} fault, {} unadmitted; {} lane(s) \
-             resumed at a branch",
+             resumed at a branch, {} left on a type disagreement",
             blocks.lockstep_lanes,
             blocks.lockstep_loads,
             blocks.blocks,
@@ -1137,6 +1137,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             blocks.fault,
             blocks.unadmitted,
             blocks.engine.resumed_lanes,
+            blocks.engine.type_exits,
         );
     }
     match report.breakeven {

@@ -23,7 +23,7 @@ use crate::case::FuzzCase;
 use crate::rng::Rng;
 use ds_core::{specialize, InputPartition, Specialization, SpecializeOptions};
 use ds_interp::{
-    BatchVm, CacheBuf, CompiledProgram, Engine, EvalError, EvalOptions, Outcome, Value,
+    BatchStats, BatchVm, CacheBuf, CompiledProgram, Engine, EvalError, EvalOptions, Outcome, Value,
 };
 use ds_runtime::{
     recover, recover_or_degrade, scan_log, Admission, CacheStore, Daemon, DaemonConfig,
@@ -922,11 +922,15 @@ fn text_seed(prog: &ds_lang::Program) -> u64 {
 
 /// The per-lane half of the batch oracle: every lane's cache is filled by
 /// the loader from that lane's own request (a lane whose loader fails
-/// keeps what it filled), and a seeded quarter of the lanes loses one
-/// slot. Each lane of [`BatchVm::run_lanes`] must match a scalar reader
+/// keeps what it filled). Two tampered copies of the caches are then read:
+/// in one, a seeded quarter of the lanes loses one slot; in the other, a
+/// seeded quarter has one filled slot replaced by a scalar of another
+/// type. Each lane of [`BatchVm::run_lanes`] must match a scalar reader
 /// over a copy of its own cache on both engines — a read of the emptied
-/// slot raising the exact `UnfilledSlot` error — and the emptied slots
-/// must not push a block out of lockstep: they only ever mask lanes.
+/// slot raising the exact `UnfilledSlot` error, a read of the retyped one
+/// whatever the scalar run makes of it — and neither kind of tampering
+/// may push a block out of lockstep: an emptied slot only ever masks its
+/// lane, and a retyped one makes lanes leave lockstep alone.
 fn check_own_caches(
     lanes: &[Vec<Value>],
     spec_prog: &ds_lang::Program,
@@ -960,35 +964,54 @@ fn check_own_caches(
             }
         }
     }
-    let run_own = |caches: &[CacheBuf]| {
+    let mut rng = Rng::new(text_seed(spec_prog).rotate_left(32));
+    let mut retyped = filled.clone();
+    if slots > 0 {
+        for cache in &mut retyped {
+            let slot = rng.below(slots);
+            if rng.chance(25) {
+                let other = match cache.get(slot) {
+                    Some(Value::Float(x)) => Value::Int(x as i64),
+                    Some(Value::Int(i)) => Value::Bool(i != 0),
+                    Some(Value::Bool(b)) => Value::Float(f64::from(u8::from(b))),
+                    _ => continue,
+                };
+                cache.tamper(slot, Some(other));
+            }
+        }
+    }
+    // Runs the reader over `caches` and checks every lane field-exact
+    // against both scalar engines; returns the batch VM's stats and how
+    // many lanes the scalar VM failed with `UnfilledSlot`.
+    let check = |what: &str, caches: &[CacheBuf]| -> Result<(BatchStats, usize), String> {
         let own: Vec<(&[Value], &CacheBuf)> = lanes.iter().map(Vec::as_slice).zip(caches).collect();
         let mut bvm = BatchVm::new();
         let outs = bvm.run_lanes(spec_compiled, &reader, &own, opts);
-        (outs, bvm.stats())
-    };
-    let (_, whole) = run_own(&filled);
-    let (outs, holes) = run_own(&holed);
-    let mut unfilled = 0;
-    for engine in [Engine::Tree, Engine::Vm] {
-        for (i, ((lane, cache), got)) in lanes.iter().zip(&holed).zip(&outs).enumerate() {
-            let expected = run(
-                engine,
-                spec_prog,
-                &reader,
-                lane,
-                Some(&mut cache.clone()),
-                true,
-            );
-            if engine == Engine::Vm && matches!(expected, Err(EvalError::UnfilledSlot { .. })) {
-                unfilled += 1;
+        let mut unfilled = 0;
+        for engine in [Engine::Tree, Engine::Vm] {
+            for (i, ((lane, cache), got)) in lanes.iter().zip(caches).zip(&outs).enumerate() {
+                let expected = run(
+                    engine,
+                    spec_prog,
+                    &reader,
+                    lane,
+                    Some(&mut cache.clone()),
+                    true,
+                );
+                if engine == Engine::Vm && matches!(expected, Err(EvalError::UnfilledSlot { .. })) {
+                    unfilled += 1;
+                }
+                lane_same(
+                    &format!("[{engine:?}] {what} own-cache reader lane {i}"),
+                    &expected,
+                    got,
+                )?;
             }
-            lane_same(
-                &format!("[{engine:?}] own-cache reader lane {i}"),
-                &expected,
-                got,
-            )?;
         }
-    }
+        Ok((bvm.stats(), unfilled))
+    };
+    let (whole, _) = check("filled", &filled)?;
+    let (holes, unfilled) = check("holed", &holed)?;
     if holes.divergent_blocks > whole.divergent_blocks {
         return Err(format!(
             "unfilled slots pushed per-lane blocks out of lockstep: {} divergent with holes, \
@@ -996,10 +1019,18 @@ fn check_own_caches(
             holes.divergent_blocks, whole.divergent_blocks
         ));
     }
-    if holes.divergent_blocks == 0 && holes.masked_lanes < unfilled {
+    if holes.divergent_blocks == 0 && holes.masked_lanes < unfilled as u64 {
         return Err(format!(
             "{unfilled} lane(s) read an unfilled slot but only {} were masked in lockstep",
             holes.masked_lanes
+        ));
+    }
+    let (types, _) = check("retyped", &retyped)?;
+    if types.divergent_blocks > whole.divergent_blocks || types.resumed_lanes > whole.resumed_lanes
+    {
+        return Err(format!(
+            "retyped slots pushed per-lane blocks out of lockstep: {types:?} with them, \
+             {whole:?} without"
         ));
     }
     Ok(())

@@ -9,11 +9,33 @@
 //! across every live lane before advancing the pc, so the dispatch and
 //! bookkeeping cost is paid once per instruction for the whole batch.
 //!
+//! ## Unboxed, type-uniform columns
+//!
+//! A column holds one raw 8-byte word per lane — `f64` bits, an `i64`, or
+//! a `bool` as 0/1 — and its register holds *one* type tag for all of its
+//! lanes. One tag per register suffices because lockstep lanes execute the
+//! same instructions: entry arguments of the wrong type are masked before
+//! the first instruction, and every instruction's result type depends only
+//! on its operand types. So `Bin`, `Un` and the builtins dispatch once per
+//! instruction on the operator and the operand tags, and their arms are
+//! plain loops over the words that the compiler can vectorize; only
+//! integer `Div` and `Rem` test each lane, for a zero divisor. A type error
+//! is lane-uniform too: it fails every live lane with the scalar VM's exact
+//! error.
+//!
+//! An array register's lane word is the offset of that lane's elements in
+//! a block-local arena, and every (register, lane) cell owns its elements,
+//! so a `Move` copies them and array assignment keeps value semantics. A
+//! register that the block has not written yet has the tag `Zero`: every
+//! lane holds the scalar VM's initial `Int(0)`, and its words are only
+//! written when an instruction first reads them, so a block starts without
+//! zero-filling its columns.
+//!
 //! ## Lockstep soundness
 //!
 //! Lockstep execution is valid exactly when every lane takes the same
 //! control path and observes the same shared state. The executor enforces
-//! this with three mechanisms, each degrading to bit-exact scalar
+//! this with four mechanisms, each degrading to bit-exact scalar
 //! semantics:
 //!
 //! * **Fault masking** — a lane whose instruction faults (a
@@ -25,11 +47,18 @@
 //! * **Resume at the branch** — when live lanes disagree on a branch
 //!   condition, the batch abandons lockstep and finishes every remaining
 //!   lane on the scalar [`Vm`](crate::Vm) *from that branch*: the lane
-//!   carries its register column, the shared frame stack, fuel, cost, its
-//!   trace and a clone of the shared [`Profile`] into the scalar loop,
-//!   which re-executes the branch for that lane alone. Nothing before the
-//!   branch runs twice, and the result is the scalar run's by
-//!   construction.
+//!   carries its register column (each word turned back into a [`Value`]
+//!   by its register's tag), the shared frame stack, fuel, cost, its trace
+//!   and a clone of the shared [`Profile`] into the scalar loop, which
+//!   re-executes the branch for that lane alone. Nothing before the branch
+//!   runs twice, and the result is the scalar run's by construction. An
+//!   instruction whose operands no column can hold (an ill-typed array
+//!   store, say) leaves lockstep the same way, before it executes.
+//! * **Lane exit on a type disagreement** — the one source of
+//!   non-uniform types is a per-lane cache: a lane whose slot holds a
+//!   value of another type than its register column's leaves lockstep
+//!   alone, finishing on the scalar VM from just after that read, while
+//!   the other lanes stay in lockstep.
 //! * **Sequential routing** — a program that *writes* a cache shared by
 //!   the whole batch couples its lanes (lane `i`'s write is visible to
 //!   lane `i+1`), which lockstep cannot reproduce. Such a batch runs on
@@ -78,7 +107,7 @@ use crate::cache::{CacheBuf, CacheError};
 use crate::compile::{CompiledProgram, Op};
 use crate::error::EvalError;
 use crate::eval::{
-    apply_binop_at, apply_pure_builtin, apply_unop_at, EvalOptions, Outcome, Profile, CALL_COST,
+    apply_binop_at, builtin_arg_error, try_builtin, EvalOptions, Outcome, Profile, CALL_COST,
 };
 use crate::value::Value;
 use crate::vm::{check_args, Frame, Resume, Vm};
@@ -86,14 +115,14 @@ use ds_lang::cost::{
     binop_cost, unop_cost, BRANCH_COST, CACHE_READ_COST, CACHE_STORE_COST, INDEX_COST,
     INDEX_STORE_COST,
 };
-use ds_lang::{BinOp, Builtin, Type};
+use ds_lang::{BinOp, Builtin, Elem, Type, UnOp};
 
 /// Lanes per lockstep block. Each instruction sweeps whole columns, so
-/// the block's register file (`nregs x BLOCK_LANES` values) must stay
-/// cache-resident or every sweep streams from DRAM and the SoA advantage
-/// drowns in memory traffic. 128 lanes keeps even register-heavy readers
-/// (a shader reader runs ~50 registers, ~200 KiB of columns) inside L2
-/// while still amortizing dispatch ~100x.
+/// the block's register file (`nregs x BLOCK_LANES` words of 8 bytes) must
+/// stay cache-resident or every sweep streams from DRAM and the SoA
+/// advantage drowns in memory traffic. 128 lanes keeps even
+/// register-heavy readers (a shader reader runs ~50 registers, ~50 KiB of
+/// columns) inside L2 while still amortizing dispatch ~100x.
 pub const BLOCK_LANES: usize = 128;
 
 /// Does any procedure reachable from `entry` write the cache? Over a
@@ -117,103 +146,241 @@ fn writes_cache(prog: &CompiledProgram, entry_idx: usize) -> bool {
     false
 }
 
-/// Conservative write-before-read analysis: `true` when every procedure
-/// reachable from `entry` is straight-line (no jumps, so code order *is*
-/// execution order) and writes each register before reading it. Such a
-/// program can never observe a leftover register value, so the executor
-/// may reuse a dirty column file from the previous block instead of
-/// zero-filling `nregs x lanes` values — for small readers the zero-fill
-/// rivals the execution itself, and it is pure wall-clock cost exactly
-/// when this returns `true`. Any jump (or a genuine read-before-write,
-/// which scalar semantics give `Int(0)`) makes the executor zero-fill.
-fn regs_written_before_read(prog: &CompiledProgram, entry_idx: usize) -> bool {
-    let mut seen = vec![false; prog.procs.len()];
-    let mut stack = vec![entry_idx];
-    while let Some(i) = stack.pop() {
-        if std::mem::replace(&mut seen[i], true) {
-            continue;
+/// The type of one register column, shared by all of its live lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    /// Not written since the block began: every lane holds the scalar
+    /// VM's initial `Int(0)`, and the words are written on first read.
+    Zero,
+    Int,
+    Float,
+    Bool,
+    /// `len` elements of type `elem`: each lane's word is the offset of
+    /// that lane's elements in the block's arena.
+    Array(Elem, u32),
+}
+
+impl Tag {
+    /// The MiniC type of the column's values, as [`Value::ty`] gives it.
+    fn ty(self) -> Type {
+        match self {
+            Tag::Zero | Tag::Int => Type::Int,
+            Tag::Float => Type::Float,
+            Tag::Bool => Type::Bool,
+            Tag::Array(_, 0) => Type::Array(Elem::Float, 0),
+            Tag::Array(elem, len) => Type::Array(elem, len),
         }
-        let proc = &prog.procs[i];
-        let mut written = vec![false; proc.nregs as usize];
-        for w in written.iter_mut().take(proc.params.len()) {
-            *w = true;
-        }
-        let mut pending: Vec<usize> = Vec::new();
-        let check = |op: Op, written: &mut Vec<bool>, pending: &mut Vec<usize>| -> bool {
-            match op {
-                Op::Step { .. }
-                | Op::Charge { .. }
-                | Op::RetVoid
-                | Op::ErrUnknownProc { .. }
-                | Op::ErrUnbound { .. }
-                | Op::ErrMissingReturn => true,
-                Op::Jump { .. } | Op::JumpIfFalse { .. } => false,
-                Op::Const { dst, .. } | Op::CacheRead { dst, .. } => {
-                    written[dst as usize] = true;
-                    true
-                }
-                Op::Move { dst, src }
-                | Op::Un { dst, src, .. }
-                | Op::FillArray { dst, src, .. } => {
-                    let ok = written[src as usize];
-                    written[dst as usize] = true;
-                    ok
-                }
-                Op::Bin { dst, lhs, rhs, .. } => {
-                    let ok = written[lhs as usize] && written[rhs as usize];
-                    written[dst as usize] = true;
-                    ok
-                }
-                Op::LoadIndex { dst, arr, idx } => {
-                    let ok = written[arr as usize] && written[idx as usize];
-                    written[dst as usize] = true;
-                    ok
-                }
-                Op::StoreIndex { arr, idx, src } => {
-                    written[arr as usize] && written[idx as usize] && written[src as usize]
-                }
-                Op::CacheWrite { src, .. } | Op::Ret { src } => written[src as usize],
-                Op::CallBuiltin {
-                    dst, args_at, argc, ..
-                } => {
-                    let ok = proc.arg_pool[args_at as usize..(args_at + argc) as usize]
-                        .iter()
-                        .all(|&r| written[r as usize]);
-                    written[dst as usize] = true;
-                    ok
-                }
-                Op::Call {
-                    callee,
-                    dst,
-                    args_at,
-                    argc,
-                } => {
-                    pending.push(callee as usize);
-                    let ok = proc.arg_pool[args_at as usize..(args_at + argc) as usize]
-                        .iter()
-                        .all(|&r| written[r as usize]);
-                    written[dst as usize] = true;
-                    ok
-                }
-                Op::Fused { .. } => unreachable!("flattened by the caller"),
-            }
-        };
-        for &op in &proc.code {
-            let fine = match op {
-                Op::Fused { pair } => {
-                    let (first, second) = proc.fused[pair as usize];
-                    check(first, &mut written, &mut pending)
-                        && check(second, &mut written, &mut pending)
-                }
-                other => check(other, &mut written, &mut pending),
-            };
-            if !fine {
-                return false;
-            }
-        }
-        stack.extend(pending);
     }
-    true
+
+    /// The tag of a column of type `ty`.
+    fn of_type(ty: Type) -> Tag {
+        match ty {
+            Type::Int => Tag::Int,
+            Type::Float => Tag::Float,
+            Type::Bool => Tag::Bool,
+            Type::Array(elem, len) => Tag::Array(elem, len),
+            // No value has type `void`: every lane fails the entry check.
+            Type::Void => Tag::Zero,
+        }
+    }
+
+    /// The tag of a scalar.
+    fn scalar(elem: Elem) -> Tag {
+        match elem {
+            Elem::Int => Tag::Int,
+            Elem::Float => Tag::Float,
+            Elem::Bool => Tag::Bool,
+        }
+    }
+
+    /// The tag of a column holding `v`, or `None` for a value no column
+    /// can hold: an array of arrays, or of mixed element types.
+    fn of(v: &Value) -> Option<Tag> {
+        let elem = |v: &Value| match v {
+            Value::Int(_) => Some(Elem::Int),
+            Value::Float(_) => Some(Elem::Float),
+            Value::Bool(_) => Some(Elem::Bool),
+            Value::Array(_) => None,
+        };
+        match v {
+            Value::Array(elems) => {
+                let first = elems.first().map_or(Some(Elem::Float), elem)?;
+                elems
+                    .iter()
+                    .all(|e| elem(e) == Some(first))
+                    .then_some(Tag::Array(first, elems.len() as u32))
+            }
+            scalar => elem(scalar).map(Tag::scalar),
+        }
+    }
+}
+
+/// The lane word of a scalar; an array's word is an arena offset, which
+/// only [`Columns::put`] can give it.
+fn word(v: &Value) -> u64 {
+    match v {
+        Value::Int(i) => *i as u64,
+        Value::Float(f) => f.to_bits(),
+        Value::Bool(b) => u64::from(*b),
+        Value::Array(_) => 0,
+    }
+}
+
+/// The scalar value of `w` under the scalar tag `tag`.
+fn scalar_value(tag: Tag, w: u64) -> Value {
+    match tag {
+        Tag::Float => Value::Float(f64::from_bits(w)),
+        Tag::Bool => Value::Bool(w != 0),
+        _ => Value::Int(w as i64),
+    }
+}
+
+/// The block's register file: one column of lane words and one [`Tag`]
+/// per register, plus the arena that array registers point into.
+#[derive(Debug, Default)]
+struct Columns {
+    /// Lane words, register-major: lane `j` of (window-absolute) register
+    /// `r` lives at `words[r * n + j]`.
+    words: Vec<u64>,
+    /// One tag per register; its length is the register file's size.
+    tags: Vec<Tag>,
+    /// The block's array elements. Each (register, lane) cell of an array
+    /// register owns its elements, so writing one never changes another.
+    arena: Vec<u64>,
+    /// Lanes per column in the current block.
+    n: usize,
+}
+
+impl Columns {
+    /// Starts a block of `n` lanes with `nregs` unwritten registers.
+    fn reset(&mut self, nregs: usize, n: usize) {
+        self.n = n;
+        self.tags.clear();
+        self.arena.clear();
+        self.grow(nregs);
+    }
+
+    /// Makes room for `nregs` registers; new ones are unwritten.
+    fn grow(&mut self, nregs: usize) {
+        if self.tags.len() < nregs {
+            self.tags.resize(nregs, Tag::Zero);
+        }
+        if self.words.len() < nregs * self.n {
+            self.words.resize(nregs * self.n, 0);
+        }
+    }
+
+    /// Writes the words of unwritten register `r`, so they can be read.
+    fn ready(&mut self, r: usize) {
+        if self.tags[r] == Tag::Zero {
+            self.words[r * self.n..(r + 1) * self.n].fill(0);
+            self.tags[r] = Tag::Int;
+        }
+    }
+
+    /// Does any lane of float register `r` hold a NaN?
+    fn has_nan(&self, r: usize) -> bool {
+        self.words[r * self.n..(r + 1) * self.n]
+            .iter()
+            .fold(false, |nan, &w| nan | f64::from_bits(w).is_nan())
+    }
+
+    /// Lane `j` of register `r` as a [`Value`].
+    fn value(&self, r: usize, j: usize) -> Value {
+        let w = self.words[r * self.n + j];
+        match self.tags[r] {
+            Tag::Zero => Value::Int(0),
+            Tag::Array(elem, len) => {
+                let at = w as usize;
+                Value::Array(
+                    self.arena[at..at + len as usize]
+                        .iter()
+                        .map(|&e| scalar_value(Tag::scalar(elem), e))
+                        .collect(),
+                )
+            }
+            tag => scalar_value(tag, w),
+        }
+    }
+
+    /// Lane `j`'s whole register file, every frame's window.
+    fn lane(&self, j: usize) -> impl Iterator<Item = Value> + '_ {
+        (0..self.tags.len()).map(move |r| self.value(r, j))
+    }
+
+    /// Writes `v` into lane `j` of register `r`, giving an array fresh
+    /// elements. The caller sets the tag, from [`Tag::of`].
+    fn put(&mut self, r: usize, j: usize, v: &Value) {
+        let w = match v {
+            Value::Array(elems) => {
+                let at = self.arena.len();
+                self.arena.extend(elems.iter().map(word));
+                at as u64
+            }
+            scalar => word(scalar),
+        };
+        self.words[r * self.n + j] = w;
+    }
+
+    /// Writes `v`, of tag `tag`, into every live lane of register `d`.
+    fn broadcast(&mut self, d: usize, tag: Tag, v: &Value, alive: &[bool]) {
+        if let Tag::Array(..) = tag {
+            for j in (0..self.n).filter(|&j| alive[j]) {
+                self.put(d, j, v);
+            }
+        } else {
+            self.words[d * self.n..(d + 1) * self.n].fill(word(v));
+        }
+        self.tags[d] = tag;
+    }
+
+    /// Copies register `s` into register `d` in every live lane. An array
+    /// is copied element by element: into `d`'s own elements when it
+    /// already holds an array of the same length, else into fresh ones.
+    fn copy(&mut self, s: usize, d: usize, alive: &[bool]) {
+        let n = self.n;
+        let tag = self.tags[s];
+        if let Tag::Array(_, len) = tag {
+            let len = len as usize;
+            let reuse = matches!(self.tags[d], Tag::Array(_, l) if l as usize == len);
+            for j in (0..n).filter(|&j| alive[j]) {
+                let from = self.words[s * n + j] as usize;
+                if reuse {
+                    let to = self.words[d * n + j] as usize;
+                    self.arena.copy_within(from..from + len, to);
+                } else {
+                    self.words[d * n + j] = self.arena.len() as u64;
+                    self.arena.extend_from_within(from..from + len);
+                }
+            }
+        } else if s != d {
+            self.words.copy_within(s * n..(s + 1) * n, d * n);
+        }
+        self.tags[d] = tag;
+    }
+
+    /// `d = [s; len]` in every live lane, for a scalar register `s`.
+    fn fill_array(&mut self, s: usize, d: usize, len: u32, alive: &[bool]) {
+        let n = self.n;
+        let elem = match self.tags[s] {
+            Tag::Int => Elem::Int,
+            Tag::Bool => Elem::Bool,
+            _ => Elem::Float,
+        };
+        let reuse = matches!(self.tags[d], Tag::Array(_, l) if l == len);
+        let len = len as usize;
+        for j in (0..n).filter(|&j| alive[j]) {
+            let w = self.words[s * n + j];
+            if reuse {
+                let to = self.words[d * n + j] as usize;
+                self.arena[to..to + len].fill(w);
+            } else {
+                self.words[d * n + j] = self.arena.len() as u64;
+                self.arena.resize(self.arena.len() + len, w);
+            }
+        }
+        self.tags[d] = Tag::Array(elem, len as u32);
+    }
 }
 
 /// Where the executor's lanes come from: one argument vector per lane,
@@ -289,6 +456,24 @@ impl<L: LaneCaches> Inputs<'_, '_, L> {
             Inputs::Own(lanes) => lanes.args(j),
         }
     }
+
+    /// The cache lane `j` runs against on the scalar VM: the shared cache,
+    /// the lane's own writable cache, or `scratch` holding a copy of its
+    /// read-only one.
+    fn scalar_cache<'s>(
+        &'s mut self,
+        j: usize,
+        scratch: &'s mut CacheBuf,
+    ) -> Option<&'s mut CacheBuf> {
+        match self {
+            Inputs::Shared(_, cache) => cache.as_deref_mut(),
+            Inputs::Own(lanes) if !L::WRITABLE => {
+                scratch.clone_from(lanes.cache(j));
+                Some(scratch)
+            }
+            Inputs::Own(lanes) => lanes.cache_mut(j),
+        }
+    }
 }
 
 /// How often a [`BatchVm`] left its lockstep fast path, across its life.
@@ -303,9 +488,15 @@ pub struct BatchStats {
     /// lane by lane on the scalar VM from that branch.
     pub divergent_blocks: u64,
     /// Lanes that left lockstep alive and were finished on the scalar VM
-    /// from where they left it: at a divergent branch, or at a cache write
-    /// to a read-only lane cache.
+    /// from where they left it: at a divergent branch, at a cache write
+    /// to a read-only lane cache, or at an instruction whose operands no
+    /// column can hold.
     pub resumed_lanes: u64,
+    /// Lanes that left lockstep alone on a type disagreement — a
+    /// per-lane cache slot holding another type than the column's, or an
+    /// entry argument no column can hold — and finished on the scalar VM
+    /// while the rest of the block stayed in lockstep.
+    pub type_exits: u64,
     /// Lanes masked out of lockstep with a typed error (a bad argument, a
     /// faulting instruction, an unfilled slot, the step limit).
     pub masked_lanes: u64,
@@ -320,10 +511,14 @@ impl BatchStats {
         self.fused_dispatches += other.fused_dispatches;
         self.divergent_blocks += other.divergent_blocks;
         self.resumed_lanes += other.resumed_lanes;
+        self.type_exits += other.type_exits;
         self.masked_lanes += other.masked_lanes;
         self.sequential_runs += other.sequential_runs;
     }
 }
+
+/// A lane's result once it has left lockstep; `None` while it is live.
+type Done = Option<Result<Outcome, EvalError>>;
 
 /// A reusable structure-of-arrays batch executor.
 ///
@@ -333,9 +528,8 @@ impl BatchStats {
 /// execution model.
 #[derive(Debug, Default)]
 pub struct BatchVm {
-    /// Register columns, register-major: lane `j` of (window-absolute)
-    /// register `r` lives at `cols[r * lanes + j]`.
-    cols: Vec<Value>,
+    /// The block's register file.
+    cols: Columns,
     /// Per-lane builtin argument scratch.
     argbuf: Vec<Value>,
     /// Scalar engine for lanes that leave lockstep and the sequential
@@ -469,59 +663,55 @@ impl BatchVm {
     }
 
     /// Finishes lane `j` on the scalar VM from the lockstep state `at`,
-    /// over the lane's register column and its cache: the shared cache,
-    /// the lane's own writable cache, or a scratch copy of its read-only
-    /// one. The column is moved out; the block is over.
+    /// over the lane's register file — with register `patch.0` holding
+    /// `patch.1` instead, when given — and its cache (see
+    /// [`Inputs::scalar_cache`]).
     fn resume_lane<L: LaneCaches>(
         &mut self,
         prog: &CompiledProgram,
         inputs: &mut Inputs<'_, '_, L>,
         j: usize,
         at: Resume<'_>,
+        patch: Option<(usize, Value)>,
         opts: EvalOptions,
     ) -> Result<Outcome, EvalError> {
-        self.stats.resumed_lanes += 1;
-        let n = inputs.len();
-        let extent = self.cols.len() / n;
-        let regs = (0..extent).map(|r| std::mem::replace(&mut self.cols[r * n + j], Value::Int(0)));
-        let cache = match inputs {
-            Inputs::Shared(_, cache) => cache.as_deref_mut(),
-            Inputs::Own(lanes) if L::WRITABLE => lanes.cache_mut(j),
-            Inputs::Own(lanes) => {
-                self.lane_cache.clone_from(lanes.cache(j));
-                Some(&mut self.lane_cache)
-            }
-        };
+        let cols = &self.cols;
+        let regs = cols.lane(j).enumerate().map(|(r, v)| match &patch {
+            Some((p, pv)) if *p == r => pv.clone(),
+            _ => v,
+        });
+        let cache = inputs.scalar_cache(j, &mut self.lane_cache);
         self.scalar.resume(prog, regs, at, cache, opts)
     }
 
-    /// Resolves a block that leaves lockstep at `at`: a masked lane keeps
-    /// its error, and every live lane finishes on the scalar VM from `at`
-    /// with its register column, the shared frame stack, fuel, cost and
-    /// profile, and its own trace. Out of line, so the exits do not bloat
-    /// the lockstep loop.
+    /// Resolves a block that leaves lockstep at `at`: a lane that already
+    /// left keeps its result, and every live lane finishes on the scalar
+    /// VM from `at` with its register column, the shared frame stack,
+    /// fuel, cost and profile, and its own trace. Out of line, so the
+    /// exits do not bloat the lockstep loop.
     #[cold]
     #[inline(never)]
     fn leave<L: LaneCaches>(
         &mut self,
         prog: &CompiledProgram,
         inputs: &mut Inputs<'_, '_, L>,
-        errs: Vec<Option<EvalError>>,
+        done: Vec<Done>,
         traces: &mut [Vec<f64>],
         at: Resume<'_>,
         opts: EvalOptions,
     ) -> Vec<Result<Outcome, EvalError>> {
-        let mut out = Vec::with_capacity(errs.len());
-        for (j, err) in errs.into_iter().enumerate() {
-            out.push(match err {
-                Some(e) => Err(e),
+        let mut out = Vec::with_capacity(done.len());
+        for (j, result) in done.into_iter().enumerate() {
+            out.push(match result {
+                Some(r) => r,
                 None => {
+                    self.stats.resumed_lanes += 1;
                     let lane = Resume {
                         trace: std::mem::take(&mut traces[j]),
                         profile: at.profile.clone(),
                         ..at
                     };
-                    self.resume_lane(prog, inputs, j, lane, opts)
+                    self.resume_lane(prog, inputs, j, lane, None, opts)
                 }
             });
         }
@@ -559,9 +749,9 @@ impl BatchVm {
             }
         }
 
-        // A masked lane's error; `None` while the lane is live. `alive`
-        // mirrors it as the sweeps' cheap per-lane test.
-        let mut errs: Vec<Option<EvalError>> = vec![None; n];
+        // A lane's result once it left lockstep; `None` while it is live.
+        // `alive` mirrors it as the sweeps' cheap per-lane test.
+        let mut done: Vec<Done> = vec![None; n];
         let mut alive: Vec<bool> = vec![true; n];
         let mut live = n;
         // Lanes masked with a typed error, folded into `stats` on exit.
@@ -569,12 +759,52 @@ impl BatchVm {
 
         let mut proc_idx = entry_idx;
         let mut proc = &prog.procs[proc_idx];
+        self.cols.reset(proc.nregs as usize, n);
+        // A lane whose arguments pass the entry check has the parameters'
+        // types, so the parameters' tags are the block's. A lane failing
+        // the quick test below is masked with `check_args`'s error, or, if
+        // it passes that (an array argument no column can hold), runs
+        // alone, whole, on the scalar VM: nothing has executed yet.
+        let argc = proc.params.len();
+        for (r, (_, ty)) in proc.params.iter().enumerate() {
+            self.cols.tags[r] = Tag::of_type(*ty);
+        }
+        // One pass checks each lane's arguments and scatters them into
+        // the parameter columns.
         for j in 0..n {
-            if let Err(e) = check_args(proc, inputs.args(j)) {
-                alive[j] = false;
-                errs[j] = Some(e);
-                live -= 1;
+            let args = inputs.args(j);
+            let mut fits = args.len() == argc;
+            if fits {
+                for (i, v) in args.iter().enumerate() {
+                    let w = match (v, self.cols.tags[i]) {
+                        (&Value::Float(x), Tag::Float) => x.to_bits(),
+                        (&Value::Int(x), Tag::Int) => x as u64,
+                        (&Value::Bool(x), Tag::Bool) => u64::from(x),
+                        (v, tag) if Tag::of(v) == Some(tag) => {
+                            self.cols.put(i, j, v);
+                            continue;
+                        }
+                        _ => {
+                            fits = false;
+                            break;
+                        }
+                    };
+                    self.cols.words[i * n + j] = w;
+                }
+            }
+            if fits {
+                continue;
+            }
+            alive[j] = false;
+            live -= 1;
+            if let Err(e) = check_args(proc, args) {
+                done[j] = Some(Err(e));
                 masked += 1;
+            } else {
+                self.stats.type_exits += 1;
+                let args = args.to_vec();
+                let cache = inputs.scalar_cache(j, &mut self.lane_cache);
+                done[j] = Some(self.scalar.run(prog, entry, &args, cache, opts));
             }
         }
 
@@ -587,14 +817,14 @@ impl BatchVm {
         let mut pc = 0usize;
 
         // The lanes' normal completion: each live lane's outcome is
-        // `$lane` (lane `$j`); a masked lane keeps its error.
+        // `$lane` (lane `$j`); a lane that left keeps its result.
         macro_rules! finish {
             (|$j:ident| $lane:expr) => {{
                 self.stats.masked_lanes += masked;
                 let mut out = Vec::with_capacity(n);
                 for $j in 0..n {
-                    out.push(match errs[$j].take() {
-                        Some(e) => Err(e),
+                    out.push(match done[$j].take() {
+                        Some(r) => r,
                         None => $lane,
                     });
                 }
@@ -618,56 +848,34 @@ impl BatchVm {
                     trace: Vec::new(),
                     profile: profile.take(),
                 };
-                return self.leave(prog, &mut inputs, errs, &mut traces, at, opts);
+                return self.leave(prog, &mut inputs, done, &mut traces, at, opts);
             }};
         }
         if live == 0 {
             leave!(pc);
         }
 
-        // A dirty column file from the previous block is unobservable
-        // when every register is written before it is read, so the
-        // zero-fill (`nregs x lanes` values — for a small reader, work
-        // rivaling the execution itself) is skipped for straight-line
-        // programs and only the argument columns are written.
-        let need = proc.nregs as usize * n;
-        if self.cols.len() < need || !regs_written_before_read(prog, entry_idx) {
-            self.cols.clear();
-            self.cols.resize(need, Value::Int(0));
-        }
-        // Column-major argument scatter: each parameter's column is
-        // written stride-1.
-        let argc = proc.params.len();
-        for i in 0..argc {
-            let ci = i * n;
-            for (j, &on) in alive.iter().enumerate() {
-                if on {
-                    self.cols[ci + j] = inputs.args(j)[i].clone();
-                }
-            }
-        }
-
         // Masks lane `$j` out with the exact scalar error.
         macro_rules! kill {
             ($j:expr, $e:expr) => {{
                 alive[$j] = false;
-                errs[$j] = Some($e);
+                done[$j] = Some(Err($e));
                 live -= 1;
                 masked += 1;
             }};
         }
         // A lane-uniform failure: every live lane gets the same error
-        // its own scalar run would produce, a masked lane keeps its own,
-        // and the batch is done. Expanded in place: calling an
+        // its own scalar run would produce, a lane that left keeps its
+        // result, and the batch is done. Expanded in place: calling an
         // out-of-line function here, at every metered instruction's fuel
         // check, made shared-cache sweeps about 5% slower.
         macro_rules! all_fail {
             ($e:expr) => {{
                 self.stats.masked_lanes += masked + live as u64;
                 let e = $e;
-                return errs
+                return done
                     .into_iter()
-                    .map(|err| Err(err.unwrap_or_else(|| e.clone())))
+                    .map(|r| r.unwrap_or_else(|| Err(e.clone())))
                     .collect();
             }};
         }
@@ -679,12 +887,12 @@ impl BatchVm {
                 fuel -= 1;
             };
         }
-        // Lane sweep with the fully-live check hoisted: the common case
-        // (no lane masked yet) runs without the per-lane `alive` test. A
-        // `kill!` inside the body only affects *later* instructions —
-        // lanes are independent within one sweep, and each is visited
-        // once — so the unmasked variant stays sound even when a lane
-        // faults partway through it.
+        // Lane sweep for bodies that must skip lanes no longer live (a
+        // per-lane fault test, an arena access, an effect), with the
+        // fully-live check hoisted. A `kill!` inside the body only affects
+        // *later* instructions — lanes are independent within one sweep,
+        // and each is visited once — so the unmasked variant stays sound
+        // even when a lane faults partway through it.
         macro_rules! lanes {
             (|$j:ident| $body:expr) => {
                 if live == n {
@@ -700,69 +908,80 @@ impl BatchVm {
                 }
             };
         }
-        // One binop lane sweep with the operator dispatch already
-        // hoisted: `$ffast` / `$ifast` are the non-faulting
-        // `(Float, Float)` / `(Int, Int)` bodies; any other operand
-        // shape falls back to the generic clone-and-match path per lane,
-        // which raises the exact scalar error.
-        macro_rules! bin_sweep {
-            ($op:ident, $span:ident, $li:ident, $ri:ident, $di:ident,
-             $a:ident, $b:ident, $ffast:expr, $ifast:expr) => {{
-                // A local slice makes the column length an SSA value, so
-                // the up-front assert lets the optimizer drop the
-                // per-lane bounds checks.
-                let cols_ = &mut self.cols[..];
-                lanes!(|j| match (&cols_[$li + j], &cols_[$ri + j]) {
-                    (&Value::Float($a), &Value::Float($b)) => cols_[$di + j] = $ffast,
-                    (&Value::Int($a), &Value::Int($b)) => cols_[$di + j] = $ifast,
-                    _ => match apply_binop_at(
-                        $op,
-                        cols_[$li + j].clone(),
-                        cols_[$ri + j].clone(),
-                        $span,
-                    ) {
-                        Ok(v) => cols_[$di + j] = v,
-                        Err(e) => kill!(j, e),
-                    },
-                })
+        // Sweeps every lane — a word of a lane no longer live is never
+        // read again, so computing on it is harmless — with the bounds
+        // proved once up front: lane `j` of register `$d` becomes `$e`,
+        // where `$x` (`$y`, `$z`) is lane `j` of the first (second, third)
+        // source register.
+        macro_rules! map1 {
+            ($s:expr, $d:expr, |$x:ident| $e:expr) => {{
+                let (si, di) = ($s * n, $d * n);
+                let w = &mut self.cols.words[..];
+                assert!(si + n <= w.len() && di + n <= w.len());
+                for j in 0..n {
+                    let $x = w[si + j];
+                    w[di + j] = $e;
+                }
             }};
         }
-        // Unary operator across the batch (also a fused constituent),
-        // with the dispatch hoisted like `exec_bin`'s.
+        macro_rules! map2 {
+            ($a:expr, $b:expr, $d:expr, |$x:ident, $y:ident| $e:expr) => {{
+                let (ai, bi, di) = ($a * n, $b * n, $d * n);
+                let w = &mut self.cols.words[..];
+                assert!(ai + n <= w.len() && bi + n <= w.len() && di + n <= w.len());
+                for j in 0..n {
+                    let $x = w[ai + j];
+                    let $y = w[bi + j];
+                    w[di + j] = $e;
+                }
+            }};
+        }
+        macro_rules! map3 {
+            ($a:expr, $b:expr, $c:expr, $d:expr, |$x:ident, $y:ident, $z:ident| $e:expr) => {{
+                let (ai, bi, ci, di) = ($a * n, $b * n, $c * n, $d * n);
+                let w = &mut self.cols.words[..];
+                let end = w.len();
+                assert!(ai + n <= end && bi + n <= end && ci + n <= end && di + n <= end);
+                for j in 0..n {
+                    let $x = w[ai + j];
+                    let $y = w[bi + j];
+                    let $z = w[ci + j];
+                    w[di + j] = $e;
+                }
+            }};
+        }
+        let f = f64::from_bits;
+        // Unary operator across the batch (also a fused constituent): one
+        // dispatch on the operator and the operand's tag, then a plain
+        // loop over the words.
         macro_rules! exec_un {
             ($op:expr, $dst:expr, $src:expr, $span:expr) => {{
-                let (op, span) = ($op, $span);
+                let op = $op;
                 cost += unop_cost(op);
                 if let Some(p) = profile.as_mut() {
                     p.ops += 1;
                     *p.op_histogram.entry(op.mnemonic()).or_default() += 1;
                 }
-                let si = (base + $src as usize) * n;
-                let di = (base + $dst as usize) * n;
-                let end = self.cols.len();
-                assert!(si + n <= end && di + n <= end);
-                let cols_ = &mut self.cols[..];
-                match op {
-                    ds_lang::UnOp::Neg => lanes!(|j| match &cols_[si + j] {
-                        &Value::Float(a) => cols_[di + j] = Value::Float(-a),
-                        &Value::Int(a) => cols_[di + j] = Value::Int(a.wrapping_neg()),
-                        _ => match apply_unop_at(op, cols_[si + j].clone(), span) {
-                            Ok(v) => cols_[di + j] = v,
-                            Err(e) => kill!(j, e),
-                        },
-                    }),
-                    _ => lanes!(|j| match apply_unop_at(op, cols_[si + j].clone(), span) {
-                        Ok(v) => cols_[di + j] = v,
-                        Err(e) => kill!(j, e),
+                let (s, d) = (base + $src as usize, base + $dst as usize);
+                self.cols.ready(s);
+                let tag = self.cols.tags[s];
+                match (op, tag) {
+                    (UnOp::Neg, Tag::Int) => map1!(s, d, |a| (a as i64).wrapping_neg() as u64),
+                    (UnOp::Neg, Tag::Float) => map1!(s, d, |a| (-f(a)).to_bits()),
+                    (UnOp::Not, Tag::Bool) => map1!(s, d, |a| a ^ 1),
+                    _ => all_fail!(EvalError::TypeMismatch {
+                        expected: tag.ty(),
+                        span: $span,
                     }),
                 }
+                self.cols.tags[d] = tag;
             }};
         }
-        // Binary operator across the batch. The operator (and, in
-        // lockstep, the operand types) are batch invariants, so the
-        // per-operator match runs once per instruction and each arm is a
-        // tight monomorphic loop over the lanes — this is where the SoA
-        // layout pays, compared with the scalar VM's per-lane dispatch.
+        // Binary operator across the batch (also a fused constituent).
+        // The operator and the operand tags are batch invariants, so the
+        // dispatch runs once per instruction and each arm is a tight loop
+        // over the words — this is where the SoA layout pays, compared
+        // with the scalar VM's per-lane dispatch.
         macro_rules! exec_bin {
             ($op:expr, $dst:expr, $lhs:expr, $rhs:expr, $span:expr) => {{
                 let (op, span) = ($op, $span);
@@ -771,145 +990,156 @@ impl BatchVm {
                     p.ops += 1;
                     *p.op_histogram.entry(op.mnemonic()).or_default() += 1;
                 }
-                let li = (base + $lhs as usize) * n;
-                let ri = (base + $rhs as usize) * n;
-                let di = (base + $dst as usize) * n;
-                // One up-front bounds proof so the lane loops below run
-                // without per-iteration checks.
-                let end = self.cols.len();
-                assert!(li + n <= end && ri + n <= end && di + n <= end);
-                match op {
-                    BinOp::Add => bin_sweep!(
-                        op,
-                        span,
-                        li,
-                        ri,
-                        di,
-                        a,
-                        b,
-                        Value::Float(a + b),
-                        Value::Int(a.wrapping_add(b))
-                    ),
-                    BinOp::Sub => bin_sweep!(
-                        op,
-                        span,
-                        li,
-                        ri,
-                        di,
-                        a,
-                        b,
-                        Value::Float(a - b),
-                        Value::Int(a.wrapping_sub(b))
-                    ),
-                    BinOp::Mul => bin_sweep!(
-                        op,
-                        span,
-                        li,
-                        ri,
-                        di,
-                        a,
-                        b,
-                        Value::Float(a * b),
-                        Value::Int(a.wrapping_mul(b))
-                    ),
-                    BinOp::Lt => bin_sweep!(
-                        op,
-                        span,
-                        li,
-                        ri,
-                        di,
-                        a,
-                        b,
-                        Value::Bool(a < b),
-                        Value::Bool(a < b)
-                    ),
-                    BinOp::Le => bin_sweep!(
-                        op,
-                        span,
-                        li,
-                        ri,
-                        di,
-                        a,
-                        b,
-                        Value::Bool(a <= b),
-                        Value::Bool(a <= b)
-                    ),
-                    BinOp::Gt => bin_sweep!(
-                        op,
-                        span,
-                        li,
-                        ri,
-                        di,
-                        a,
-                        b,
-                        Value::Bool(a > b),
-                        Value::Bool(a > b)
-                    ),
-                    BinOp::Ge => bin_sweep!(
-                        op,
-                        span,
-                        li,
-                        ri,
-                        di,
-                        a,
-                        b,
-                        Value::Bool(a >= b),
-                        Value::Bool(a >= b)
-                    ),
-                    BinOp::Eq => bin_sweep!(
-                        op,
-                        span,
-                        li,
-                        ri,
-                        di,
-                        a,
-                        b,
-                        Value::Bool(a == b),
-                        Value::Bool(a == b)
-                    ),
-                    BinOp::Ne => bin_sweep!(
-                        op,
-                        span,
-                        li,
-                        ri,
-                        di,
-                        a,
-                        b,
-                        Value::Bool(a != b),
-                        Value::Bool(a != b)
-                    ),
-                    // Float division is IEEE and never faults; integer
-                    // division faults on zero, so ints take the generic
-                    // path for the exact scalar error.
-                    BinOp::Div => {
-                        let cols_ = &mut self.cols[..];
-                        lanes!(|j| match (&cols_[li + j], &cols_[ri + j]) {
-                            (&Value::Float(a), &Value::Float(b)) => {
-                                cols_[di + j] = Value::Float(a / b)
+                let (l, r, d) = (
+                    base + $lhs as usize,
+                    base + $rhs as usize,
+                    base + $dst as usize,
+                );
+                self.cols.ready(l);
+                self.cols.ready(r);
+                let lt = self.cols.tags[l];
+                let out = match (lt, self.cols.tags[r]) {
+                    (Tag::Float, Tag::Float) => match op {
+                        // A commutative operator's vectorized loop may
+                        // swap its operands, and with both NaN the swap
+                        // changes which payload comes out. The scalar
+                        // engines' `apply_binop_at` takes a block with a
+                        // NaN operand lane by lane; without one, any NaN
+                        // the loop makes is the same default NaN either
+                        // way round.
+                        BinOp::Add | BinOp::Mul if self.cols.has_nan(l) || self.cols.has_nan(r) => {
+                            let (li, ri, di) = (l * n, r * n, d * n);
+                            let w = &mut self.cols.words[..];
+                            lanes!(|j| {
+                                let (a, b) =
+                                    (Value::Float(f(w[li + j])), Value::Float(f(w[ri + j])));
+                                match apply_binop_at(op, a, b, span) {
+                                    Ok(v) => w[di + j] = word(&v),
+                                    Err(e) => kill!(j, e),
+                                }
+                            });
+                            Tag::Float
+                        }
+                        BinOp::Add => {
+                            map2!(l, r, d, |a, b| (f(a) + f(b)).to_bits());
+                            Tag::Float
+                        }
+                        BinOp::Sub => {
+                            map2!(l, r, d, |a, b| (f(a) - f(b)).to_bits());
+                            Tag::Float
+                        }
+                        BinOp::Mul => {
+                            map2!(l, r, d, |a, b| (f(a) * f(b)).to_bits());
+                            Tag::Float
+                        }
+                        BinOp::Div => {
+                            map2!(l, r, d, |a, b| (f(a) / f(b)).to_bits());
+                            Tag::Float
+                        }
+                        BinOp::Lt => {
+                            map2!(l, r, d, |a, b| u64::from(f(a) < f(b)));
+                            Tag::Bool
+                        }
+                        BinOp::Le => {
+                            map2!(l, r, d, |a, b| u64::from(f(a) <= f(b)));
+                            Tag::Bool
+                        }
+                        BinOp::Gt => {
+                            map2!(l, r, d, |a, b| u64::from(f(a) > f(b)));
+                            Tag::Bool
+                        }
+                        BinOp::Ge => {
+                            map2!(l, r, d, |a, b| u64::from(f(a) >= f(b)));
+                            Tag::Bool
+                        }
+                        BinOp::Eq => {
+                            map2!(l, r, d, |a, b| u64::from(f(a) == f(b)));
+                            Tag::Bool
+                        }
+                        BinOp::Ne => {
+                            map2!(l, r, d, |a, b| u64::from(f(a) != f(b)));
+                            Tag::Bool
+                        }
+                        BinOp::Rem => all_fail!(EvalError::TypeMismatch {
+                            expected: lt.ty(),
+                            span,
+                        }),
+                    },
+                    // Two's-complement wrapping on the raw words is the
+                    // scalar VM's wrapping `i64` arithmetic bit for bit.
+                    (Tag::Int, Tag::Int) => match op {
+                        BinOp::Add => {
+                            map2!(l, r, d, |a, b| a.wrapping_add(b));
+                            Tag::Int
+                        }
+                        BinOp::Sub => {
+                            map2!(l, r, d, |a, b| a.wrapping_sub(b));
+                            Tag::Int
+                        }
+                        BinOp::Mul => {
+                            map2!(l, r, d, |a, b| a.wrapping_mul(b));
+                            Tag::Int
+                        }
+                        // Integer division faults on a zero divisor: the
+                        // one per-lane test among the operators.
+                        BinOp::Div | BinOp::Rem => {
+                            let (li, ri, di) = (l * n, r * n, d * n);
+                            let w = &mut self.cols.words[..];
+                            assert!(li + n <= w.len() && ri + n <= w.len() && di + n <= w.len());
+                            lanes!(|j| {
+                                let (a, b) = (w[li + j] as i64, w[ri + j] as i64);
+                                if b == 0 {
+                                    kill!(j, EvalError::DivideByZero(span));
+                                } else if op == BinOp::Div {
+                                    w[di + j] = a.wrapping_div(b) as u64;
+                                } else {
+                                    w[di + j] = a.wrapping_rem(b) as u64;
+                                }
+                            });
+                            if live == 0 {
+                                leave!(pc);
                             }
-                            _ => match apply_binop_at(
-                                op,
-                                cols_[li + j].clone(),
-                                cols_[ri + j].clone(),
-                                span,
-                            ) {
-                                Ok(v) => cols_[di + j] = v,
-                                Err(e) => kill!(j, e),
-                            },
-                        })
+                            Tag::Int
+                        }
+                        BinOp::Lt => {
+                            map2!(l, r, d, |a, b| u64::from((a as i64) < (b as i64)));
+                            Tag::Bool
+                        }
+                        BinOp::Le => {
+                            map2!(l, r, d, |a, b| u64::from(a as i64 <= b as i64));
+                            Tag::Bool
+                        }
+                        BinOp::Gt => {
+                            map2!(l, r, d, |a, b| u64::from(a as i64 > b as i64));
+                            Tag::Bool
+                        }
+                        BinOp::Ge => {
+                            map2!(l, r, d, |a, b| u64::from(a as i64 >= b as i64));
+                            Tag::Bool
+                        }
+                        BinOp::Eq => {
+                            map2!(l, r, d, |a, b| u64::from(a == b));
+                            Tag::Bool
+                        }
+                        BinOp::Ne => {
+                            map2!(l, r, d, |a, b| u64::from(a != b));
+                            Tag::Bool
+                        }
+                    },
+                    (Tag::Bool, Tag::Bool) if op == BinOp::Eq => {
+                        map2!(l, r, d, |a, b| u64::from(a == b));
+                        Tag::Bool
                     }
-                    // Rem (and anything new): generic per lane — faults
-                    // and type errors included.
-                    _ => lanes!(|j| match apply_binop_at(
-                        op,
-                        self.cols[li + j].clone(),
-                        self.cols[ri + j].clone(),
+                    (Tag::Bool, Tag::Bool) if op == BinOp::Ne => {
+                        map2!(l, r, d, |a, b| u64::from(a != b));
+                        Tag::Bool
+                    }
+                    _ => all_fail!(EvalError::TypeMismatch {
+                        expected: lt.ty(),
                         span,
-                    ) {
-                        Ok(v) => self.cols[di + j] = v,
-                        Err(e) => kill!(j, e),
                     }),
-                }
+                };
+                self.cols.tags[d] = out;
             }};
         }
         // Bounds-checked array load across the batch (also a fused
@@ -922,40 +1152,40 @@ impl BatchVm {
                     p.ops += 1;
                     *p.op_histogram.entry("idxload").or_default() += 1;
                 }
-                let ii = (base + $idx as usize) * n;
-                let ai = (base + $arr as usize) * n;
-                let di = (base + $dst as usize) * n;
-                let end = self.cols.len();
-                assert!(ii + n <= end && ai + n <= end && di + n <= end);
+                let (a, i, d) = (
+                    base + $arr as usize,
+                    base + $idx as usize,
+                    base + $dst as usize,
+                );
+                self.cols.ready(i);
+                let (Tag::Int, Tag::Array(elem, len)) = (self.cols.tags[i], self.cols.tags[a])
+                else {
+                    all_fail!(EvalError::TypeMismatch {
+                        expected: Type::Int,
+                        span,
+                    });
+                };
+                let (ai, ii, di) = (a * n, i * n, d * n);
+                let Columns { words, arena, .. } = &mut self.cols;
                 lanes!(|j| {
-                    let loaded = match self.cols[ii + j].as_int() {
-                        None => Err(EvalError::TypeMismatch {
-                            expected: Type::Int,
-                            span,
-                        }),
-                        Some(i) => match &self.cols[ai + j] {
-                            Value::Array(elems) => {
-                                if i < 0 || i as usize >= elems.len() {
-                                    Err(EvalError::IndexOutOfBounds {
-                                        index: i,
-                                        len: elems.len(),
-                                        span,
-                                    })
-                                } else {
-                                    Ok(elems[i as usize].clone())
-                                }
-                            }
-                            _ => Err(EvalError::TypeMismatch {
-                                expected: Type::Int,
+                    let k = words[ii + j] as i64;
+                    if k < 0 || k >= i64::from(len) {
+                        kill!(
+                            j,
+                            EvalError::IndexOutOfBounds {
+                                index: k,
+                                len: len as usize,
                                 span,
-                            }),
-                        },
-                    };
-                    match loaded {
-                        Ok(v) => self.cols[di + j] = v,
-                        Err(e) => kill!(j, e),
+                            }
+                        );
+                    } else {
+                        words[di + j] = arena[words[ai + j] as usize + k as usize];
                     }
                 });
+                self.cols.tags[d] = Tag::scalar(elem);
+                if live == 0 {
+                    leave!(pc);
+                }
             }};
         }
 
@@ -972,132 +1202,104 @@ impl BatchVm {
                 }
                 Op::Charge { cost: c } => cost += c as u64,
                 Op::Const { dst, k } => {
-                    step1!();
                     let v = &prog.consts[k as usize];
-                    let di = (base + dst as usize) * n;
-                    assert!(di + n <= self.cols.len());
-                    let cols_ = &mut self.cols[..];
-                    lanes!(|j| cols_[di + j] = v.clone());
+                    let Some(tag) = Tag::of(v) else {
+                        leave!(pc - 1);
+                    };
+                    step1!();
+                    self.cols.broadcast(base + dst as usize, tag, v, &alive);
                 }
                 Op::Move { dst, src } => {
                     step1!();
-                    let si = (base + src as usize) * n;
-                    let di = (base + dst as usize) * n;
-                    let end = self.cols.len();
-                    assert!(si + n <= end && di + n <= end);
-                    let cols_ = &mut self.cols[..];
-                    lanes!(|j| {
-                        let v = cols_[si + j].clone();
-                        cols_[di + j] = v;
-                    });
+                    self.cols
+                        .copy(base + src as usize, base + dst as usize, &alive);
                 }
                 Op::Un { op, dst, src } => {
                     step1!();
                     exec_un!(op, dst, src, proc.spans[pc - 1]);
-                    if live == 0 {
-                        leave!(pc);
-                    }
                 }
                 Op::Bin { op, dst, lhs, rhs } => {
                     step1!();
                     exec_bin!(op, dst, lhs, rhs, proc.spans[pc - 1]);
-                    if live == 0 {
-                        leave!(pc);
-                    }
                 }
                 Op::FillArray { dst, src, n: len } => {
-                    let si = (base + src as usize) * n;
-                    let di = (base + dst as usize) * n;
-                    lanes!(|j| {
-                        let v = self.cols[si + j].clone();
-                        self.cols[di + j] = Value::Array(vec![v; len as usize]);
-                    });
+                    let s = base + src as usize;
+                    self.cols.ready(s);
+                    // An array of arrays: no column holds one.
+                    if let Tag::Array(..) = self.cols.tags[s] {
+                        leave!(pc - 1);
+                    }
+                    self.cols.fill_array(s, base + dst as usize, len, &alive);
                 }
                 Op::LoadIndex { dst, arr, idx } => {
                     step1!();
                     exec_load!(dst, arr, idx, proc.spans[pc - 1]);
-                    if live == 0 {
-                        leave!(pc);
-                    }
                 }
                 Op::StoreIndex { arr, idx, src } => {
+                    let (a, i, s) = (
+                        base + arr as usize,
+                        base + idx as usize,
+                        base + src as usize,
+                    );
+                    self.cols.ready(i);
+                    self.cols.ready(s);
+                    // Storing a value of another type than the elements'
+                    // would make the array mixed, which no column holds.
+                    if let Tag::Array(elem, _) = self.cols.tags[a] {
+                        if self.cols.tags[s] != Tag::scalar(elem) {
+                            leave!(pc - 1);
+                        }
+                    }
                     cost += INDEX_STORE_COST;
                     if let Some(p) = profile.as_mut() {
                         p.ops += 1;
                         *p.op_histogram.entry("idxstore").or_default() += 1;
                     }
                     let span = proc.spans[pc - 1];
-                    let ii = (base + idx as usize) * n;
-                    let ai = (base + arr as usize) * n;
-                    let si = (base + src as usize) * n;
-                    for j in 0..n {
-                        if !alive[j] {
-                            continue;
-                        }
-                        let Some(i) = self.cols[ii + j].as_int() else {
-                            kill!(
-                                j,
-                                EvalError::TypeMismatch {
-                                    expected: Type::Int,
-                                    span,
-                                }
-                            );
-                            continue;
-                        };
-                        let v = self.cols[si + j].clone();
-                        let Value::Array(elems) = &mut self.cols[ai + j] else {
-                            kill!(
-                                j,
-                                EvalError::TypeMismatch {
-                                    expected: Type::Int,
-                                    span,
-                                }
-                            );
-                            continue;
-                        };
-                        if i < 0 || i as usize >= elems.len() {
+                    let (Tag::Int, Tag::Array(_, len)) = (self.cols.tags[i], self.cols.tags[a])
+                    else {
+                        all_fail!(EvalError::TypeMismatch {
+                            expected: Type::Int,
+                            span,
+                        });
+                    };
+                    let (ai, ii, si) = (a * n, i * n, s * n);
+                    let Columns { words, arena, .. } = &mut self.cols;
+                    lanes!(|j| {
+                        let k = words[ii + j] as i64;
+                        if k < 0 || k >= i64::from(len) {
                             kill!(
                                 j,
                                 EvalError::IndexOutOfBounds {
-                                    index: i,
-                                    len: elems.len(),
+                                    index: k,
+                                    len: len as usize,
                                     span,
                                 }
                             );
-                            continue;
+                        } else {
+                            arena[words[ai + j] as usize + k as usize] = words[si + j];
                         }
-                        elems[i as usize] = v;
-                    }
+                    });
                     if live == 0 {
                         leave!(pc);
                     }
                 }
                 Op::Jump { target } => pc = target as usize,
                 Op::JumpIfFalse { cond, target } => {
-                    let span = proc.spans[pc - 1];
-                    let ci = (base + cond as usize) * n;
-                    let mut taken: Option<bool> = None;
-                    let mut divergent = false;
-                    lanes!(|j| match self.cols[ci + j].as_bool() {
-                        Some(b) => match taken {
-                            None => taken = Some(b),
-                            Some(t) => divergent |= t != b,
-                        },
-                        // A non-bool condition faults the lane before
-                        // any branch cost is charged, as in the
-                        // scalar VM — and the lane dies anyway, so
-                        // only its error is observable.
-                        None => kill!(
-                            j,
-                            EvalError::TypeMismatch {
-                                expected: Type::Bool,
-                                span,
-                            }
-                        ),
-                    });
-                    // No lane took a side: every lane faulted.
-                    let Some(taken) = taken else {
-                        leave!(pc);
+                    let c = base + cond as usize;
+                    if self.cols.tags[c] != Tag::Bool {
+                        all_fail!(EvalError::TypeMismatch {
+                            expected: Type::Bool,
+                            span: proc.spans[pc - 1],
+                        });
+                    }
+                    let col = &self.cols.words[c * n..(c + 1) * n];
+                    let first = alive.iter().position(|&on| on).unwrap_or(0);
+                    let taken = col[first];
+                    let divergent = if live == n {
+                        col.iter().any(|&w| w != taken)
+                    } else {
+                        col.iter().zip(&alive).any(|(&w, &on)| on && w != taken)
                     };
                     if divergent {
                         // Lockstep is no longer sound: each live lane
@@ -1110,7 +1312,7 @@ impl BatchVm {
                     if let Some(p) = profile.as_mut() {
                         p.branches += 1;
                     }
-                    if !taken {
+                    if taken == 0 {
                         pc = target as usize;
                     }
                 }
@@ -1125,95 +1327,76 @@ impl BatchVm {
                     if let Some(p) = profile.as_mut() {
                         *p.builtin_calls.entry(b.name()).or_default() += 1;
                     }
-                    let arg_regs = &proc.arg_pool[args_at as usize..(args_at + argc) as usize];
-                    let di = (base + dst as usize) * n;
-                    // Hoisted builtin dispatch: the all-float builtins
-                    // get monomorphic column sweeps (argument columns
-                    // resolved once, math applied in place — the
-                    // expressions mirror `apply_pure_builtin` exactly);
+                    let regs: &[u32] = &proc.arg_pool[args_at as usize..(args_at + argc) as usize];
+                    for &r in regs {
+                        self.cols.ready(base + r as usize);
+                    }
+                    // The argument types are lane-uniform, so one check
+                    // fails every live lane alike.
+                    let tys = regs.iter().map(|&r| self.cols.tags[base + r as usize].ty());
+                    let span = proc.spans[pc - 1];
+                    if let Some(e) = builtin_arg_error(b, tys, span) {
+                        all_fail!(e);
+                    }
+                    let a = |i: usize| base + regs[i] as usize;
+                    let d = base + dst as usize;
+                    // As for `Bin`: a sweep whose operands a vectorized
+                    // loop may swap runs lane by lane when a lane is NaN.
+                    let nan = matches!(
+                        b,
+                        Builtin::Min | Builtin::Max | Builtin::Clamp | Builtin::Lerp
+                    ) && regs.iter().any(|&r| self.cols.has_nan(base + r as usize));
+                    // The all-float builtins are plain column sweeps (the
+                    // expressions mirror `try_builtin` exactly);
                     // everything else goes through the generic scratch
-                    // buffer, one `apply_pure_builtin` per lane.
-                    macro_rules! bsweep1 {
-                        (|$x:ident| $e:expr) => {{
-                            let s0 = (base + arg_regs[0] as usize) * n;
-                            let end = self.cols.len();
-                            assert!(s0 + n <= end && di + n <= end);
-                            let cols_ = &mut self.cols[..];
-                            lanes!(|j| {
-                                let $x = cols_[s0 + j]
-                                    .as_float()
-                                    .expect("type checker ensured float arg");
-                                cols_[di + j] = Value::Float($e);
-                            });
-                        }};
+                    // buffer, one `try_builtin` per live lane.
+                    macro_rules! fsweep1 {
+                        (|$x:ident| $e:expr) => {
+                            map1!(a(0), d, |x| {
+                                let $x = f(x);
+                                ($e).to_bits()
+                            })
+                        };
                     }
-                    macro_rules! bsweep2 {
-                        (|$x:ident, $y:ident| $e:expr) => {{
-                            let s0 = (base + arg_regs[0] as usize) * n;
-                            let s1 = (base + arg_regs[1] as usize) * n;
-                            let end = self.cols.len();
-                            assert!(s0 + n <= end && s1 + n <= end && di + n <= end);
-                            let cols_ = &mut self.cols[..];
-                            lanes!(|j| {
-                                let $x = cols_[s0 + j]
-                                    .as_float()
-                                    .expect("type checker ensured float arg");
-                                let $y = cols_[s1 + j]
-                                    .as_float()
-                                    .expect("type checker ensured float arg");
-                                cols_[di + j] = Value::Float($e);
-                            });
-                        }};
+                    macro_rules! fsweep2 {
+                        (|$x:ident, $y:ident| $e:expr) => {
+                            map2!(a(0), a(1), d, |x, y| {
+                                let ($x, $y) = (f(x), f(y));
+                                ($e).to_bits()
+                            })
+                        };
                     }
-                    macro_rules! bsweep3 {
-                        (|$x:ident, $y:ident, $z:ident| $e:expr) => {{
-                            let s0 = (base + arg_regs[0] as usize) * n;
-                            let s1 = (base + arg_regs[1] as usize) * n;
-                            let s2 = (base + arg_regs[2] as usize) * n;
-                            let end = self.cols.len();
-                            assert!(
-                                s0 + n <= end && s1 + n <= end && s2 + n <= end && di + n <= end
-                            );
-                            let cols_ = &mut self.cols[..];
-                            lanes!(|j| {
-                                let $x = cols_[s0 + j]
-                                    .as_float()
-                                    .expect("type checker ensured float arg");
-                                let $y = cols_[s1 + j]
-                                    .as_float()
-                                    .expect("type checker ensured float arg");
-                                let $z = cols_[s2 + j]
-                                    .as_float()
-                                    .expect("type checker ensured float arg");
-                                cols_[di + j] = Value::Float($e);
-                            });
-                        }};
+                    macro_rules! fsweep3 {
+                        (|$x:ident, $y:ident, $z:ident| $e:expr) => {
+                            map3!(a(0), a(1), a(2), d, |x, y, z| {
+                                let ($x, $y, $z) = (f(x), f(y), f(z));
+                                ($e).to_bits()
+                            })
+                        };
                     }
                     match b {
                         Builtin::Trace => {
-                            let si = (base + arg_regs[0] as usize) * n;
+                            let (si, di) = (a(0) * n, d * n);
+                            let w = &mut self.cols.words[..];
                             lanes!(|j| {
-                                let x = self.cols[si + j]
-                                    .as_float()
-                                    .expect("type checker ensured float arg");
-                                traces[j].push(x);
-                                self.cols[di + j] = Value::Float(x);
+                                traces[j].push(f(w[si + j]));
+                                w[di + j] = w[si + j];
                             });
                         }
-                        Builtin::Sin => bsweep1!(|x| x.sin()),
-                        Builtin::Cos => bsweep1!(|x| x.cos()),
-                        Builtin::Tan => bsweep1!(|x| x.tan()),
-                        Builtin::Sqrt => bsweep1!(|x| x.sqrt()),
-                        Builtin::Exp => bsweep1!(|x| x.exp()),
-                        Builtin::Log => bsweep1!(|x| x.ln()),
-                        Builtin::Floor => bsweep1!(|x| x.floor()),
-                        Builtin::Abs => bsweep1!(|x| x.abs()),
-                        Builtin::Pow => bsweep2!(|x, y| x.powf(y)),
-                        Builtin::Min => bsweep2!(|x, y| x.min(y)),
-                        Builtin::Max => bsweep2!(|x, y| x.max(y)),
-                        Builtin::Fmod => bsweep2!(|x, y| x % y),
-                        Builtin::Step => bsweep2!(|x, y| if y < x { 0.0 } else { 1.0 }),
-                        Builtin::Clamp => bsweep3!(|x, lo, hi| {
+                        Builtin::Sin => fsweep1!(|x| x.sin()),
+                        Builtin::Cos => fsweep1!(|x| x.cos()),
+                        Builtin::Tan => fsweep1!(|x| x.tan()),
+                        Builtin::Sqrt => fsweep1!(|x| x.sqrt()),
+                        Builtin::Exp => fsweep1!(|x| x.exp()),
+                        Builtin::Log => fsweep1!(|x| x.ln()),
+                        Builtin::Floor => fsweep1!(|x| x.floor()),
+                        Builtin::Abs => fsweep1!(|x| x.abs()),
+                        Builtin::Pow => fsweep2!(|x, y| x.powf(y)),
+                        Builtin::Min if !nan => fsweep2!(|x, y| x.min(y)),
+                        Builtin::Max if !nan => fsweep2!(|x, y| x.max(y)),
+                        Builtin::Fmod => fsweep2!(|x, y| x % y),
+                        Builtin::Step => fsweep2!(|x, y| if y < x { 0.0f64 } else { 1.0 }),
+                        Builtin::Clamp if !nan => fsweep3!(|x, lo, hi| {
                             let (lo, hi) = (lo.min(hi), hi.max(lo));
                             if lo.is_nan() {
                                 x
@@ -1221,17 +1404,23 @@ impl BatchVm {
                                 x.clamp(lo, hi)
                             }
                         }),
-                        Builtin::Lerp => bsweep3!(|a, b, t| a + (b - a) * t),
+                        Builtin::Lerp if !nan => fsweep3!(|x, y, t| x + (y - x) * t),
                         _ => lanes!(|j| {
                             self.argbuf.clear();
-                            for &r in arg_regs {
-                                self.argbuf
-                                    .push(self.cols[(base + r as usize) * n + j].clone());
+                            for &r in regs {
+                                self.argbuf.push(self.cols.value(base + r as usize, j));
                             }
-                            self.cols[di + j] = apply_pure_builtin(b, &self.argbuf)
-                                .expect("non-trace builtins are pure");
+                            match try_builtin(b, &self.argbuf, span) {
+                                Ok(v) => self.cols.words[d * n + j] = word(&v),
+                                Err(e) => kill!(j, e),
+                            }
                         }),
                     }
+                    self.cols.tags[d] = if b.ret_type() == Type::Int {
+                        Tag::Int
+                    } else {
+                        Tag::Float
+                    };
                 }
                 Op::Call {
                     callee,
@@ -1243,9 +1432,10 @@ impl BatchVm {
                     cost += CALL_COST;
                     let callee_proc = &prog.procs[callee as usize];
                     let arg_regs = &proc.arg_pool[args_at as usize..(args_at + argc) as usize];
+                    // Arity and argument types are properties of the call
+                    // site and the columns, not the lane: every lane fails
+                    // identically.
                     if arg_regs.len() != callee_proc.params.len() {
-                        // Arity is a property of the call site, not the
-                        // lane: every lane fails identically.
                         all_fail!(EvalError::BadArguments {
                             proc: callee_proc.name.clone(),
                             detail: format!(
@@ -1255,37 +1445,19 @@ impl BatchVm {
                             ),
                         });
                     }
+                    for (&r, (pname, pty)) in arg_regs.iter().zip(&callee_proc.params) {
+                        let ty = self.cols.tags[base + r as usize].ty();
+                        if ty != *pty {
+                            all_fail!(EvalError::BadArguments {
+                                proc: callee_proc.name.clone(),
+                                detail: format!("parameter `{pname}` expects `{pty}`, got `{ty}`"),
+                            });
+                        }
+                    }
                     let new_base = base + proc.nregs as usize;
-                    let need = (new_base + callee_proc.nregs as usize) * n;
-                    if self.cols.len() < need {
-                        self.cols.resize(need, Value::Int(0));
-                    }
-                    'lane: for j in 0..n {
-                        if !alive[j] {
-                            continue;
-                        }
-                        for (i, (&r, (pname, pty))) in
-                            arg_regs.iter().zip(&callee_proc.params).enumerate()
-                        {
-                            let v = self.cols[(base + r as usize) * n + j].clone();
-                            if v.ty() != *pty {
-                                kill!(
-                                    j,
-                                    EvalError::BadArguments {
-                                        proc: callee_proc.name.clone(),
-                                        detail: format!(
-                                            "parameter `{pname}` expects `{pty}`, got `{}`",
-                                            v.ty()
-                                        ),
-                                    }
-                                );
-                                continue 'lane;
-                            }
-                            self.cols[(new_base + i) * n + j] = v;
-                        }
-                    }
-                    if live == 0 {
-                        leave!(pc);
+                    self.cols.grow(new_base + callee_proc.nregs as usize);
+                    for (i, &r) in arg_regs.iter().enumerate() {
+                        self.cols.copy(base + r as usize, new_base + i, &alive);
                     }
                     frames.push(Frame {
                         proc_idx: proc_idx as u32,
@@ -1299,7 +1471,7 @@ impl BatchVm {
                     pc = 0;
                 }
                 Op::Ret { src } => {
-                    let si = (base + src as usize) * n;
+                    let s = base + src as usize;
                     match frames.pop() {
                         None => {
                             // Control is uniform in lockstep, so every
@@ -1309,24 +1481,19 @@ impl BatchVm {
                                 p.cost = cost;
                             }
                             finish!(|j| Ok(Outcome {
-                                value: Some(self.cols[si + j].clone()),
+                                value: Some(self.cols.value(s, j)),
                                 cost,
                                 trace: std::mem::take(&mut traces[j]),
                                 profile: profile.clone().map(Box::new),
                             }));
                         }
-                        Some(f) => {
-                            let di = (f.base as usize + f.dst as usize) * n;
-                            for (j, &live) in alive.iter().enumerate().take(n) {
-                                if live {
-                                    let v = self.cols[si + j].clone();
-                                    self.cols[di + j] = v;
-                                }
-                            }
-                            proc_idx = f.proc_idx as usize;
+                        Some(fr) => {
+                            self.cols
+                                .copy(s, fr.base as usize + fr.dst as usize, &alive);
+                            proc_idx = fr.proc_idx as usize;
                             proc = &prog.procs[proc_idx];
-                            base = f.base as usize;
-                            pc = f.pc as usize;
+                            base = fr.base as usize;
+                            pc = fr.pc as usize;
                         }
                     }
                 }
@@ -1343,54 +1510,109 @@ impl BatchVm {
                             profile: profile.clone().map(Box::new),
                         }));
                     }
-                    Some(f) => {
+                    Some(fr) => {
                         // A void result in expression position: the
                         // evaluator's TypeMismatch at the call site,
                         // identically in every lane.
-                        let caller = &prog.procs[f.proc_idx as usize];
+                        let caller = &prog.procs[fr.proc_idx as usize];
                         all_fail!(EvalError::TypeMismatch {
                             expected: Type::Void,
-                            span: caller.spans[f.pc as usize - 1],
+                            span: caller.spans[fr.pc as usize - 1],
                         });
                     }
                 },
-                Op::CacheRead { dst, slot } => {
-                    step1!();
-                    cost += CACHE_READ_COST;
-                    if let Some(p) = profile.as_mut() {
-                        p.cache_reads += 1;
-                    }
+                Op::CacheRead { dst, slot, elem } => {
                     let span = proc.spans[pc - 1];
                     let slot = slot as usize;
-                    let di = (base + dst as usize) * n;
-                    assert!(di + n <= self.cols.len());
+                    let d = base + dst as usize;
                     match &inputs {
                         // The cache is shared and read-only on this path,
                         // so one lookup serves — and one failure fails —
                         // every lane identically.
                         Inputs::Shared(_, cache) => {
-                            let slot_val = match cache.as_deref() {
+                            let read = match cache.as_deref() {
                                 None => Err(EvalError::NoCache(span)),
                                 Some(cb) => {
-                                    cb.get(slot).ok_or(EvalError::UnfilledSlot { slot, span })
+                                    cb.peek(slot).ok_or(EvalError::UnfilledSlot { slot, span })
                                 }
                             };
-                            match slot_val {
+                            // A value no column holds is read on the
+                            // scalar VM, before the read is charged; the
+                            // tag of a failed read is never used.
+                            let tag = match &read {
+                                Ok(v) => match Tag::of(v) {
+                                    Some(tag) => tag,
+                                    None => leave!(pc - 1),
+                                },
+                                Err(_) => Tag::Zero,
+                            };
+                            step1!();
+                            cost += CACHE_READ_COST;
+                            if let Some(p) = profile.as_mut() {
+                                p.cache_reads += 1;
+                            }
+                            match read {
+                                Ok(v) => self.cols.broadcast(d, tag, v, &alive),
                                 Err(e) => all_fail!(e),
-                                Ok(v) => {
-                                    let cols_ = &mut self.cols[..];
-                                    lanes!(|j| cols_[di + j] = v.clone());
-                                }
                             }
                         }
                         // Lane `j` gathers from its own cache; a lane whose
-                        // slot is unfilled is masked, the rest go on.
+                        // slot is unfilled is masked, and one whose slot
+                        // holds another type than the column's — the
+                        // slot's declared type, or else the first live
+                        // lane's — finishes alone on the scalar VM from
+                        // here. The rest go on.
                         Inputs::Own(lanes) => {
-                            let cols_ = &mut self.cols[..];
-                            lanes!(|j| match lanes.cache(j).get(slot) {
-                                Some(v) => cols_[di + j] = v,
+                            step1!();
+                            cost += CACHE_READ_COST;
+                            if let Some(p) = profile.as_mut() {
+                                p.cache_reads += 1;
+                            }
+                            let mut want = elem.map(Tag::scalar);
+                            // Lanes leaving on a type disagreement, with
+                            // the value each read.
+                            let mut exits: Vec<(usize, Value)> = Vec::new();
+                            let di = d * n;
+                            let w = &mut self.cols.words[..];
+                            assert!(di + n <= w.len());
+                            lanes!(|j| match lanes.cache(j).peek(slot) {
                                 None => kill!(j, EvalError::UnfilledSlot { slot, span }),
+                                Some(v) => match Tag::of(v) {
+                                    Some(tag)
+                                        if !matches!(tag, Tag::Array(..))
+                                            && *want.get_or_insert(tag) == tag =>
+                                    {
+                                        w[di + j] = word(v)
+                                    }
+                                    _ => exits.push((j, v.clone())),
+                                },
                             });
+                            if let Some(tag) = want {
+                                self.cols.tags[d] = tag;
+                            }
+                            for (j, v) in exits {
+                                self.stats.type_exits += 1;
+                                alive[j] = false;
+                                live -= 1;
+                                let at = Resume {
+                                    proc_idx,
+                                    pc,
+                                    base,
+                                    frames: &frames,
+                                    fuel,
+                                    cost,
+                                    trace: std::mem::take(&mut traces[j]),
+                                    profile: profile.clone(),
+                                };
+                                done[j] = Some(self.resume_lane(
+                                    prog,
+                                    &mut inputs,
+                                    j,
+                                    at,
+                                    Some((d, v)),
+                                    opts,
+                                ));
+                            }
                             if live == 0 {
                                 leave!(pc);
                             }
@@ -1413,9 +1635,9 @@ impl BatchVm {
                         p.cache_writes += 1;
                     }
                     let span = proc.spans[pc - 1];
-                    let si = (base + src as usize) * n;
+                    let s = base + src as usize;
                     lanes!(|j| {
-                        let v = self.cols[si + j].clone();
+                        let v = self.cols.value(s, j);
                         if let Some(Err(CacheError::OutOfBounds { slot, len })) =
                             lanes.cache_mut(j).map(|c| c.try_set(slot as usize, v))
                         {
@@ -1430,6 +1652,9 @@ impl BatchVm {
                     self.stats.fused_dispatches += 1;
                     let (first, second) = proc.fused[pair as usize];
                     let spans = [proc.spans[pc - 1], proc.spans[pc]];
+                    // With no lane live, `leave` resumes nobody, so the
+                    // constituents' exits need not point `pc` past the
+                    // first one.
                     for (part, span) in [first, second].into_iter().zip(spans) {
                         step1!();
                         match part {
@@ -1437,11 +1662,6 @@ impl BatchVm {
                             Op::Bin { op, dst, lhs, rhs } => exec_bin!(op, dst, lhs, rhs, span),
                             Op::LoadIndex { dst, arr, idx } => exec_load!(dst, arr, idx, span),
                             other => unreachable!("non-fusible constituent {other:?}"),
-                        }
-                        // With no lane live, `leave` resumes nobody, so
-                        // `pc` need not point past the first constituent.
-                        if live == 0 {
-                            leave!(pc);
                         }
                     }
                     pc += 1; // skip the shadow slot
@@ -1985,5 +2205,94 @@ mod tests {
             assert_eq!(batch[j], vm.run(&cp, "f", args, None, opts), "lane {j}");
         }
         assert!(batch.iter().all(|o| *o == Err(EvalError::StepLimit)));
+    }
+
+    #[test]
+    fn ill_typed_builtin_arguments_fail_every_lane_like_scalar() {
+        let prog = parse_program("float f(float x) { return sqrt(true) + x; }").unwrap();
+        let cp = compile(&prog);
+        let sweep: Vec<Vec<Value>> = (0..5).map(|i| vec![Value::Float(i as f64)]).collect();
+        let batch = cp.run_batch_soa("f", &sweep, None, popts());
+        let mut vm = Vm::new();
+        for (j, args) in sweep.iter().enumerate() {
+            assert_eq!(batch[j], vm.run(&cp, "f", args, None, popts()), "lane {j}");
+        }
+        assert!(matches!(
+            batch[0],
+            Err(EvalError::TypeMismatch {
+                expected: Type::Float,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn a_lane_whose_slot_holds_another_type_leaves_lockstep_alone() {
+        let cp = with_slot_reads(
+            "float r(float x) { float y = x * 100.0; if (x > 0.0) { return y + x; } return y; }",
+        );
+        // Lane 2's slot holds an `Int` where the others hold `Float`s: its
+        // scalar run fails at the multiply, and the others stay in
+        // lockstep through the branch.
+        let lanes: Vec<(Vec<Value>, CacheBuf)> = (0..6)
+            .map(|i| {
+                let mut c = CacheBuf::new(2);
+                c.set(
+                    0,
+                    if i == 2 {
+                        Value::Int(3)
+                    } else {
+                        Value::Float(i as f64 * 0.5)
+                    },
+                );
+                (vec![Value::Float(1.0 + i as f64)], c)
+            })
+            .collect();
+        assert_own_lanes_match(&cp, "r", &lanes);
+        let refs: Vec<(&[Value], &CacheBuf)> =
+            lanes.iter().map(|(a, c)| (a.as_slice(), c)).collect();
+        let mut bvm = BatchVm::new();
+        let outs = bvm.run_lanes(&cp, "r", &refs, popts());
+        assert!(matches!(outs[2], Err(EvalError::TypeMismatch { .. })));
+        let stats = bvm.stats();
+        assert_eq!(stats.type_exits, 1, "{stats:?}");
+        assert_eq!(
+            (
+                stats.divergent_blocks,
+                stats.resumed_lanes,
+                stats.masked_lanes
+            ),
+            (0, 0, 0),
+            "the other lanes stayed in lockstep"
+        );
+        // Whichever lane holds the odd value, even the first, only it
+        // leaves.
+        let mut first = lanes.clone();
+        first[0].1.set(0, Value::Bool(true));
+        first[2].1.set(0, Value::Float(1.0));
+        assert_own_lanes_match(&cp, "r", &first);
+        let refs: Vec<(&[Value], &CacheBuf)> =
+            first.iter().map(|(a, c)| (a.as_slice(), c)).collect();
+        let mut bvm = BatchVm::new();
+        bvm.run_lanes(&cp, "r", &refs, popts());
+        assert_eq!(bvm.stats().type_exits, 1);
+    }
+
+    #[test]
+    fn array_copies_keep_value_semantics_in_lockstep() {
+        let src = "float f(float x, int i) {
+                       float v[3] = x;
+                       float w[3] = 0.0;
+                       w = v;
+                       v[i] = 9.0;
+                       float u[3] = 1.0;
+                       u = w;
+                       w[0] = -1.0;
+                       return v[0] + w[i] * 10.0 + u[0] * 100.0;
+                   }";
+        let sweep: Vec<Vec<Value>> = (0..9)
+            .map(|k| vec![Value::Float(k as f64 + 0.5), Value::Int(k % 4)])
+            .collect();
+        assert_lanes_match(src, "f", &sweep);
     }
 }

@@ -174,6 +174,12 @@ impl CacheBuf {
         self.slots.get(i).cloned().flatten()
     }
 
+    /// Slot `i` by reference, or `None` if it was never filled: the batch
+    /// VM's per-lane gather reads it without cloning a [`Value`].
+    pub fn peek(&self, i: usize) -> Option<&Value> {
+        self.slots.get(i).and_then(Option::as_ref)
+    }
+
     /// Fills slot `i` with `v`, failing with a typed [`CacheError`] when
     /// `i` is out of bounds. This is the store API both execution engines
     /// use, so an undersized buffer surfaces as a recoverable

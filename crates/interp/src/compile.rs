@@ -33,7 +33,9 @@
 //! error. All other error paths are preserved exactly.
 
 use crate::value::Value;
-use ds_lang::{BinOp, Block, Builtin, Expr, ExprKind, Program, Span, Stmt, StmtKind, Type, UnOp};
+use ds_lang::{
+    BinOp, Block, Builtin, Elem, Expr, ExprKind, Program, Span, Stmt, StmtKind, Type, UnOp,
+};
 use ds_telemetry::{FusedPair, FusionStats};
 use std::collections::{BTreeMap, HashMap};
 
@@ -94,8 +96,14 @@ pub(crate) enum Op {
     /// Bounds-checked array element write: `arr[idx] = src`. Charges no
     /// fuel (the statement-entry `Step` covers it) and `INDEX_STORE_COST`.
     StoreIndex { arr: u32, idx: u32, src: u32 },
-    /// Read a cache slot into `dst`.
-    CacheRead { dst: u32, slot: u32 },
+    /// Read a cache slot into `dst`. `elem` is the slot's declared scalar
+    /// type, when it has one: the batch VM gives the lanes' column that
+    /// type, and a lane whose slot holds another leaves lockstep alone.
+    CacheRead {
+        dst: u32,
+        slot: u32,
+        elem: Option<Elem>,
+    },
     /// Store `src` into a cache slot (the value stays in `src`).
     CacheWrite { src: u32, slot: u32 },
     /// Profile-guided superinstruction: executes both constituents of
@@ -713,8 +721,16 @@ impl<'a> FnCompiler<'a> {
                     self.emit(Op::ErrUnbound { name_at }, e.span);
                 }
             }
-            ExprKind::CacheRef(slot, _) => {
-                self.emit(Op::CacheRead { dst, slot: slot.0 }, e.span);
+            ExprKind::CacheRef(slot, ty) => {
+                let elem = Elem::from_type(*ty);
+                self.emit(
+                    Op::CacheRead {
+                        dst,
+                        slot: slot.0,
+                        elem,
+                    },
+                    e.span,
+                );
             }
             ExprKind::CacheStore(slot, inner) => {
                 self.expr_into(inner, dst);

@@ -637,104 +637,155 @@ impl<'p, 'c> State<'p, 'c> {
     }
 
     fn apply_builtin(&mut self, b: Builtin, args: &[Value], e: &Expr) -> Result<Value, EvalError> {
-        if b == Builtin::Trace {
-            let v = args[0].as_float().expect("type checker ensured float arg");
-            self.trace.push(v);
-            let _ = e;
-            return Ok(Value::Float(v));
-        }
-        Ok(apply_pure_builtin(b, args).expect("non-trace builtins are pure"))
+        apply_builtin_at(b, args, e.span, &mut self.trace)
     }
+}
+
+/// The typed error of a call to builtin `b` whose arguments have types
+/// `tys`, or `None` when they match its signature: a wrong argument count
+/// is `BadArguments`, as for a user procedure, and the first wrong type a
+/// `TypeMismatch` naming the type the builtin expected there.
+///
+/// The type checker rules both out, so only a hand-built AST reaches
+/// them; every engine raises the same error.
+pub(crate) fn builtin_arg_error(
+    b: Builtin,
+    tys: impl ExactSizeIterator<Item = Type>,
+    span: ds_lang::Span,
+) -> Option<EvalError> {
+    let params = b.param_types();
+    if tys.len() != params.len() {
+        return Some(builtin_arity_error(b, tys.len()));
+    }
+    tys.zip(params)
+        .find(|(ty, want)| ty != *want)
+        .map(|(_, &expected)| EvalError::TypeMismatch { expected, span })
+}
+
+/// A call to builtin `b` with `got` arguments, a wrong count.
+fn builtin_arity_error(b: Builtin, got: usize) -> EvalError {
+    EvalError::BadArguments {
+        proc: b.name().to_string(),
+        detail: format!("expected {} argument(s), got {got}", b.param_types().len()),
+    }
+}
+
+/// Applies builtin `b` to `args` at `span`, with `trace`'s effect on
+/// `trace`: the exact semantics every engine shares, including the typed
+/// error of [`builtin_arg_error`] for ill-typed arguments.
+pub(crate) fn apply_builtin_at(
+    b: Builtin,
+    args: &[Value],
+    span: ds_lang::Span,
+    trace: &mut Vec<f64>,
+) -> Result<Value, EvalError> {
+    let v = try_builtin(b, args, span)?;
+    if let (Builtin::Trace, Value::Float(x)) = (b, &v) {
+        trace.push(*x);
+    }
+    Ok(v)
 }
 
 /// Applies a side-effect-free builtin to fully evaluated arguments.
 ///
-/// Returns `None` for `trace` (whose effect needs an evaluator) — callers
-/// such as the code-specialization baseline use this to constant-fold with
-/// semantics identical to the evaluator's.
-///
-/// # Panics
-///
-/// Panics if `args` do not match the builtin's signature (the type checker
-/// rules this out for checked programs).
+/// Returns `None` for `trace` (whose effect needs an evaluator) and for
+/// arguments that do not match the builtin's signature — callers such as
+/// the code-specialization baseline use this to constant-fold with
+/// semantics identical to the evaluator's, and leave anything else to run
+/// time.
 pub fn apply_pure_builtin(b: Builtin, args: &[Value]) -> Option<Value> {
     if b == Builtin::Trace {
         return None;
     }
-    {
-        let f = |i: usize| -> f64 { args[i].as_float().expect("type checker ensured float arg") };
-        let i = |i: usize| -> i64 { args[i].as_int().expect("type checker ensured int arg") };
-        Some(match b {
-            Builtin::Sin => Value::Float(f(0).sin()),
-            Builtin::Cos => Value::Float(f(0).cos()),
-            Builtin::Tan => Value::Float(f(0).tan()),
-            Builtin::Sqrt => Value::Float(f(0).sqrt()),
-            Builtin::Exp => Value::Float(f(0).exp()),
-            Builtin::Log => Value::Float(f(0).ln()),
-            Builtin::Pow => Value::Float(f(0).powf(f(1))),
-            Builtin::Floor => Value::Float(f(0).floor()),
-            Builtin::Abs => Value::Float(f(0).abs()),
-            Builtin::Sign => Value::Float(if f(0) > 0.0 {
-                1.0
-            } else if f(0) < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }),
-            Builtin::Min => Value::Float(f(0).min(f(1))),
-            Builtin::Max => Value::Float(f(0).max(f(1))),
-            Builtin::Clamp => {
-                let (x, lo, hi) = (f(0), f(1).min(f(2)), f(2).max(f(1)));
-                // min/max select the non-NaN bound, so `lo` is NaN only when
-                // both bounds are — where std's clamp would panic, not a
-                // luxury a fuzzed interpreter has. Pass the value through.
-                Value::Float(if lo.is_nan() { x } else { x.clamp(lo, hi) })
-            }
-            Builtin::Lerp => Value::Float(f(0) + (f(1) - f(0)) * f(2)),
-            Builtin::Smoothstep => {
-                let (e0, e1, x) = (f(0), f(1), f(2));
-                let t = if e0 == e1 {
-                    if x < e0 {
-                        0.0
-                    } else {
-                        1.0
-                    }
-                } else {
-                    ((x - e0) / (e1 - e0)).clamp(0.0, 1.0)
-                };
-                Value::Float(t * t * (3.0 - 2.0 * t))
-            }
-            Builtin::Step => Value::Float(if f(1) < f(0) { 0.0 } else { 1.0 }),
-            Builtin::Fmod => {
-                // C-style fmod: result has the sign of the dividend; NaN on
-                // zero divisor, as in IEEE.
-                Value::Float(f(0) % f(1))
-            }
-            Builtin::Noise1 => Value::Float(noise::noise1(f(0))),
-            Builtin::Noise2 => Value::Float(noise::noise2(f(0), f(1))),
-            Builtin::Noise3 => Value::Float(noise::noise3(f(0), f(1), f(2))),
-            Builtin::Fbm3 => Value::Float(noise::fbm3(f(0), f(1), f(2), i(3))),
-            Builtin::Turb3 => Value::Float(noise::turb3(f(0), f(1), f(2), i(3))),
-            Builtin::Itof => Value::Float(i(0) as f64),
-            Builtin::Ftoi => {
-                let x = f(0);
-                if x.is_nan() {
-                    Value::Int(0)
-                } else {
-                    Value::Int(x.clamp(i64::MIN as f64, i64::MAX as f64) as i64)
-                }
-            }
-            Builtin::Trace => unreachable!("handled above"),
-        })
-        .inspect(|v| {
-            debug_assert_eq!(
-                v.ty(),
-                b.ret_type(),
-                "builtin {} returned wrong type",
-                b.name()
-            );
-        })
+    try_builtin(b, args, ds_lang::Span::DUMMY).ok()
+}
+
+/// Builtin `b` over `args`, without `trace`'s effect, or the error of
+/// [`builtin_arg_error`]: the arity is checked first, and each argument
+/// as it is read, in order.
+pub(crate) fn try_builtin(
+    b: Builtin,
+    args: &[Value],
+    span: ds_lang::Span,
+) -> Result<Value, EvalError> {
+    if args.len() != b.param_types().len() {
+        return Err(builtin_arity_error(b, args.len()));
     }
+    let f = |i: usize| {
+        args[i].as_float().ok_or(EvalError::TypeMismatch {
+            expected: Type::Float,
+            span,
+        })
+    };
+    let i = |i: usize| {
+        args[i].as_int().ok_or(EvalError::TypeMismatch {
+            expected: Type::Int,
+            span,
+        })
+    };
+    Ok(match b {
+        Builtin::Sin => Value::Float(f(0)?.sin()),
+        Builtin::Cos => Value::Float(f(0)?.cos()),
+        Builtin::Tan => Value::Float(f(0)?.tan()),
+        Builtin::Sqrt => Value::Float(f(0)?.sqrt()),
+        Builtin::Exp => Value::Float(f(0)?.exp()),
+        Builtin::Log => Value::Float(f(0)?.ln()),
+        Builtin::Pow => Value::Float(f(0)?.powf(f(1)?)),
+        Builtin::Floor => Value::Float(f(0)?.floor()),
+        Builtin::Abs => Value::Float(f(0)?.abs()),
+        Builtin::Sign => Value::Float(if f(0)? > 0.0 {
+            1.0
+        } else if f(0)? < 0.0 {
+            -1.0
+        } else {
+            0.0
+        }),
+        Builtin::Min => Value::Float(f(0)?.min(f(1)?)),
+        Builtin::Max => Value::Float(f(0)?.max(f(1)?)),
+        Builtin::Clamp => {
+            let (x, lo, hi) = (f(0)?, f(1)?.min(f(2)?), f(2)?.max(f(1)?));
+            // min/max select the non-NaN bound, so `lo` is NaN only when
+            // both bounds are — where std's clamp would panic, not a
+            // luxury a fuzzed interpreter has. Pass the value through.
+            Value::Float(if lo.is_nan() { x } else { x.clamp(lo, hi) })
+        }
+        Builtin::Lerp => Value::Float(f(0)? + (f(1)? - f(0)?) * f(2)?),
+        Builtin::Smoothstep => {
+            let (e0, e1, x) = (f(0)?, f(1)?, f(2)?);
+            let t = if e0 == e1 {
+                if x < e0 {
+                    0.0
+                } else {
+                    1.0
+                }
+            } else {
+                ((x - e0) / (e1 - e0)).clamp(0.0, 1.0)
+            };
+            Value::Float(t * t * (3.0 - 2.0 * t))
+        }
+        Builtin::Step => Value::Float(if f(1)? < f(0)? { 0.0 } else { 1.0 }),
+        Builtin::Fmod => {
+            // C-style fmod: result has the sign of the dividend; NaN on
+            // zero divisor, as in IEEE.
+            Value::Float(f(0)? % f(1)?)
+        }
+        Builtin::Noise1 => Value::Float(noise::noise1(f(0)?)),
+        Builtin::Noise2 => Value::Float(noise::noise2(f(0)?, f(1)?)),
+        Builtin::Noise3 => Value::Float(noise::noise3(f(0)?, f(1)?, f(2)?)),
+        Builtin::Fbm3 => Value::Float(noise::fbm3(f(0)?, f(1)?, f(2)?, i(3)?)),
+        Builtin::Turb3 => Value::Float(noise::turb3(f(0)?, f(1)?, f(2)?, i(3)?)),
+        Builtin::Itof => Value::Float(i(0)? as f64),
+        Builtin::Ftoi => {
+            let x = f(0)?;
+            if x.is_nan() {
+                Value::Int(0)
+            } else {
+                Value::Int(x.clamp(i64::MIN as f64, i64::MAX as f64) as i64)
+            }
+        }
+        // The value of `trace(x)` is `x`; its effect is the caller's.
+        Builtin::Trace => Value::Float(f(0)?),
+    })
 }
 
 /// Applies a unary operator with the evaluator's exact semantics; `e`
@@ -1223,5 +1274,33 @@ mod tests {
         );
         let calls = doc.get("builtin_calls").expect("builtins present");
         assert_eq!(calls.get("noise3").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn ill_typed_builtin_arguments_are_typed_errors() {
+        let prog = parse_program("float f() { return sqrt(true); }").expect("parse");
+        let err = Evaluator::new(&prog).run("f", &[]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EvalError::TypeMismatch {
+                    expected: Type::Float,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        let prog = parse_program("float f() { return pow(1.0); }").expect("parse");
+        let err = Evaluator::new(&prog).run("f", &[]).unwrap_err();
+        assert!(matches!(err, EvalError::BadArguments { .. }), "{err:?}");
+        // Constant folding leaves an ill-typed call to run time.
+        assert_eq!(
+            apply_pure_builtin(Builtin::Sqrt, &[Value::Bool(true)]),
+            None
+        );
+        assert_eq!(
+            apply_pure_builtin(Builtin::Sqrt, &[Value::Float(4.0)]),
+            Some(Value::Float(2.0))
+        );
     }
 }

@@ -21,7 +21,7 @@ use crate::cache::CacheBuf;
 use crate::compile::{CompiledProc, CompiledProgram, Op};
 use crate::error::EvalError;
 use crate::eval::{
-    apply_binop_at, apply_pure_builtin, apply_unop_at, EvalOptions, Evaluator, Outcome, Profile,
+    apply_binop_at, apply_builtin_at, apply_unop_at, EvalOptions, Evaluator, Outcome, Profile,
     CALL_COST,
 };
 use crate::value::Value;
@@ -29,7 +29,7 @@ use ds_lang::cost::{
     binop_cost, unop_cost, BRANCH_COST, CACHE_READ_COST, CACHE_STORE_COST, INDEX_COST,
     INDEX_STORE_COST,
 };
-use ds_lang::{Builtin, Program, Type};
+use ds_lang::{Program, Type};
 use std::str::FromStr;
 
 /// Which execution backend runs a procedure.
@@ -384,15 +384,7 @@ impl Vm {
                     for &r in &proc.arg_pool[args_at as usize..(args_at + argc) as usize] {
                         self.argbuf.push(self.regs[base + r as usize].clone());
                     }
-                    let v = if b == Builtin::Trace {
-                        let x = self.argbuf[0]
-                            .as_float()
-                            .expect("type checker ensured float arg");
-                        trace.push(x);
-                        Value::Float(x)
-                    } else {
-                        apply_pure_builtin(b, &self.argbuf).expect("non-trace builtins are pure")
-                    };
+                    let v = apply_builtin_at(b, &self.argbuf, proc.spans[pc - 1], &mut trace)?;
                     self.regs[base + dst as usize] = v;
                 }
                 Op::Call {
@@ -473,7 +465,7 @@ impl Vm {
                         }
                     }
                 }
-                Op::CacheRead { dst, slot } => {
+                Op::CacheRead { dst, slot, .. } => {
                     step1!();
                     cost += CACHE_READ_COST;
                     if let Some(p) = profile.as_mut() {
@@ -932,5 +924,21 @@ mod tests {
         let tree = Evaluator::new(&prog).run("f", &[]).unwrap_err();
         let vm = cp.run("f", &[], None, EvalOptions::default()).unwrap_err();
         assert_eq!(tree, vm);
+    }
+
+    #[test]
+    fn ill_typed_builtin_arguments_match_the_tree_walker() {
+        for src in [
+            "float f() { return sqrt(true); }",
+            "float f() { return trace(1); }",
+            "float f() { return pow(1.0); }",
+        ] {
+            let prog = parse_program(src).unwrap();
+            let tree = Evaluator::new(&prog).run("f", &[]).unwrap_err();
+            let vm = compile(&prog)
+                .run("f", &[], None, EvalOptions::default())
+                .unwrap_err();
+            assert_eq!(tree, vm, "{src}");
+        }
     }
 }

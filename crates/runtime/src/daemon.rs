@@ -103,9 +103,10 @@
 //!   the bytes they used to.
 //!
 //! Each worker also owns one [`BatchVm`] for its whole life. Its column
-//! file holds `nregs × lanes` values of 32 bytes: about 100 KiB for a
-//! 50-register reader at 64 lanes, and about 225 KiB for a 110-register
-//! loader staging a block of misses.
+//! file holds `nregs × lanes` words of 8 bytes and one type tag per
+//! register: about 25 KiB for a 50-register reader at 64 lanes, and about
+//! 56 KiB for a 110-register loader staging a block of misses, plus the
+//! elements of the block's arrays.
 
 use crate::artifact::StagedArtifact;
 use crate::error::RuntimeError;
@@ -324,6 +325,7 @@ impl BlockStats {
                 Json::obj([
                     ("divergent_blocks", Json::from(self.engine.divergent_blocks)),
                     ("resumed_lanes", Json::from(self.engine.resumed_lanes)),
+                    ("type_exits", Json::from(self.engine.type_exits)),
                     ("masked_lanes", Json::from(self.engine.masked_lanes)),
                     ("sequential_runs", Json::from(self.engine.sequential_runs)),
                     ("fused_dispatches", Json::from(self.engine.fused_dispatches)),

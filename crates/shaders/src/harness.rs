@@ -86,7 +86,7 @@ impl Default for MeasureOptions {
 enum BoundProgram<'p> {
     Tree(Evaluator<'p>),
     Vm(CompiledProgram, Vm),
-    VmBatch(CompiledProgram, BatchVm),
+    VmBatch(CompiledProgram, Box<BatchVm>),
 }
 
 impl<'p> BoundProgram<'p> {
@@ -94,7 +94,7 @@ impl<'p> BoundProgram<'p> {
         match engine {
             Engine::Tree => BoundProgram::Tree(Evaluator::new(program)),
             Engine::Vm => BoundProgram::Vm(compile(program), Vm::new()),
-            Engine::VmBatch => BoundProgram::VmBatch(compile(program), BatchVm::new()),
+            Engine::VmBatch => BoundProgram::VmBatch(compile(program), Box::default()),
         }
     }
 
