@@ -75,7 +75,7 @@ impl CacheLayout {
         self.slots.iter().find(|s| s.term == term)
     }
 
-    /// An order-sensitive FNV-1a fingerprint of the layout's shape: the
+    /// An order-sensitive fingerprint of the layout's shape: the
     /// slot count plus, per slot, the producing term's id and
     /// pretty-printed source, the slot's type, offset and width.
     ///
@@ -85,7 +85,7 @@ impl CacheLayout {
     /// staged-execution runtime (`ds-runtime`) uses this to reject a cache
     /// filled by a loader of a *different* specialization.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = ds_telemetry::Fnv64::new().u64(self.slots.len() as u64);
+        let mut h = ds_telemetry::Hash64::new().u64(self.slots.len() as u64);
         for s in &self.slots {
             h = h
                 .u64(u64::from(s.id.0))

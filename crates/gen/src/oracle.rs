@@ -741,7 +741,9 @@ fn check_recovery(case: &FuzzCase) -> Result<(), String> {
         for _ in 0..6 {
             let off = inj.pick(full_log.len() as u64) as usize;
             let mut bytes = full_log.clone().into_bytes();
-            bytes[off] ^= 1; // ASCII-preserving flip, same as FaultInjector::corrupt_text
+            // The log is ASCII, so flipping bit 0 of byte `off` keeps it
+            // ASCII: the flip `FaultInjector::corrupt_text` makes there.
+            bytes[off] ^= 1;
             let flipped = String::from_utf8(bytes).expect("ascii flip");
             let scan = scan_log(&flipped, artifact.layout());
             if !full_scan.records.starts_with(&scan.records) {
@@ -910,14 +912,10 @@ fn check_batch(case: &FuzzCase) -> Result<(), String> {
     Ok(())
 }
 
-/// A seed drawn from the program text (FNV-1a), so a reproducer replays
-/// the same seeded choices.
+/// A seed drawn from the program text, so a reproducer replays the same
+/// seeded choices.
 fn text_seed(prog: &ds_lang::Program) -> u64 {
-    ds_lang::print_program(prog)
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
+    ds_telemetry::hash64(ds_lang::print_program(prog).as_bytes())
 }
 
 /// The per-lane half of the batch oracle: every lane's cache is filled by

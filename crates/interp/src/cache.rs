@@ -14,9 +14,9 @@
 //! * [`CacheBuf::try_set`] — the non-panicking store API both engines use;
 //!   an out-of-bounds write is a typed [`CacheError`], never a panic or a
 //!   silent drop.
-//! * [`CacheBuf::content_hash`] — an FNV-1a fingerprint of the buffer's
-//!   full state, letting a runtime seal a freshly-loaded cache and detect
-//!   any later mutation.
+//! * [`CacheBuf::content_hash`] — a word-at-a-time fingerprint of the
+//!   buffer's full state ([`hash_values`]), letting a runtime seal a
+//!   freshly-loaded cache and detect any later mutation.
 //! * [`CacheBuf::arm_write_fault`] — a one-shot, deterministic write fault
 //!   (drop or corrupt the n-th store) that fires inside *either* engine's
 //!   execution loop, plus a shadow copy of intended writes so the
@@ -244,22 +244,14 @@ impl CacheBuf {
         }
     }
 
-    /// FNV-1a fingerprint of the buffer's observable state: slot count plus
-    /// each slot's filled flag, type and value bit pattern. A runtime seals
-    /// a freshly-loaded cache with this hash; any later mutation (tamper,
-    /// truncation, clear) changes it.
+    /// Fingerprint of the buffer's observable state: the slot count, then
+    /// each slot's filled flag, type and value bit pattern
+    /// ([`hash_values`]). A runtime seals a freshly-loaded cache with this
+    /// hash; any later mutation (tamper, truncation, clear) changes it,
+    /// and a change to one slot's bits or type always does.
     pub fn content_hash(&self) -> u64 {
-        let mut h = ds_telemetry::Fnv64::new().u64(self.slots.len() as u64);
-        for s in &self.slots {
-            h = match s {
-                None => h.u64(0),
-                Some(v) => {
-                    let (tag, bits) = value_bits(v);
-                    h.u64(1).u64(tag).u64(bits)
-                }
-            };
-        }
-        h.finish()
+        let h = ds_telemetry::Hash64::new().u64(self.slots.len() as u64);
+        hash_values(h, self.slots.iter().map(Option::as_ref)).finish()
     }
 
     /// Arms a one-shot [`WriteFault`] and starts shadowing intended writes.
@@ -323,22 +315,55 @@ impl CacheBuf {
 /// content hash and the cache-file format share.
 ///
 /// Arrays never reach cache slots (only scalars are cacheable), so their
-/// encoding is a fingerprint, not lossless: an FNV fold of length and
-/// element pairs.
+/// encoding is a fingerprint, not lossless: [`hash_values`] over the
+/// length and the elements.
 pub fn value_bits(v: &Value) -> (u64, u64) {
     match v {
         Value::Int(i) => (0, *i as u64),
         Value::Float(f) => (1, f.to_bits()),
         Value::Bool(b) => (2, u64::from(*b)),
         Value::Array(elems) => {
-            let mut h = ds_telemetry::Fnv64::new().u64(elems.len() as u64);
-            for e in elems {
-                let (tag, bits) = value_bits(e);
-                h = h.u64(tag).u64(bits);
-            }
-            (3, h.finish())
+            let h = ds_telemetry::Hash64::new().u64(elems.len() as u64);
+            (3, hash_values(h, elems.iter().map(Some)).finish())
         }
     }
+}
+
+/// Type codes a word of [`hash_values`] packs: 3 bits each.
+const TAGS_PER_WORD: u32 = 21;
+
+/// Feeds a sequence of possibly absent values into `h`, one word per
+/// value plus one per 21 values: each value's bit pattern
+/// ([`value_bits`]) is a word, and the type codes (0 for an absent value,
+/// `1 + tag` otherwise, 3 bits each) are packed 21 to a word, fed after
+/// every 21st value and after the last. A change to one value's bits, or
+/// to its type alone, changes exactly one word of a fixed-length
+/// sequence, so it always changes the hash (`ds_telemetry::hash`).
+pub fn hash_values<'v>(
+    mut h: ds_telemetry::Hash64,
+    values: impl IntoIterator<Item = Option<&'v Value>>,
+) -> ds_telemetry::Hash64 {
+    let (mut codes, mut packed) = (0u64, 0u32);
+    for v in values {
+        let (code, bits) = match v {
+            None => (0, 0),
+            Some(v) => {
+                let (tag, bits) = value_bits(v);
+                (1 + tag, bits)
+            }
+        };
+        h = h.u64(bits);
+        codes = codes << 3 | code;
+        packed += 1;
+        if packed == TAGS_PER_WORD {
+            h = h.u64(codes);
+            (codes, packed) = (0, 0);
+        }
+    }
+    if packed > 0 {
+        h = h.u64(codes);
+    }
+    h
 }
 
 #[cfg(test)]
@@ -445,6 +470,91 @@ mod tests {
         let mut other = CacheBuf::new(2);
         other.set(0, Value::Float(1.0));
         assert_eq!(other.content_hash(), one, "equal states hash equal");
+    }
+
+    /// A sample cache of 25 slots, so the type codes span two words of
+    /// [`hash_values`]: every scalar type, awkward bit patterns, and an
+    /// unfilled slot.
+    fn sample_cache() -> CacheBuf {
+        let mut buf = CacheBuf::new(25);
+        for i in 0..25 {
+            let v = match i % 6 {
+                0 => Value::Float(-(i as f64) * 0.75),
+                1 => Value::Int(i64::MIN + i as i64),
+                2 => Value::Bool(i % 4 == 0),
+                3 => Value::Float(f64::NAN),
+                4 => Value::Int(-1),
+                _ => continue,
+            };
+            buf.set(i, v);
+        }
+        buf
+    }
+
+    /// The same bit pattern under every other scalar type that can hold it.
+    fn retyped(v: &Value) -> Vec<Value> {
+        let (_, bits) = value_bits(v);
+        let mut out = vec![Value::Int(bits as i64), Value::Float(f64::from_bits(bits))];
+        if bits <= 1 {
+            out.push(Value::Bool(bits == 1));
+        }
+        out.retain(|o| o.ty() != v.ty());
+        out
+    }
+
+    /// Each seal check rests on this: a change confined to one slot —
+    /// any one of the 64 bits of its value, its type alone, or emptying
+    /// it — always changes the content hash.
+    #[test]
+    fn every_bit_flip_and_retype_of_one_slot_changes_the_content_hash() {
+        let base = sample_cache();
+        let seal = base.content_hash();
+        for i in 0..base.len() {
+            let Some(v) = base.get(i) else {
+                let mut c = base.clone();
+                c.tamper(i, Some(Value::Int(0)));
+                assert_ne!(c.content_hash(), seal, "filling slot {i}");
+                continue;
+            };
+            let (_, bits) = value_bits(&v);
+            let mut changed: Vec<Value> = retyped(&v);
+            for bit in 0..64 {
+                let b = bits ^ (1 << bit);
+                changed.push(match v {
+                    Value::Int(_) => Value::Int(b as i64),
+                    Value::Float(_) => Value::Float(f64::from_bits(b)),
+                    Value::Bool(_) if b <= 1 => Value::Bool(b == 1),
+                    _ => continue,
+                });
+            }
+            for w in changed {
+                let mut c = base.clone();
+                c.tamper(i, Some(w.clone()));
+                assert_ne!(c.content_hash(), seal, "slot {i}: {v} -> {w}");
+            }
+            let mut c = base.clone();
+            c.tamper(i, None);
+            assert_ne!(c.content_hash(), seal, "emptying slot {i}");
+        }
+    }
+
+    /// Seals are recomputed, never stored, but array values' fingerprints
+    /// and the hash itself are persisted: pin both.
+    #[test]
+    fn content_hash_golden_vectors() {
+        let arr = Value::Array(vec![Value::Float(0.5), Value::Int(-3)]);
+        let got = [
+            CacheBuf::new(0).content_hash(),
+            sample_cache().content_hash(),
+            value_bits(&arr).1,
+        ];
+        let want = [
+            0x149a_eec1_9b31_d6cc,
+            0x6fdf_4870_0158_26d8,
+            0x9d11_2d1f_d451_f4b4,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
+        assert_eq!(value_bits(&arr).0, 3);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod value;
 pub mod vm;
 
 pub use batch::{BatchStats, BatchVm};
-pub use cache::{corrupt_value, value_bits, CacheBuf, CacheError, WriteFault};
+pub use cache::{corrupt_value, hash_values, value_bits, CacheBuf, CacheError, WriteFault};
 pub use compile::{
     compile, fuse_hot_pairs, static_op_histogram, CompiledProgram, DEFAULT_FUSION_TOP_K,
 };

@@ -4,9 +4,9 @@
 //! amortizing the loader across *processes*, not just requests. The file is
 //! a `ds-telemetry` JSON envelope (`kind: "cache-store"`, schema-versioned
 //! like every other export) holding one entry per sealed cache. The bundle
-//! header carries the layout fingerprint, the entry count and the
-//! write-ahead-log chaining LSN under a header checksum; each entry
-//! carries:
+//! header carries the format tag ([`STORE_FORMAT`]), the layout
+//! fingerprint, the entry count and the write-ahead-log chaining LSN under
+//! a header checksum; each entry carries:
 //!
 //! * the **layout fingerprint** of the specialization that filled it, so a
 //!   cache can never be consumed by a reader of a different specialization;
@@ -15,12 +15,17 @@
 //! * every slot as a `(type, bit-pattern)` pair — bit patterns are stored
 //!   as hex strings because JSON numbers are doubles and would silently
 //!   lose `i64` precision and `NaN`/`-0.0` distinctions;
-//! * an **FNV-1a checksum** over the semantic content, so any byte-level
-//!   corruption of a semantically relevant field is rejected at load.
+//! * a **checksum** ([`Hash64`]) over the semantic content, so any
+//!   byte-level corruption of a semantically relevant field is rejected
+//!   at load.
 //!
-//! Loading validates envelope → header → per entry checksum → layout →
-//! slot types, in that order, and returns a typed [`IntegrityError`] for
-//! the first violation.
+//! Loading validates envelope → format tag → header → per entry checksum
+//! → layout → slot types, in that order, and returns a typed
+//! [`IntegrityError`] for the first violation. A bundle without the
+//! current format tag (format 1 had none, and hashed with FNV-1a) is
+//! refused as [`IntegrityError::Malformed`]: its fingerprints are keys no
+//! request of this build can hit, so adopting it would only fill the
+//! store with dead entries.
 //! The invariant the chaos suite pins down: **a load either fails with a
 //! typed error or yields a cache semantically identical to the one saved.**
 
@@ -28,11 +33,16 @@ use crate::error::IntegrityError;
 use ds_core::CacheLayout;
 use ds_interp::{value_bits, CacheBuf, Value};
 use ds_lang::Type;
-use ds_telemetry::{Fnv64, Json};
+use ds_telemetry::{Hash64, Json};
 
 /// The envelope `kind` of a polyvariant cache-store bundle (one entry per
 /// invariant fingerprint).
 pub const STORE_KIND: &str = "cache-store";
+
+/// The bundle format this build writes and reads: 2 is the first whose
+/// fingerprints and checksums are [`Hash64`]es. Format 1 bundles carry no
+/// `format` field and are refused.
+pub const STORE_FORMAT: u64 = 2;
 
 pub(crate) fn hex(v: u64) -> String {
     format!("{v:#018x}")
@@ -87,7 +97,7 @@ pub(crate) fn decode_value(ty: Type, bits: u64, slot: usize) -> Result<Value, In
 /// each slot's filled flag, type and bit pattern. Formatting is *not*
 /// covered — the guarantee is "accepted ⇒ semantically identical".
 fn checksum(layout_fp: u64, inputs_fp: u64, slots: &[Option<(Type, u64)>]) -> u64 {
-    let mut h = Fnv64::new()
+    let mut h = Hash64::new()
         .u64(layout_fp)
         .u64(inputs_fp)
         .u64(slots.len() as u64);
@@ -157,7 +167,7 @@ fn payload_fields(cache: &CacheBuf, layout_fp: u64, inputs_fp: u64) -> Vec<(Stri
 /// flipped `wal_lsn` digit would silently change *which* log records are
 /// replayed on recovery.
 fn header_checksum(layout_fp: u64, entry_count: usize, wal_lsn: u64) -> u64 {
-    Fnv64::new()
+    Hash64::new()
         .u64(layout_fp)
         .u64(entry_count as u64)
         .u64(wal_lsn)
@@ -185,6 +195,7 @@ pub fn save_store_at(entries: &[(u64, CacheBuf)], layout_fp: u64, wal_lsn: u64) 
     let doc = ds_telemetry::envelope(
         STORE_KIND,
         vec![
+            ("format".to_string(), Json::from(STORE_FORMAT)),
             (
                 "layout_fingerprint".to_string(),
                 Json::from(hex(layout_fp).as_str()),
@@ -232,11 +243,10 @@ pub fn parse_store(text: &str, layout: &CacheLayout) -> Result<Vec<LoadedCache>,
 }
 
 /// [`parse_store`] plus the checkpoint chaining LSN: the last write-ahead
-/// log sequence number the bundle compacts (0 for legacy bundles written
-/// before checkpoints existed). When
-/// the file carries a `wal_lsn` it must also carry a valid
-/// `header_checksum`, so byte damage to the chaining metadata is rejected
-/// rather than silently replaying the wrong log suffix.
+/// log sequence number the bundle compacts (0 for a bundle that covers no
+/// records). The `wal_lsn` must come with a valid `header_checksum`, so
+/// byte damage to the chaining metadata is rejected rather than silently
+/// replaying the wrong log suffix.
 ///
 /// # Errors
 ///
@@ -254,6 +264,22 @@ pub fn parse_store_with_lsn(
         return Err(IntegrityError::Malformed {
             detail: format!("envelope kind `{kind}` is not `{STORE_KIND}`"),
         });
+    }
+    match doc.get("format") {
+        Some(f) if f.as_u64() == Some(STORE_FORMAT) => {}
+        Some(f) => {
+            return Err(IntegrityError::Malformed {
+                detail: format!("bundle format {} is not format {STORE_FORMAT}", f.compact()),
+            })
+        }
+        None => {
+            return Err(IntegrityError::Malformed {
+                detail: format!(
+                    "bundle has no `format` tag: it is format 1 (FNV-1a fingerprints), \
+                     not format {STORE_FORMAT}"
+                ),
+            })
+        }
     }
     let layout_fp = hex_field(&doc, "layout_fingerprint")?;
     if layout_fp != layout.fingerprint() {
@@ -284,29 +310,17 @@ pub fn parse_store_with_lsn(
             ),
         });
     }
-    // Chaining metadata (absent on legacy bundles): `wal_lsn` and
-    // `header_checksum` travel together, and the checksum must
-    // validate before the LSN may steer recovery.
-    let wal_lsn = match (doc.get("wal_lsn"), doc.get("header_checksum")) {
-        (None, None) => 0,
-        (Some(_), None) | (None, Some(_)) => {
-            return Err(IntegrityError::Malformed {
-                detail: "`wal_lsn` and `header_checksum` must both be present".to_string(),
-            })
-        }
-        (Some(_), Some(_)) => {
-            let wal_lsn = hex_field(&doc, "wal_lsn")?;
-            let stored = hex_field(&doc, "header_checksum")?;
-            let found = header_checksum(layout_fp, entry_count, wal_lsn);
-            if stored != found {
-                return Err(IntegrityError::ChecksumMismatch {
-                    expected: stored,
-                    found,
-                });
-            }
-            wal_lsn
-        }
-    };
+    // The header checksum must validate before the LSN may steer
+    // recovery.
+    let wal_lsn = hex_field(&doc, "wal_lsn")?;
+    let stored = hex_field(&doc, "header_checksum")?;
+    let found = header_checksum(layout_fp, entry_count, wal_lsn);
+    if stored != found {
+        return Err(IntegrityError::ChecksumMismatch {
+            expected: stored,
+            found,
+        });
+    }
     let entries: Result<Vec<LoadedCache>, IntegrityError> =
         raw.iter().map(|e| parse_payload(e, layout)).collect();
     Ok((entries?, wal_lsn))
@@ -612,18 +626,19 @@ mod tests {
         assert!(matches!(err, IntegrityError::Malformed { .. }), "{err}");
     }
 
+    /// Every bundle of this format carries its chaining fields: one
+    /// without them is malformed, not a checkpoint covering nothing.
     #[test]
-    fn legacy_bundles_without_chaining_fields_parse_at_lsn_zero() {
+    fn bundles_without_chaining_fields_are_malformed() {
         let l = layout();
         let text = save_store(&[(1, warm_cache())], l.fingerprint());
-        let legacy: String = text
+        let stripped: String = text
             .lines()
             .filter(|line| !line.contains("wal_lsn") && !line.contains("header_checksum"))
             .collect::<Vec<_>>()
             .join("\n");
-        let (entries, lsn) = parse_store_with_lsn(&legacy, &l).expect("legacy bundle");
-        assert_eq!(entries.len(), 1);
-        assert_eq!(lsn, 0);
+        let err = parse_store_with_lsn(&stripped, &l).unwrap_err();
+        assert!(matches!(err, IntegrityError::Malformed { .. }), "{err}");
     }
 
     #[test]

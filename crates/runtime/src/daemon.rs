@@ -50,9 +50,12 @@
 //!   store hit when it probed its entry, as a warm serve when it did not,
 //!   and as a load when it was staged. Its `store_probe`, `validate`,
 //!   `read` and `load` stages are its share of the block's time in each
-//!   phase, and the rest of its time since the block's dequeue is its
-//!   `block_wait` stage. [`DaemonReport::blocks`] counts blocks, lockstep
-//!   reads and loads, and lanes sent back by reason.
+//!   phase. Each lane of a block, in lockstep or not, carries its share
+//!   of the block's fingerprint-and-admission loop as its `fingerprint`
+//!   stage (a lone request, the time from its dequeue to its serve), and
+//!   the rest of its time since the block's dequeue is its `block_wait`
+//!   stage. [`DaemonReport::blocks`] counts blocks, lockstep reads and
+//!   loads, and lanes sent back by reason.
 //! * **Admission control (§4.3).** Under [`Admission::Auto`] the daemon
 //!   calibrates the paper's cost model (original vs loader vs reader
 //!   abstract cost) and specializes a fingerprint only once its
@@ -667,6 +670,19 @@ fn calibrate(shared: &Shared, args: &[Value]) -> Option<u32> {
     breakeven_uses(orig, loader, reader)
 }
 
+/// How a request reached the per-request path, for its daemon stages.
+#[derive(Debug, Clone, Copy)]
+enum Arrival {
+    /// A lone request dequeued at `since`: the time until its serve
+    /// begins (its deadline check, fingerprint and admission) is its
+    /// `fingerprint` stage.
+    Lone { since: Instant },
+    /// A lane of a block dequeued at `since`, with its share of the
+    /// block's fingerprint-and-admission loop: the rest of its time until
+    /// its serve begins is its `block_wait` stage.
+    Block { since: Instant, fingerprint: u64 },
+}
+
 /// One worker thread's serving state: its session, its batch VM and
 /// what it has measured so far.
 struct Worker {
@@ -715,7 +731,7 @@ fn worker(
     while dequeue(&w.shared, &mut block, max_block) {
         let since = Instant::now();
         for req in block.drain(..) {
-            if let Some(queue_nanos) = w.dequeued_in_time(&req) {
+            if let Some(queue_nanos) = w.dequeued_in_time(&req, since) {
                 ready.push((req, queue_nanos));
             }
         }
@@ -725,7 +741,8 @@ fn worker(
             // A lone request: the per-request path, exactly.
             let fp = w.session.inputs_fingerprint(&req.args);
             let specialized = admit_specialized(&w.shared, &req.args, fp);
-            w.serve_one(&req, fp, specialized, queue_nanos, None, None);
+            let arrival = Arrival::Lone { since };
+            w.serve_one(&req, fp, specialized, queue_nanos, arrival, None);
         }
     }
     let mut timing = w.session.timing().clone();
@@ -735,11 +752,12 @@ fn worker(
 }
 
 impl Worker {
-    /// Records a dequeued request's queue wait and checks its deadline: a
-    /// request that already waited out its deadline in the queue is
-    /// answered with a typed error without executing at all (`None`).
-    fn dequeued_in_time(&mut self, req: &Queued) -> Option<u64> {
-        let waited = req.enqueued.elapsed();
+    /// Records the queue wait of a request dequeued at `since` and checks
+    /// its deadline: a request that already waited out its deadline in the
+    /// queue is answered with a typed error without executing at all
+    /// (`None`).
+    fn dequeued_in_time(&mut self, req: &Queued, since: Instant) -> Option<u64> {
+        let waited = since.saturating_duration_since(req.enqueued);
         let queue_nanos = waited.as_nanos() as u64;
         self.overlay.record_stage("queue", queue_nanos);
         let Some(d) = self.deadline.filter(|&d| waited > d) else {
@@ -783,27 +801,41 @@ impl Worker {
 
     /// Serves one request on the per-request path: its fault (if any) is
     /// scheduled first, then the session serves it single-flight, or the
-    /// unspecialized fragment does when admission said so. A request of a
-    /// block passes the block's dequeue time, `since`: the time it waited
-    /// for the block before its own serve began is its `block_wait` stage.
-    /// A lane the block sent back also passes the block's store `probe`.
-    /// The deadline is checked again first: a request of a block that
-    /// waited it out behind its block-mates fails without executing.
+    /// unspecialized fragment does when admission said so. Its `arrival`
+    /// names its daemon stages, `fingerprint` and, for a lane of a block,
+    /// `block_wait`; one clock read ends them and starts its serve. A lane
+    /// the block sent back also passes the block's store `probe`. The
+    /// deadline is checked again first: a request of a block that waited
+    /// it out behind its block-mates fails without executing.
     fn serve_one(
         &mut self,
         req: &Queued,
         fp: u64,
         specialized: bool,
         queue_nanos: u64,
-        since: Option<Instant>,
+        arrival: Arrival,
         probe: Option<Probe>,
     ) {
-        let waited = since.map(|t| {
-            let nanos = t.elapsed().as_nanos() as u64;
-            self.overlay.record_stage("block_wait", nanos);
-            ("block_wait", nanos)
-        });
-        if let Some(d) = self.deadline.filter(|&d| req.enqueued.elapsed() > d) {
+        let now = Instant::now();
+        let nanos_since = |t: Instant| now.saturating_duration_since(t).as_nanos() as u64;
+        let (block_wait, fingerprint) = match arrival {
+            Arrival::Lone { since } => (None, nanos_since(since)),
+            Arrival::Block { since, fingerprint } => (
+                Some(nanos_since(since).saturating_sub(fingerprint)),
+                fingerprint,
+            ),
+        };
+        let waited = [
+            block_wait.map(|nanos| ("block_wait", nanos)),
+            Some(("fingerprint", fingerprint)),
+        ]
+        .into_iter()
+        .flatten();
+        for (stage, nanos) in waited.clone() {
+            self.overlay.record_stage(stage, nanos);
+        }
+        let late = now.saturating_duration_since(req.enqueued);
+        if let Some(d) = self.deadline.filter(|&d| late > d) {
             let mut stages = vec![("queue", queue_nanos)];
             stages.extend(waited);
             self.answer_late(req, d, fp, stages);
@@ -817,28 +849,27 @@ impl Worker {
         }
         let result = if specialized {
             self.shared.counters.note_staged_serve();
-            let result = self
-                .session
-                .run_single_flight(&req.args, fp, &self.shared.latches, probe);
+            let result =
+                self.session
+                    .run_single_flight(&req.args, fp, &self.shared.latches, probe, now);
             if self.shared.cfg.tracing {
                 // Sessions stamp a local serve order; rebase each trace
                 // onto the daemon-wide submission sequence.
                 for mut t in self.session.take_traces() {
                     t.seq = req.seq;
-                    t.stages.splice(0..0, waited);
+                    t.stages.splice(0..0, waited.clone());
                     self.traces.push(t);
                 }
             }
             result
         } else {
             self.shared.counters.note_unspec_serve();
-            let t = Instant::now();
             let out = self
                 .shared
                 .artifact
                 .reference(&req.args, self.shared.cfg.runner.eval)
                 .map_err(RuntimeError::Eval);
-            let exec_nanos = t.elapsed().as_nanos() as u64;
+            let exec_nanos = now.elapsed().as_nanos() as u64;
             self.overlay.record_total(exec_nanos);
             self.overlay.record_stage("unspec", exec_nanos);
             if self.shared.cfg.tracing {
@@ -863,11 +894,14 @@ impl Worker {
     }
 
     /// Serves a block of two or more requests dequeued at `since`.
-    /// Admission runs in arrival order. The admitted, fault-free lanes go
-    /// to the session's block path: its store hits and the misses it
-    /// stages are answered in lockstep, first; each lane it sends back is
-    /// then served on the per-request path with the block's probe. Last, the unadmitted and
-    /// fault-carrying lanes take the per-request path, in arrival order.
+    /// Fingerprinting and admission run in arrival order, timed by one
+    /// clock read: each lane's `fingerprint` stage is its share of that
+    /// loop, and it comes out of the lane's `block_wait`. The admitted,
+    /// fault-free lanes go to the session's block path: its store hits and
+    /// the misses it stages are answered in lockstep, first; each lane it
+    /// sends back is then served on the per-request path with the block's
+    /// probe. Last, the unadmitted and fault-carrying lanes take the
+    /// per-request path, in arrival order.
     fn serve_block(&mut self, ready: &mut Vec<(Queued, u64)>, since: Instant) {
         // A pending fault must strike the next request the session
         // serves, so it sends the whole block down the per-request path.
@@ -891,14 +925,17 @@ impl Worker {
             }
             routes.push((fp, specialized, in_block));
         }
+        let fingerprint = since.elapsed().as_nanos() as u64 / ready.len() as u64;
+        let arrival = Arrival::Block { since, fingerprint };
         if !lanes.is_empty() {
             self.blocks.blocks += 1;
             let run = self
                 .session
                 .run_block(&lanes, &mut self.batch, &self.shared.latches);
             drop(lanes);
-            // A lockstep lane's own time is its share of the block; the
-            // rest of the time since dequeue it waited on the block.
+            // A lockstep lane's own time is its share of the block, and of
+            // the fingerprint loop; the rest of the time since dequeue it
+            // waited on the block.
             let elapsed = since.elapsed().as_nanos() as u64;
             let mut traces = self.session.take_traces().into_iter();
             let in_block = ready
@@ -928,22 +965,24 @@ impl Worker {
                         continue;
                     }
                 };
-                let waited = elapsed.saturating_sub(nanos);
+                let waited = elapsed.saturating_sub(nanos + fingerprint);
                 self.shared.counters.note_staged_serve();
                 self.overlay.record_stage("block_wait", waited);
+                self.overlay.record_stage("fingerprint", fingerprint);
                 if let Some(mut t) = traces.next() {
-                    t.stages.insert(0, ("block_wait", waited));
+                    let daemon = [("block_wait", waited), ("fingerprint", fingerprint)];
+                    t.stages.splice(0..0, daemon);
                     self.traces.push(t);
                 }
                 self.respond(req, result, true, queue_nanos);
             }
             for (req, queue_nanos, fp, probe) in sent_back {
-                self.serve_one(req, fp, true, queue_nanos, Some(since), probe);
+                self.serve_one(req, fp, true, queue_nanos, arrival, probe);
             }
         }
         for ((req, queue_nanos), (fp, specialized, in_block)) in ready.drain(..).zip(routes) {
             if !in_block {
-                self.serve_one(&req, fp, specialized, queue_nanos, Some(since), None);
+                self.serve_one(&req, fp, specialized, queue_nanos, arrival, None);
             }
         }
     }
@@ -1311,21 +1350,31 @@ mod tests {
                 assert!(!t.stages.is_empty(), "seq {} has no stage", t.seq);
             }
             // A lockstep lane's stages are its share of the block, after
-            // the time it waited on the rest of the block.
+            // the time it waited on the rest of the block and its share of
+            // the block's fingerprint loop.
             for seq in hits {
                 let names: Vec<&str> = report.traces[seq].stages.iter().map(|s| s.0).collect();
-                assert_eq!(names, ["block_wait", "store_probe", "validate", "read"]);
+                assert_eq!(
+                    names,
+                    [
+                        "block_wait",
+                        "fingerprint",
+                        "store_probe",
+                        "validate",
+                        "read"
+                    ]
+                );
             }
             for seq in staged {
                 let t = &report.traces[seq];
                 let names: Vec<&str> = t.stages.iter().map(|s| s.0).collect();
-                assert_eq!(names, ["block_wait", "store_probe", "load"]);
+                assert_eq!(names, ["block_wait", "fingerprint", "store_probe", "load"]);
                 assert_eq!(t.outcome, RequestOutcome::Load);
             }
             // The lane that expired behind the stall never executed.
             let t = &report.traces[expired];
             let names: Vec<&str> = t.stages.iter().map(|s| s.0).collect();
-            assert_eq!(names, ["queue", "block_wait"]);
+            assert_eq!(names, ["queue", "block_wait", "fingerprint"]);
             assert_eq!(t.outcome, RequestOutcome::Error);
             // Every other lane of the block waited on it too, by name.
             for t in &report.traces[late as usize + 1..] {
@@ -1336,6 +1385,78 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every request carries a `fingerprint` stage, once: each lockstep
+    /// lane of a block its equal share of the block's fingerprint loop,
+    /// right after its `block_wait`, and a lone request its own, with no
+    /// `block_wait`.
+    #[test]
+    fn every_lane_traces_its_fingerprint_stage() {
+        let (artifact, store) = dotprod_parts();
+        let cfg = DaemonConfig {
+            workers: 1,
+            runner: RunnerOptions {
+                engine: Engine::Vm,
+                ..RunnerOptions::default()
+            },
+            tracing: true,
+            ..DaemonConfig::default()
+        };
+        let (daemon, rx) = Daemon::start(artifact, store, None, cfg);
+        // Stage four fingerprints one at a time: lone requests.
+        for y1 in 0..4 {
+            daemon
+                .submit(y1, argv_fixed(y1 as f64, 0.5, 0.5), None)
+                .expect("submit");
+            assert!(collect(&rx, 1)[0].result.is_ok());
+        }
+        // Wedge the worker, then queue sixteen store hits behind it.
+        daemon
+            .submit(4, argv_fixed(9.0, 0.5, 0.5), Some((Fault::Stall(100), 0)))
+            .expect("submit");
+        while daemon.shared.latches.live_entries() == 0 {
+            std::thread::yield_now();
+        }
+        for seq in 5..21 {
+            let args = argv_fixed((seq % 4) as f64, seq as f64, 1.5);
+            daemon.submit(seq, args, None).expect("submit");
+        }
+        assert!(collect(&rx, 17).iter().all(|r| r.result.is_ok()));
+        let report = daemon.join();
+        assert_eq!(report.blocks.blocks, 1, "{:?}", report.blocks);
+        assert_eq!(report.blocks.lockstep_lanes, 16, "{:?}", report.blocks);
+        let fingerprint = |t: &RequestTrace| -> Vec<u64> {
+            t.stages
+                .iter()
+                .filter(|s| s.0 == "fingerprint")
+                .map(|s| s.1)
+                .collect()
+        };
+        let mut traces = report.traces.clone();
+        traces.sort_by_key(|t| t.seq);
+        assert_eq!(traces.len(), 21);
+        for t in &traces[..5] {
+            assert_eq!(t.stages[0].0, "fingerprint", "lone seq {}", t.seq);
+            assert_eq!(fingerprint(t).len(), 1, "lone seq {}", t.seq);
+            assert!(t.stages.iter().all(|s| s.0 != "block_wait"));
+        }
+        let share = fingerprint(&traces[5]);
+        for t in &traces[5..] {
+            let names: Vec<&str> = t.stages.iter().map(|s| s.0).collect();
+            assert_eq!(
+                names[..2],
+                ["block_wait", "fingerprint"],
+                "lockstep seq {}",
+                t.seq
+            );
+            assert_eq!(fingerprint(t), share, "an equal share, once");
+        }
+        let hist = report
+            .timing
+            .stage("fingerprint")
+            .expect("fingerprint stage");
+        assert_eq!(hist.count(), 21);
     }
 
     /// A block of one repeated fingerprint is counted as per-request
@@ -1418,12 +1539,13 @@ mod tests {
         }
     }
 
-    /// Stage names of a trace, without the daemon's own `block_wait`.
+    /// Stage names of a trace, without the daemon's own `block_wait` and
+    /// `fingerprint`.
     fn session_stages(t: &RequestTrace) -> Vec<&'static str> {
         t.stages
             .iter()
             .map(|s| s.0)
-            .filter(|&s| s != "block_wait")
+            .filter(|&s| s != "block_wait" && s != "fingerprint")
             .collect()
     }
 

@@ -181,18 +181,23 @@ impl FaultInjector {
         corrupt_value(v)
     }
 
-    /// Flips one byte of `text` at a seeded position, staying within ASCII
-    /// so the result is still a `String`.
+    /// Flips bit 0 of the character at a seeded position, so the result is
+    /// valid text that always differs from `text` (and has its byte
+    /// length). On ASCII text this flips the seeded byte: `'0'` → `'1'`,
+    /// `'{'` → `'z'`. Any other character `c` becomes `c ^ 1`, which is a
+    /// character too: the surrogate gap `D800..=DFFF` starts at an even
+    /// code point and ends at an odd one, and so do the UTF-8 length
+    /// classes, so the flip never leaves them.
     pub fn corrupt_text(&mut self, text: &str) -> String {
-        let mut bytes = text.as_bytes().to_vec();
-        if bytes.is_empty() {
+        let n = text.chars().count();
+        if n == 0 {
             return String::new();
         }
-        let i = self.pick(bytes.len() as u64) as usize;
-        // XOR with a low bit pattern keeps the byte ASCII and guarantees a
-        // change; '0' ^ 1 = '1', '{' ^ 1 = 'z', etc.
-        bytes[i] ^= 1;
-        String::from_utf8(bytes).expect("ascii-preserving flip")
+        let i = self.pick(n as u64) as usize;
+        text.chars()
+            .enumerate()
+            .map(|(j, c)| if j == i { flip_low_bit(c) } else { c })
+            .collect()
     }
 
     /// Cuts `text` at a seeded interior position (always strictly shorter
@@ -208,6 +213,12 @@ impl FaultInjector {
         let last_content = text.trim_end().char_indices().last().map_or(0, |(i, _)| i);
         text[..cut.min(last_content)].to_string()
     }
+}
+
+/// `c` with bit 0 of its code point flipped (see
+/// [`FaultInjector::corrupt_text`]); the fallback is never taken.
+fn flip_low_bit(c: char) -> char {
+    char::from_u32(u32::from(c) ^ 1).unwrap_or(char::REPLACEMENT_CHARACTER)
 }
 
 #[cfg(test)]
@@ -263,6 +274,49 @@ mod tests {
         for seed in 0..64 {
             let cut = FaultInjector::new(seed).truncate_text(text);
             assert!(cut.len() < text.trim_end().len(), "seed {seed}: {cut:?}");
+        }
+    }
+
+    #[test]
+    fn corrupt_text_keeps_multibyte_text_valid_and_always_changes_it() {
+        // Flipping bit 0 of a UTF-8 byte could make `F4` a `F5` (no such
+        // lead byte) or `E1 80` an `E0 80` (overlong): the flip acts on
+        // characters instead.
+        let texts = [
+            "{\"note\": \"\u{100000}\"}",
+            "\u{10FFFF}\u{D7FF}\u{E000}\u{FFFF}",
+            "\u{1000}\u{1080}é€",
+            "\"ä\": [\"\u{1F600}\", 0x3ff0]",
+            "\u{100000}",
+        ];
+        for text in texts {
+            for seed in 0..500 {
+                let got = FaultInjector::new(seed).corrupt_text(text);
+                assert_ne!(got, text, "seed {seed}");
+                assert_eq!(got.len(), text.len(), "seed {seed}");
+                let changed = got.chars().zip(text.chars()).filter(|(a, b)| a != b);
+                assert_eq!(changed.count(), 1, "seed {seed}: {got:?}");
+            }
+        }
+        for c in (0..=u32::from(char::MAX)).filter_map(char::from_u32) {
+            let flipped = flip_low_bit(c);
+            assert_eq!(u32::from(flipped), u32::from(c) ^ 1);
+            assert_eq!(flipped.len_utf8(), c.len_utf8());
+        }
+    }
+
+    #[test]
+    fn corrupt_text_on_ascii_flips_the_seeded_byte() {
+        // Character positions are byte positions in ASCII text, so seeded
+        // damage to the (ASCII) cache files and logs lands where it did
+        // when the flip acted on bytes.
+        let text = "{\"kind\": \"cache-store\", \"format\": 2}";
+        for seed in 0..64 {
+            let i = FaultInjector::new(seed).pick(text.len() as u64) as usize;
+            let mut bytes = text.as_bytes().to_vec();
+            bytes[i] ^= 1;
+            let want = String::from_utf8(bytes).expect("ascii");
+            assert_eq!(FaultInjector::new(seed).corrupt_text(text), want);
         }
     }
 

@@ -97,7 +97,8 @@ pub mod wal;
 
 pub use artifact::StagedArtifact;
 pub use cachefile::{
-    parse_store, parse_store_with_lsn, save_store, save_store_at, LoadedCache, STORE_KIND,
+    parse_store, parse_store_with_lsn, save_store, save_store_at, LoadedCache, STORE_FORMAT,
+    STORE_KIND,
 };
 pub use daemon::{
     breakeven_uses, Admission, BlockStats, Daemon, DaemonConfig, DaemonReport, DaemonResponse,

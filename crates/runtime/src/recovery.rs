@@ -228,6 +228,37 @@ mod tests {
         assert_eq!(fps, vec![10]);
     }
 
+    /// A format-1 log (`wal1` records, FNV-1a checksums) recovers as the
+    /// empty prefix with a damaged tail, and a format-1 checkpoint is
+    /// refused with a typed error: recovery degrades to a cold store
+    /// rather than adopting keys no request of this build can hit.
+    #[test]
+    fn format_one_checkpoint_and_log_are_refused() {
+        let l = layout();
+        let old_log = include_str!("../testdata/format1.log");
+        let old_ckpt = include_str!("../testdata/format1-checkpoint.json");
+        assert!(old_log.starts_with("wal1 "));
+        let rec = recover(None, old_log, &l).expect("log-only recovery");
+        assert_eq!(rec.replayed, 0);
+        assert!(rec.entries.is_empty());
+        assert!(rec.damaged_tail, "the wal1 records are a damaged tail");
+        assert_eq!(rec.valid_log_bytes, 0);
+        assert_eq!(rec.next_lsn, 1);
+        let err = recover(Some(old_ckpt), "", &l).unwrap_err();
+        assert!(
+            matches!(&err, IntegrityError::Malformed { detail } if detail.contains("format 1")),
+            "{err}"
+        );
+        let (rec, err) = recover_or_degrade(Some(old_ckpt), old_log, &l);
+        assert!(
+            matches!(&err, Some(IntegrityError::Malformed { detail }) if detail.contains("format 1")),
+            "{err:?}"
+        );
+        assert!(rec.entries.is_empty());
+        assert_eq!(rec.checkpoint_entries, 0);
+        assert!(rec.damaged_tail);
+    }
+
     #[test]
     fn torn_tail_is_discarded_and_reported() {
         let l = layout();

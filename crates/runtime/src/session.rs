@@ -601,7 +601,7 @@ impl Session {
     /// is either the reference answer or one of these.
     pub fn run(&mut self, args: &[Value]) -> Result<Outcome, RuntimeError> {
         let fp = self.artifact.inputs_fingerprint(args);
-        self.serve(args, fp, None, None)
+        self.serve(args, fp, None, None, Instant::now())
     }
 
     /// [`Session::run`] for a caller that already fingerprinted `args`
@@ -609,15 +609,17 @@ impl Session {
     /// store misses staged single-flight through `latches`: concurrent
     /// first requests for one fingerprint run its loader once. A lane
     /// [`run_block`](Session::run_block) sent back passes its `probe`,
-    /// which stands in for the first store probe.
+    /// which stands in for the first store probe. The serve's latency
+    /// counts from `started`, the caller's clock reading as it began.
     pub(crate) fn run_single_flight(
         &mut self,
         args: &[Value],
         fp: u64,
         latches: &LatchTable,
         probe: Option<Probe>,
+        started: Instant,
     ) -> Result<Outcome, RuntimeError> {
-        self.serve(args, fp, Some(latches), probe)
+        self.serve(args, fp, Some(latches), probe, started)
     }
 
     /// Serves the store hits and stages the store misses of a block of
@@ -1048,17 +1050,18 @@ impl Session {
         self.seq += 1;
     }
 
-    /// The per-request lifecycle. `probe` is a store probe the caller
-    /// already made for `fp`; it stands in for `fetch`'s first probe.
+    /// The per-request lifecycle, timed from `started`. `probe` is a
+    /// store probe the caller already made for `fp`; it stands in for
+    /// `fetch`'s first probe.
     fn serve(
         &mut self,
         args: &[Value],
         fp: u64,
         latches: Option<&LatchTable>,
         probe: Option<Probe>,
+        started: Instant,
     ) -> Result<Outcome, RuntimeError> {
         self.stats.requests += 1;
-        let started = Instant::now();
         self.req_stages.clear();
         // Lifecycle counters before dispatch; the deltas classify how this
         // request was served without threading state through the recursive
@@ -1546,7 +1549,7 @@ mod tests {
         // Served per request, each repeat probes and hits A's entry.
         let hits = s.stats().store_hits();
         for i in [1, 3] {
-            let out = s.run_single_flight(&args[i], lanes[i].fp, &latches, None);
+            let out = s.run_single_flight(&args[i], lanes[i].fp, &latches, None, Instant::now());
             let want = s.reference(&args[i]).expect("reference").value;
             assert_eq!(out.expect("served").value, want);
         }
@@ -1662,6 +1665,24 @@ mod tests {
         }
         assert_eq!(fresh.stats().loads, 0, "every context came from the file");
         assert_eq!(fresh.stats().store_hits(), 3);
+    }
+
+    /// A format-1 bundle (FNV-1a fingerprints, no `format` tag) is
+    /// refused, never adopted under keys no request of this build hits.
+    #[test]
+    fn a_format_one_bundle_is_refused() {
+        let mut r = dotprod_session(RunnerOptions::default(), 16);
+        let old = include_str!("../testdata/format1-checkpoint.json");
+        let err = r.load_cache_text(old).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                RuntimeError::Integrity(IntegrityError::Malformed { detail })
+                    if detail.contains("format 1")
+            ),
+            "{err}"
+        );
+        assert_eq!(r.store().len(), 0, "nothing adopted");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! The log is line-oriented ASCII, one record per line:
 //!
 //! ```text
-//! wal1 lsn=12 op=install layout=0x... fp=0x... slots=f:0x...,_,i:0x... crc=0x...
-//! wal1 lsn=13 op=invalidate layout=0x... fp=0x... crc=0x...
+//! wal2 lsn=12 op=install layout=0x... fp=0x... slots=f:0x...,_,i:0x... crc=0x...
+//! wal2 lsn=13 op=invalidate layout=0x... fp=0x... crc=0x...
 //! ```
 //!
 //! * `lsn` — the log sequence number, strictly increasing from 1; a
@@ -25,8 +25,13 @@
 //!   `f`, `b`), or `_` for an unfilled slot; bit patterns keep `i64`
 //!   precision and `NaN`/`-0.0` distinctions exactly like the cache-file
 //!   format.
-//! * `crc` — an FNV-1a checksum over every byte of the record before the
-//!   ` crc=` marker; any flipped byte is detected.
+//! * `crc` — a [`Hash64`] checksum over every byte of the record before
+//!   the ` crc=` marker; any flipped byte is detected.
+//!
+//! The `wal2` tag marks records checksummed, and keyed by fingerprints
+//! hashed, with [`Hash64`]. A `wal1` record (the FNV-1a format) fails the
+//! tag check, so a `wal1` log recovers as the empty prefix with a damaged
+//! tail: its keys could never be hit by a request of this build.
 //!
 //! A record is valid only if its **entire line** (terminated by `\n`)
 //! parses, its checksum matches, its layout fingerprint matches, and its
@@ -67,11 +72,11 @@ use crate::fault::Fault;
 use crate::store::CacheStore;
 use ds_core::CacheLayout;
 use ds_interp::{value_bits, CacheBuf};
-use ds_telemetry::Fnv64;
+use ds_telemetry::Hash64;
 use std::sync::Mutex;
 
 /// The record-format version tag opening every log line.
-pub const WAL_MAGIC: &str = "wal1";
+pub const WAL_MAGIC: &str = "wal2";
 
 /// A log sequence number. LSNs start at 1; 0 means "nothing logged yet"
 /// (and is the chaining value of a checkpoint that covers no records).
@@ -178,7 +183,7 @@ pub fn encode_record(lsn: Lsn, layout_fp: u64, op: &WalOp) -> String {
             cachefile::hex(*inputs_fp),
         ),
     };
-    let crc = Fnv64::new().str(&body).finish();
+    let crc = Hash64::new().str(&body).finish();
     format!("{body} crc={}\n", cachefile::hex(crc))
 }
 
@@ -210,7 +215,7 @@ pub fn decode_record(line: &str, layout: &CacheLayout) -> Result<WalRecord, Inte
         });
     }
     let stored = cachefile::parse_hex(crc_text, "crc")?;
-    let found = Fnv64::new().str(body).finish();
+    let found = Hash64::new().str(body).finish();
     if stored != found {
         return Err(IntegrityError::ChecksumMismatch {
             expected: stored,

@@ -1,77 +1,117 @@
-//! FNV-1a 64-bit hashing, the workspace's shared fingerprint primitive.
+//! Word-at-a-time 64-bit hashing, the workspace's one hash primitive.
 //!
-//! Cache-lifecycle robustness (ds-runtime) needs one deterministic,
-//! dependency-free hash that every layer agrees on: `ds-core` fingerprints
-//! cache layouts with it, `ds-interp` hashes `CacheBuf` contents, and the
-//! runtime checksums serialized cache files. FNV-1a is tiny, stable across
-//! platforms, and plenty for integrity checking (the threat model is
-//! corruption and drift, not adversaries).
+//! Every layer that fingerprints or checksums anything agrees on this
+//! hash: `ds-core` fingerprints cache layouts with it, `ds-interp` seals
+//! `CacheBuf` contents, and the runtime keys its polyvariant store on
+//! request fingerprints, checksums write-ahead-log records and
+//! cache-store bundles. Fingerprints and checksums are persisted, so the
+//! hash is fully specified here and never comes from `std::hash`, whose
+//! hashers may differ across platforms, releases and processes.
+//!
+//! The hash consumes one 64-bit word per step. Three properties are
+//! required, and the tests pin each one:
+//!
+//! 1. **Each step is a bijection of the word, given the state** (and of
+//!    the state, given the word), and the finalizer is a bijection. A
+//!    change confined to one word of a fixed-length input therefore
+//!    always changes the hash: a seal catches every corrupted slot value
+//!    and every flipped type tag, with certainty, not probability.
+//! 2. **Each step spreads high bits downward.** A plain word-at-a-time
+//!    FNV, `(h ^ w) * P`, never moves a bit down, so flipping bit 63 of
+//!    any two words cancels out; the xor-shift right by 32 in every step
+//!    rules that out.
+//! 3. **It is stable across platforms and processes**: a fixed start
+//!    state, fixed constants and little-endian byte order.
+//!
+//! A step is "xor the word, multiply by an odd constant, xor-shift right
+//! by 32"; [`Hash64::finish`] applies murmur3's `fmix64`. Byte strings
+//! are fed as their length followed by 8-byte little-endian chunks (the
+//! last one zero-padded), so adjacent strings cannot alias. The threat
+//! model is corruption and drift, not adversaries: this is not a
+//! cryptographic hash.
 
-/// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The state a hash starts from (the first 64 fraction bits of π).
+const SEED: u64 = 0x243f_6a88_85a3_08d3;
 
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The odd multiplier of each step (2^64 / φ, rounded to odd).
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Hashes `bytes` with FNV-1a 64 in one shot.
+/// Hashes `bytes` in one shot: `Hash64::new().bytes(bytes).finish()`.
 ///
 /// # Examples
 ///
 /// ```
-/// // The classic FNV-1a test vector: the empty input hashes to the basis.
-/// assert_eq!(ds_telemetry::fnv1a_64(b""), 0xcbf29ce484222325);
-/// assert_ne!(ds_telemetry::fnv1a_64(b"a"), ds_telemetry::fnv1a_64(b"b"));
+/// use ds_telemetry::{hash64, Hash64};
+/// assert_eq!(hash64(b"foobar"), Hash64::new().bytes(b"foobar").finish());
+/// assert_ne!(hash64(b"a"), hash64(b"b"));
 /// ```
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    Fnv64::new().bytes(bytes).finish()
+pub fn hash64(bytes: &[u8]) -> u64 {
+    Hash64::new().bytes(bytes).finish()
 }
 
-/// A streaming FNV-1a 64 hasher for fingerprinting structured data without
-/// building an intermediate buffer.
+/// A streaming word-at-a-time 64-bit hasher for fingerprinting structured
+/// data without building an intermediate buffer.
 ///
-/// The `bytes`/`u64`/`str` feeders return `self`, so fingerprints compose
-/// as a builder chain. Multi-field values should be fed with explicit
-/// separators (or fixed-width encodings like [`Fnv64::u64`]) so adjacent
-/// fields cannot alias.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
+/// The `u64`/`bytes`/`str` feeders return `self`, so fingerprints compose
+/// as a builder chain. A `u64` is one word; `bytes` and `str` feed their
+/// length first, so a sequence of fields hashes as the sequence, never as
+/// the concatenation of their bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Hash64(u64);
 
-impl Default for Fnv64 {
+impl Default for Hash64 {
     fn default() -> Self {
-        Fnv64::new()
+        Hash64::new()
     }
 }
 
-impl Fnv64 {
-    /// Starts a hash at the FNV offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64(FNV_OFFSET)
+impl Hash64 {
+    /// Starts a hash at the fixed seed state.
+    pub fn new() -> Hash64 {
+        Hash64(SEED)
     }
 
-    /// Feeds raw bytes.
-    pub fn bytes(mut self, bytes: &[u8]) -> Fnv64 {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
+    /// Feeds one word. For a fixed state this is a bijection of `w`, and
+    /// for a fixed `w` a bijection of the state.
+    #[inline]
+    pub fn u64(self, w: u64) -> Hash64 {
+        let h = (self.0 ^ w).wrapping_mul(MUL);
+        Hash64(h ^ (h >> 32))
+    }
+
+    /// Feeds a byte string: its length, then its bytes as 8-byte
+    /// little-endian words, the last one zero-padded.
+    pub fn bytes(self, bytes: &[u8]) -> Hash64 {
+        let mut h = self.u64(bytes.len() as u64);
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(c);
+            h = h.u64(u64::from_le_bytes(w));
         }
-        self
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            h = h.u64(u64::from_le_bytes(w));
+        }
+        h
     }
 
-    /// Feeds a `u64` as eight little-endian bytes (fixed width, so adjacent
-    /// numeric fields cannot alias).
-    pub fn u64(self, v: u64) -> Fnv64 {
-        self.bytes(&v.to_le_bytes())
+    /// Feeds a string's UTF-8 bytes, as [`Hash64::bytes`].
+    pub fn str(self, s: &str) -> Hash64 {
+        self.bytes(s.as_bytes())
     }
 
-    /// Feeds a string's UTF-8 bytes followed by a NUL separator (so
-    /// `"ab","c"` and `"a","bc"` hash differently).
-    pub fn str(self, s: &str) -> Fnv64 {
-        self.bytes(s.as_bytes()).bytes(&[0])
-    }
-
-    /// The hash of everything fed so far.
+    /// The hash of everything fed so far: murmur3's `fmix64` of the state,
+    /// a bijection.
     pub fn finish(&self) -> u64 {
-        self.0
+        let mut k = self.0;
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        k ^= k >> 33;
+        k = k.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        k ^ (k >> 33)
     }
 }
 
@@ -79,28 +119,106 @@ impl Fnv64 {
 mod tests {
     use super::*;
 
+    /// The hash is persisted (layout fingerprints, seals, log and bundle
+    /// checksums), so its values are part of the file formats: a change
+    /// here is a format break.
     #[test]
-    fn known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+    fn golden_vectors() {
+        let got = [
+            hash64(b""),
+            hash64(b"a"),
+            hash64(b"foobar"),
+            hash64(b"hello world, eight+"),
+            Hash64::new().finish(),
+            Hash64::new().u64(0).finish(),
+            Hash64::new().u64(1).u64(256).finish(),
+            Hash64::new().u64(u64::MAX).str("slot").finish(),
+        ];
+        let want = [
+            0x149a_eec1_9b31_d6cc,
+            0xf4c0_3840_527c_5042,
+            0x5439_2f56_6cc4_6bc8,
+            0xc23a_b993_c1a8_ba6b,
+            0x7acd_bb98_b134_4213,
+            0x149a_eec1_9b31_d6cc,
+            0xa471_cf4f_9597_1813,
+            0xdfe4_c57c_ad68_604f,
+        ];
+        assert_eq!(got, want, "{got:#018x?}");
+        // An empty byte string is its length word alone.
+        assert_eq!(hash64(b""), Hash64::new().u64(0).finish());
     }
 
     #[test]
-    fn streaming_matches_one_shot() {
-        let one = fnv1a_64(b"hello world");
-        let streamed = Fnv64::new().bytes(b"hello ").bytes(b"world").finish();
-        assert_eq!(one, streamed);
+    fn one_shot_matches_the_builder_and_the_builder_is_pure() {
+        for text in ["", "a", "seven b", "exactly8", "nine bytes", "hello world"] {
+            assert_eq!(hash64(text.as_bytes()), Hash64::new().str(text).finish());
+        }
+        // A hasher is a value: a copy taken mid-stream finishes the same
+        // stream to the same hash.
+        let head = Hash64::new().u64(7).str("layout");
+        let a = head.u64(42).str("tail").finish();
+        let b = head.u64(42).str("tail").finish();
+        assert_eq!(a, b);
+        assert_eq!(head.finish(), head.finish());
     }
 
     #[test]
     fn separators_prevent_aliasing() {
-        let a = Fnv64::new().str("ab").str("c").finish();
-        let b = Fnv64::new().str("a").str("bc").finish();
+        let a = Hash64::new().str("ab").str("c").finish();
+        let b = Hash64::new().str("a").str("bc").finish();
         assert_ne!(a, b);
-        let c = Fnv64::new().u64(1).u64(256).finish();
-        let d = Fnv64::new().u64(256).u64(1).finish();
+        // Unlike a byte-stream hash, split feeds are not one feed.
+        assert_ne!(
+            Hash64::new().str("hello ").str("world").finish(),
+            hash64(b"hello world")
+        );
+        let c = Hash64::new().u64(1).u64(256).finish();
+        let d = Hash64::new().u64(256).u64(1).finish();
         assert_ne!(c, d);
+        // Trailing zero bytes are content, not padding.
+        assert_ne!(hash64(b"ab"), hash64(b"ab\0"));
+        assert_ne!(hash64(b""), hash64(b"\0\0\0\0\0\0\0\0"));
+    }
+
+    /// Requirement 1: a change confined to one word always changes the
+    /// hash — every single-bit flip of every word of a stream.
+    #[test]
+    fn every_single_bit_flip_of_one_word_changes_the_hash() {
+        let words = [
+            0u64,
+            1,
+            u64::MAX,
+            0x8000_0000_0000_0000,
+            0x3ff0_0000_0000_0000,
+        ];
+        let hash = |ws: &[u64]| ws.iter().fold(Hash64::new(), |h, &w| h.u64(w)).finish();
+        let base = hash(&words);
+        for i in 0..words.len() {
+            for bit in 0..64 {
+                let mut ws = words;
+                ws[i] ^= 1 << bit;
+                assert_ne!(hash(&ws), base, "word {i}, bit {bit}");
+            }
+        }
+    }
+
+    /// Requirement 2: flipping the same high bit in two words does not
+    /// cancel, as it does under a plain word-at-a-time FNV.
+    #[test]
+    fn paired_high_bit_flips_do_not_cancel() {
+        let hash = |ws: &[u64]| ws.iter().fold(Hash64::new(), |h, &w| h.u64(w)).finish();
+        let words = [3u64, 1.5f64.to_bits(), 9, (-2.0f64).to_bits(), 4];
+        let base = hash(&words);
+        for bit in 32..64 {
+            for i in 0..words.len() {
+                for j in i + 1..words.len() {
+                    let mut ws = words;
+                    ws[i] ^= 1 << bit;
+                    ws[j] ^= 1 << bit;
+                    assert_ne!(hash(&ws), base, "bit {bit} of words {i} and {j}");
+                }
+            }
+        }
     }
 }

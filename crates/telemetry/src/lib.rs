@@ -15,8 +15,9 @@
 //!   used for `--metrics-out` export and its round-trip validation;
 //! * [`envelope`] / [`validate_envelope`] — the versioned document frame
 //!   (`schema` + `version` fields) every exported metrics file carries;
-//! * [`hash`] — FNV-1a 64 fingerprinting shared by layout fingerprints,
-//!   cache-content hashes and cache-file checksums (ds-runtime);
+//! * [`hash`] — the word-at-a-time 64-bit hash behind layout
+//!   fingerprints, cache seals, request fingerprints and the runtime's
+//!   log and cache-file checksums;
 //! * [`LatencyHist`] / [`Timing`] — mergeable log2-bucket latency
 //!   histograms for the *serving* path. Wall time is nondeterministic, so
 //!   it travels in this side-channel beside the deterministic metrics
@@ -51,7 +52,7 @@ pub mod span;
 pub use counters::ServeCounters;
 pub use event::TraceEvent;
 pub use fusion::{FusedPair, FusionStats};
-pub use hash::{fnv1a_64, Fnv64};
+pub use hash::{hash64, Hash64};
 pub use hist::{format_nanos, LatencyHist, Timing};
 pub use json::{parse, Json, JsonError};
 pub use span::{PhaseSpan, SpecReport};
