@@ -10,7 +10,7 @@
 //! | `budget`    | §4.3  | every cache budget from 0 to full is semantics-preserving and within bound |
 //! | `normalize` | §4.1  | phi insertion is semantics-preserving and idempotent |
 //! | `reassoc`   | §4.2  | reassociation preserves semantics (exact for loader/reader vs fragment, ≤1e-6 relative vs source) at equal cost |
-//! | `serve`     | §5    | a 3-worker `Daemon` (block dequeue, lockstep store hits) over a shared store ≡ solo serve, bit-exact |
+//! | `serve`     | §5    | a 3-worker `Daemon` (block dequeue, lockstep store hits) over a shared store ≡ solo serve, bit-exact; under admission `After(2)` each unadmitted answer ≡ the unspecialized reference, cost included |
 //! | `recovery`  | —     | crash the WAL at any byte: reopen recovers a prefix of the logged history and re-serves the stream bit-exact |
 //! | `batch`     | —     | SoA batch executor ≡ per-lane scalar runs on both engines (values, errors, cost, Profile), fused and unfused, incl. faulting lanes, warm-cache readers, per-lane caches with unfilled slots, and loaders over per-lane writable caches (filled slots and content hash too, incl. divergent blocks and lanes faulting after some writes) |
 //!
@@ -557,7 +557,12 @@ pub fn serve_stream(case: &FuzzCase) -> Vec<Vec<Value>> {
 
 fn describe_serve(r: &Result<Outcome, RuntimeError>) -> String {
     match r {
-        Ok(o) => format!("Ok(value={:?}, trace_len={})", o.value, o.trace.len()),
+        Ok(o) => format!(
+            "Ok(value={:?}, cost={}, trace_len={})",
+            o.value,
+            o.cost,
+            o.trace.len()
+        ),
         Err(e) => format!("Err({e})"),
     }
 }
@@ -565,8 +570,11 @@ fn describe_serve(r: &Result<Outcome, RuntimeError>) -> String {
 /// Staged-serving oracle: on both engines, serving the stream through a
 /// three-worker [`Daemon`] over a shared polyvariant store returns
 /// bit-identical values and traces (and field-equal errors) to a solo
-/// session serving it in order. Responses are matched to requests by
-/// their submission sequence number.
+/// session serving it in order. A second pass admits a fingerprint only
+/// from its second arrival (`Admission::After(2)`): each admitted answer
+/// still equals the solo session's, and each unadmitted one equals the
+/// unspecialized reference, cost included. Responses are matched to
+/// requests by their submission sequence number.
 fn check_serve(case: &FuzzCase) -> Result<(), String> {
     const WORKERS: usize = 3;
     let part = partition(case);
@@ -585,43 +593,60 @@ fn check_serve(case: &FuzzCase) -> Result<(), String> {
             let mut session = Session::new(artifact.clone(), store, opts);
             stream.iter().map(|req| session.run(req)).collect()
         };
-        let store = Arc::new(CacheStore::new(stream.len().max(1)));
-        let cfg = DaemonConfig {
-            workers: WORKERS,
-            max_queue: stream.len().max(1),
-            deadline_ms: None,
-            admission: Admission::Always,
-            runner: opts,
-            tracing: false,
-        };
-        let (daemon, rx) = Daemon::start(artifact.clone(), store, None, cfg);
-        for (i, req) in stream.iter().enumerate() {
-            daemon
-                .submit(i as u64, req.clone(), None)
-                .map_err(|e| format!("[{engine:?}] request {i}: rejected at submit: {e}"))?;
-        }
-        daemon.drain();
-        let mut served: Vec<Option<Result<Outcome, RuntimeError>>> = vec![None; stream.len()];
-        // The channel disconnects once the drained workers exit.
-        for resp in rx {
-            served[resp.seq as usize] = Some(resp.result);
-        }
-        daemon.join();
-        for (i, (a, b)) in solo.iter().zip(&served).enumerate() {
-            let Some(b) = b else {
-                return Err(format!("[{engine:?}] request {i}: never answered"));
+        let reference: Vec<_> = stream
+            .iter()
+            .map(|req| {
+                artifact
+                    .reference(req, opts.eval)
+                    .map_err(RuntimeError::Eval)
+            })
+            .collect();
+        for admission in [Admission::Always, Admission::After(2)] {
+            let label = format!("[{engine:?}, admission {admission}]");
+            let store = Arc::new(CacheStore::new(stream.len().max(1)));
+            let cfg = DaemonConfig {
+                workers: WORKERS,
+                max_queue: stream.len().max(1),
+                deadline_ms: None,
+                admission,
+                runner: opts,
+                tracing: false,
             };
-            let ok = match (a, b) {
-                (Ok(x), Ok(y)) => outcomes_eq(x, y),
-                (Err(x), Err(y)) => x == y,
-                _ => false,
-            };
-            if !ok {
-                return Err(format!(
-                    "[{engine:?}] request {i}: solo {} vs {WORKERS}-worker daemon {}",
-                    describe_serve(a),
-                    describe_serve(b)
-                ));
+            let (daemon, rx) = Daemon::start(artifact.clone(), store, None, cfg);
+            for (i, req) in stream.iter().enumerate() {
+                daemon
+                    .submit(i as u64, req.clone(), None)
+                    .map_err(|e| format!("{label} request {i}: rejected at submit: {e}"))?;
+            }
+            daemon.drain();
+            let mut served: Vec<Option<(bool, Result<Outcome, RuntimeError>)>> =
+                vec![None; stream.len()];
+            // The channel disconnects once the drained workers exit.
+            for resp in rx {
+                served[resp.seq as usize] = Some((resp.specialized, resp.result));
+            }
+            daemon.join();
+            for (i, b) in served.iter().enumerate() {
+                let Some((specialized, b)) = b else {
+                    return Err(format!("{label} request {i}: never answered"));
+                };
+                let (a, oracle) = if *specialized {
+                    (&solo[i], "solo")
+                } else {
+                    (&reference[i], "unspecialized reference")
+                };
+                let ok = match (a, b) {
+                    (Ok(x), Ok(y)) => outcomes_eq(x, y) && (*specialized || x.cost == y.cost),
+                    (Err(x), Err(y)) => x == y,
+                    _ => false,
+                };
+                if !ok {
+                    return Err(format!(
+                        "{label} request {i}: {oracle} {} vs {WORKERS}-worker daemon {}",
+                        describe_serve(a),
+                        describe_serve(b)
+                    ));
+                }
             }
         }
     }

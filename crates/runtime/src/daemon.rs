@@ -62,9 +62,11 @@
 //!   exponentially-decaying arrival rate reaches the breakeven point —
 //!   recent arrival density, not lifetime count, predicts future uses, so
 //!   a fingerprint whose occasional repeats are spread thin across the
-//!   stream never pays for a loader run. Colder fingerprints are served by
-//!   the unspecialized fragment — bit-identical by the core theorem, just
-//!   not specialized.
+//!   stream never pays for a loader run. A colder fingerprint's request
+//!   is served by the worker's [`Session`] as the unspecialized fragment
+//!   on the session's engine — bit-identical by the core theorem, just
+//!   not specialized — and leaves the store, the log and the rebuild
+//!   budget untouched. Of its faults, only a stall applies.
 //! * **Deadlines.** A per-request deadline is checked at dequeue, before
 //!   execution and after it; a late request gets a typed
 //!   [`RuntimeError::DeadlineExceeded`], never a partial or late answer.
@@ -235,8 +237,9 @@ pub struct DaemonReport {
     /// Merged session statistics (worker order; the merge is associative
     /// and commutative, so this is deterministic however requests raced).
     pub stats: RunnerStats,
-    /// Merged latency histograms: per-session serving stages plus the
-    /// daemon-level `queue` and `unspec` stages.
+    /// Merged latency histograms: the worker sessions' serves (the
+    /// unadmitted ones as the `unspec` stage) plus the daemon-level
+    /// `queue`, `block_wait` and `fingerprint` stages.
     pub timing: Timing,
     /// Each worker's own statistics, in worker order; `stats` is their
     /// merge.
@@ -691,8 +694,8 @@ struct Worker {
     batch: BatchVm,
     tx: Sender<DaemonResponse>,
     deadline: Option<Duration>,
-    /// Daemon-level latency overlay: queue wait for every request, plus
-    /// end-to-end time of unspecialized serves (which bypass the session).
+    /// Daemon-level latency overlay: the daemon's own stages, `queue`,
+    /// `block_wait` and `fingerprint`. The session records every serve.
     overlay: Timing,
     traces: Vec<RequestTrace>,
     blocks: BlockStats,
@@ -800,8 +803,8 @@ impl Worker {
     }
 
     /// Serves one request on the per-request path: its fault (if any) is
-    /// scheduled first, then the session serves it single-flight, or the
-    /// unspecialized fragment does when admission said so. Its `arrival`
+    /// scheduled first, then the session serves it, single-flight when
+    /// admitted and unspecialized when not. Its `arrival`
     /// names its daemon stages, `fingerprint` and, for a lane of a block,
     /// `block_wait`; one clock read ends them and starts its serve. A lane
     /// the block sent back also passes the block's store `probe`. The
@@ -841,55 +844,32 @@ impl Worker {
             self.answer_late(req, d, fp, stages);
             return;
         }
+        // Submitters validate applicability; an inapplicable fault is
+        // dropped rather than poisoning the request — injections only ever
+        // *degrade* service, never answers. An unadmitted request runs no
+        // staged code, so a stall is the only fault that applies to it.
         if let Some((fault, seed)) = req.fault {
-            // Submitters validate applicability; an inapplicable fault is
-            // dropped rather than poisoning the request — injections only
-            // ever *degrade* service, never answers.
-            let _ = self.session.inject(fault, seed);
+            if specialized || matches!(fault, Fault::Stall(_)) {
+                let _ = self.session.inject(fault, seed);
+            }
         }
         let result = if specialized {
             self.shared.counters.note_staged_serve();
-            let result =
-                self.session
-                    .run_single_flight(&req.args, fp, &self.shared.latches, probe, now);
-            if self.shared.cfg.tracing {
-                // Sessions stamp a local serve order; rebase each trace
-                // onto the daemon-wide submission sequence.
-                for mut t in self.session.take_traces() {
-                    t.seq = req.seq;
-                    t.stages.splice(0..0, waited.clone());
-                    self.traces.push(t);
-                }
-            }
-            result
+            self.session
+                .run_single_flight(&req.args, fp, &self.shared.latches, probe, now)
         } else {
             self.shared.counters.note_unspec_serve();
-            let out = self
-                .shared
-                .artifact
-                .reference(&req.args, self.shared.cfg.runner.eval)
-                .map_err(RuntimeError::Eval);
-            let exec_nanos = now.elapsed().as_nanos() as u64;
-            self.overlay.record_total(exec_nanos);
-            self.overlay.record_stage("unspec", exec_nanos);
-            if self.shared.cfg.tracing {
-                let mut stages = vec![("queue", queue_nanos)];
-                stages.extend(waited);
-                stages.push(("unspec", exec_nanos));
-                self.traces.push(RequestTrace {
-                    seq: req.seq,
-                    inputs_fp: fp,
-                    outcome: if out.is_err() {
-                        RequestOutcome::Error
-                    } else {
-                        RequestOutcome::Fallback
-                    },
-                    total_nanos: exec_nanos,
-                    stages,
-                });
-            }
-            out
+            self.session.run_unspecialized(&req.args, fp, now)
         };
+        if self.shared.cfg.tracing {
+            // Sessions stamp a local serve order; rebase each trace onto
+            // the daemon-wide submission sequence.
+            for mut t in self.session.take_traces() {
+                t.seq = req.seq;
+                t.stages.splice(0..0, waited.clone());
+                self.traces.push(t);
+            }
+        }
         self.respond(req, result, specialized, queue_nanos);
     }
 
@@ -1123,7 +1103,7 @@ mod tests {
 
     #[test]
     fn daemon_answers_are_bit_exact_vs_solo_reference() {
-        for engine in [Engine::Tree, Engine::Vm, Engine::VmBatch] {
+        for engine in [Engine::Tree, Engine::Vm] {
             let (artifact, store) = dotprod_parts();
             let cfg = DaemonConfig {
                 workers: 4,
@@ -1172,218 +1152,217 @@ mod tests {
     #[test]
     fn mixed_blocks_answer_like_solo_sessions() {
         use crate::store::StoreEntry;
-        for engine in [Engine::Vm, Engine::VmBatch] {
-            let (artifact, store) = dotprod_parts();
-            let opts = RunnerOptions {
-                engine,
-                policy: Policy::FallbackToUnspecialized,
-                rebuild_budget: 64,
-                eval: ds_interp::EvalOptions {
-                    profile: true,
-                    ..ds_interp::EvalOptions::default()
-                },
-            };
-            let cfg = DaemonConfig {
-                workers: 1,
-                max_queue: 64,
-                deadline_ms: Some(400),
-                runner: opts,
-                tracing: true,
-                ..DaemonConfig::default()
-            };
-            let (daemon, rx) = Daemon::start(Arc::clone(&artifact), Arc::clone(&store), None, cfg);
-            let mut reqs: Vec<Vec<Value>> = Vec::new();
-            let submit = |reqs: &mut Vec<Vec<Value>>, args: Vec<Value>, fault| {
-                daemon
-                    .submit(reqs.len() as u64, args.clone(), fault)
-                    .expect("submit");
-                reqs.push(args);
-            };
-            // Warm-up, one request at a time: y1 = 1..=5 are staged and
-            // sealed in the store.
-            let mut warm = Vec::new();
-            for y1 in 1..=5 {
-                submit(&mut reqs, argv_fixed(f64::from(y1), 0.5, 0.25), None);
-                warm.extend(collect(&rx, 1));
-            }
-            assert!(warm.iter().all(|r| r.result.is_ok()));
-            // Tamper with y1 = 5's sealed entry behind the seal's back.
-            let tampered_fp = artifact.inputs_fingerprint(&argv_fixed(5.0, 0.0, 0.0));
-            let mut damaged = StoreEntry::clone(&store.get(tampered_fp).expect("staged"));
-            damaged.cache.tamper(0, Some(Value::Float(1e9)));
-            store.insert(tampered_fp, damaged);
-            // Wedge the worker: y1 = 6 misses and its loader stalls while
-            // holding the fingerprint's staging latch.
-            submit(
-                &mut reqs,
-                argv_fixed(6.0, 1.0, 1.0),
-                Some((Fault::Stall(600), 0)),
-            );
-            while daemon.shared.latches.live_entries() == 0 {
-                std::thread::yield_now();
-            }
-            let late = reqs.len() as u64;
-            submit(&mut reqs, argv_fixed(1.0, 9.0, 9.0), None);
-            std::thread::sleep(Duration::from_millis(400));
-            let first_hit = reqs.len();
-            for &(y1, z) in &[(1.0, 2.0), (2.0, 3.0), (1.0, 4.0), (2.0, 5.0), (3.0, 6.0)] {
-                submit(&mut reqs, argv_fixed(y1, z, z + 0.5), None);
-            }
-            let hits = first_hit..reqs.len();
-            let staged = [reqs.len(), reqs.len() + 1];
-            for &(y1, z) in &[(7.0, 1.0), (8.0, 2.0), (7.0, 3.0)] {
-                submit(&mut reqs, argv_fixed(y1, z, 0.75), None);
-            }
-            submit(&mut reqs, argv_fixed(5.0, 7.0, 7.0), None);
-            submit(
-                &mut reqs,
-                argv_fixed(4.0, 8.0, 8.0),
-                Some((Fault::ExhaustFuel(3), 0)),
-            );
-            // Fault lanes are served last, in arrival order: y1 = 9's
-            // loader stalls past the deadline, so it is answered late and
-            // the lane after it expires before it executes.
-            let stalled = reqs.len();
-            submit(
-                &mut reqs,
-                argv_fixed(9.0, 1.0, 1.0),
-                Some((Fault::Stall(300), 0)),
-            );
-            let expired = reqs.len();
-            submit(
-                &mut reqs,
-                argv_fixed(3.0, 9.0, 9.0),
-                Some((Fault::ExhaustFuel(3), 0)),
-            );
-            let n = reqs.len();
-            let mut answers: Vec<Option<DaemonResponse>> = (0..n).map(|_| None).collect();
-            for r in collect(&rx, n - 5) {
-                let seq = r.seq as usize;
-                assert!(
-                    answers[seq].replace(r).is_none(),
-                    "seq {seq} answered twice"
-                );
-            }
-            let report = daemon.join();
-
-            // A solo session over its own store is the oracle: a lane in
-            // lockstep answers exactly as a warm reader would, field for
-            // field; every other lane answers the reference value.
-            let mut solo = Session::new(Arc::clone(&artifact), Arc::new(CacheStore::new(16)), opts);
-            let mut deadline_missed = 0;
-            for (seq, answer) in answers.iter().enumerate().skip(5) {
-                let r = answer.as_ref().expect("every request is answered");
-                let args = &reqs[seq];
-                if [late as usize, 5, stalled, expired].contains(&seq) {
-                    assert_eq!(
-                        r.result,
-                        Err(RuntimeError::DeadlineExceeded { deadline_ms: 400 }),
-                        "{engine:?} seq {seq}"
-                    );
-                    deadline_missed += 1;
-                    continue;
-                }
-                let got = r.result.as_ref().expect("answered");
-                if hits.contains(&seq) {
-                    solo.run(&argv_fixed(args[1].as_float().unwrap(), 0.0, 0.0))
-                        .expect("warm the solo session");
-                    let want = solo.run(args).expect("solo reader");
-                    assert!(
-                        got.value
-                            .as_ref()
-                            .unwrap()
-                            .bits_eq(want.value.as_ref().unwrap()),
-                        "{engine:?} seq {seq}"
-                    );
-                    assert_eq!(got.cost, want.cost, "{engine:?} seq {seq}");
-                    assert_eq!(got.profile, want.profile, "{engine:?} seq {seq}");
-                } else {
-                    let want = artifact.reference(args, opts.eval).expect("reference");
-                    assert!(
-                        got.value
-                            .as_ref()
-                            .unwrap()
-                            .bits_eq(want.value.as_ref().unwrap()),
-                        "{engine:?} seq {seq}"
-                    );
-                }
-            }
-
-            let counters = &report.counters;
-            assert_eq!(counters.admitted(), n as u64);
-            assert_eq!(counters.deadline_missed(), deadline_missed);
-            let answered = warm
-                .iter()
-                .chain(answers.iter().flatten())
-                .filter(|r| !matches!(r.result, Err(RuntimeError::DeadlineExceeded { .. })))
-                .count() as u64;
-            assert_eq!(counters.admitted(), answered + counters.deadline_missed());
-            let distinct: std::collections::HashSet<u64> = reqs
-                .iter()
-                .map(|a| artifact.inputs_fingerprint(a))
-                .collect();
+        let engine = Engine::Vm;
+        let (artifact, store) = dotprod_parts();
+        let opts = RunnerOptions {
+            engine,
+            policy: Policy::FallbackToUnspecialized,
+            rebuild_budget: 64,
+            eval: ds_interp::EvalOptions {
+                profile: true,
+                ..ds_interp::EvalOptions::default()
+            },
+        };
+        let cfg = DaemonConfig {
+            workers: 1,
+            max_queue: 64,
+            deadline_ms: Some(400),
+            runner: opts,
+            tracing: true,
+            ..DaemonConfig::default()
+        };
+        let (daemon, rx) = Daemon::start(Arc::clone(&artifact), Arc::clone(&store), None, cfg);
+        let mut reqs: Vec<Vec<Value>> = Vec::new();
+        let submit = |reqs: &mut Vec<Vec<Value>>, args: Vec<Value>, fault| {
+            daemon
+                .submit(reqs.len() as u64, args.clone(), fault)
+                .expect("submit");
+            reqs.push(args);
+        };
+        // Warm-up, one request at a time: y1 = 1..=5 are staged and
+        // sealed in the store.
+        let mut warm = Vec::new();
+        for y1 in 1..=5 {
+            submit(&mut reqs, argv_fixed(f64::from(y1), 0.5, 0.25), None);
+            warm.extend(collect(&rx, 1));
+        }
+        assert!(warm.iter().all(|r| r.result.is_ok()));
+        // Tamper with y1 = 5's sealed entry behind the seal's back.
+        let tampered_fp = artifact.inputs_fingerprint(&argv_fixed(5.0, 0.0, 0.0));
+        let mut damaged = StoreEntry::clone(&store.get(tampered_fp).expect("staged"));
+        damaged.cache.tamper(0, Some(Value::Float(1e9)));
+        store.insert(tampered_fp, damaged);
+        // Wedge the worker: y1 = 6 misses and its loader stalls while
+        // holding the fingerprint's staging latch.
+        submit(
+            &mut reqs,
+            argv_fixed(6.0, 1.0, 1.0),
+            Some((Fault::Stall(600), 0)),
+        );
+        while daemon.shared.latches.live_entries() == 0 {
+            std::thread::yield_now();
+        }
+        let late = reqs.len() as u64;
+        submit(&mut reqs, argv_fixed(1.0, 9.0, 9.0), None);
+        std::thread::sleep(Duration::from_millis(400));
+        let first_hit = reqs.len();
+        for &(y1, z) in &[(1.0, 2.0), (2.0, 3.0), (1.0, 4.0), (2.0, 5.0), (3.0, 6.0)] {
+            submit(&mut reqs, argv_fixed(y1, z, z + 0.5), None);
+        }
+        let hits = first_hit..reqs.len();
+        let staged = [reqs.len(), reqs.len() + 1];
+        for &(y1, z) in &[(7.0, 1.0), (8.0, 2.0), (7.0, 3.0)] {
+            submit(&mut reqs, argv_fixed(y1, z, 0.75), None);
+        }
+        submit(&mut reqs, argv_fixed(5.0, 7.0, 7.0), None);
+        submit(
+            &mut reqs,
+            argv_fixed(4.0, 8.0, 8.0),
+            Some((Fault::ExhaustFuel(3), 0)),
+        );
+        // Fault lanes are served last, in arrival order: y1 = 9's
+        // loader stalls past the deadline, so it is answered late and
+        // the lane after it expires before it executes.
+        let stalled = reqs.len();
+        submit(
+            &mut reqs,
+            argv_fixed(9.0, 1.0, 1.0),
+            Some((Fault::Stall(300), 0)),
+        );
+        let expired = reqs.len();
+        submit(
+            &mut reqs,
+            argv_fixed(3.0, 9.0, 9.0),
+            Some((Fault::ExhaustFuel(3), 0)),
+        );
+        let n = reqs.len();
+        let mut answers: Vec<Option<DaemonResponse>> = (0..n).map(|_| None).collect();
+        for r in collect(&rx, n - 5) {
+            let seq = r.seq as usize;
             assert!(
-                report.stats.loads <= distinct.len() as u64,
-                "one load per distinct fingerprint"
+                answers[seq].replace(r).is_none(),
+                "seq {seq} answered twice"
             );
-            assert_eq!(report.stats.validation_failures(), 1);
-            assert!(
-                store.get(tampered_fp).is_none(),
-                "the tampered entry is invalidated"
-            );
-            let b = report.blocks;
-            assert_eq!(b.blocks, 1, "{b:?}");
-            assert_eq!(b.lockstep_lanes, hits.len() as u64, "{b:?}");
-            // y1 = 7 and 8 are staged in one lockstep loader run; the
-            // repeated y1 = 7 is sent back and served warm.
-            assert_eq!(b.lockstep_loads, 2, "{b:?}");
-            assert_eq!((b.miss, b.latched, b.seal, b.fault), (1, 0, 1, 3), "{b:?}");
-            assert_eq!((b.reader_error, b.unadmitted), (0, 0), "{b:?}");
+        }
+        let report = daemon.join();
 
-            let seqs: Vec<u64> = report.traces.iter().map(|t| t.seq).collect();
-            assert_eq!(
-                seqs,
-                (0..n as u64).collect::<Vec<_>>(),
-                "one trace per request"
-            );
-            for t in &report.traces {
-                assert!(!t.stages.is_empty(), "seq {} has no stage", t.seq);
-            }
-            // A lockstep lane's stages are its share of the block, after
-            // the time it waited on the rest of the block and its share of
-            // the block's fingerprint loop.
-            for seq in hits {
-                let names: Vec<&str> = report.traces[seq].stages.iter().map(|s| s.0).collect();
+        // A solo session over its own store is the oracle: a lane in
+        // lockstep answers exactly as a warm reader would, field for
+        // field; every other lane answers the reference value.
+        let mut solo = Session::new(Arc::clone(&artifact), Arc::new(CacheStore::new(16)), opts);
+        let mut deadline_missed = 0;
+        for (seq, answer) in answers.iter().enumerate().skip(5) {
+            let r = answer.as_ref().expect("every request is answered");
+            let args = &reqs[seq];
+            if [late as usize, 5, stalled, expired].contains(&seq) {
                 assert_eq!(
-                    names,
-                    [
-                        "block_wait",
-                        "fingerprint",
-                        "store_probe",
-                        "validate",
-                        "read"
-                    ]
+                    r.result,
+                    Err(RuntimeError::DeadlineExceeded { deadline_ms: 400 }),
+                    "{engine:?} seq {seq}"
                 );
+                deadline_missed += 1;
+                continue;
             }
-            for seq in staged {
-                let t = &report.traces[seq];
-                let names: Vec<&str> = t.stages.iter().map(|s| s.0).collect();
-                assert_eq!(names, ["block_wait", "fingerprint", "store_probe", "load"]);
-                assert_eq!(t.outcome, RequestOutcome::Load);
-            }
-            // The lane that expired behind the stall never executed.
-            let t = &report.traces[expired];
-            let names: Vec<&str> = t.stages.iter().map(|s| s.0).collect();
-            assert_eq!(names, ["queue", "block_wait", "fingerprint"]);
-            assert_eq!(t.outcome, RequestOutcome::Error);
-            // Every other lane of the block waited on it too, by name.
-            for t in &report.traces[late as usize + 1..] {
+            let got = r.result.as_ref().expect("answered");
+            if hits.contains(&seq) {
+                solo.run(&argv_fixed(args[1].as_float().unwrap(), 0.0, 0.0))
+                    .expect("warm the solo session");
+                let want = solo.run(args).expect("solo reader");
                 assert!(
-                    t.stages.iter().any(|s| s.0 == "block_wait"),
-                    "seq {} has no block_wait stage",
-                    t.seq
+                    got.value
+                        .as_ref()
+                        .unwrap()
+                        .bits_eq(want.value.as_ref().unwrap()),
+                    "{engine:?} seq {seq}"
+                );
+                assert_eq!(got.cost, want.cost, "{engine:?} seq {seq}");
+                assert_eq!(got.profile, want.profile, "{engine:?} seq {seq}");
+            } else {
+                let want = artifact.reference(args, opts.eval).expect("reference");
+                assert!(
+                    got.value
+                        .as_ref()
+                        .unwrap()
+                        .bits_eq(want.value.as_ref().unwrap()),
+                    "{engine:?} seq {seq}"
                 );
             }
+        }
+
+        let counters = &report.counters;
+        assert_eq!(counters.admitted(), n as u64);
+        assert_eq!(counters.deadline_missed(), deadline_missed);
+        let answered = warm
+            .iter()
+            .chain(answers.iter().flatten())
+            .filter(|r| !matches!(r.result, Err(RuntimeError::DeadlineExceeded { .. })))
+            .count() as u64;
+        assert_eq!(counters.admitted(), answered + counters.deadline_missed());
+        let distinct: std::collections::HashSet<u64> = reqs
+            .iter()
+            .map(|a| artifact.inputs_fingerprint(a))
+            .collect();
+        assert!(
+            report.stats.loads <= distinct.len() as u64,
+            "one load per distinct fingerprint"
+        );
+        assert_eq!(report.stats.validation_failures(), 1);
+        assert!(
+            store.get(tampered_fp).is_none(),
+            "the tampered entry is invalidated"
+        );
+        let b = report.blocks;
+        assert_eq!(b.blocks, 1, "{b:?}");
+        assert_eq!(b.lockstep_lanes, hits.len() as u64, "{b:?}");
+        // y1 = 7 and 8 are staged in one lockstep loader run; the
+        // repeated y1 = 7 is sent back and served warm.
+        assert_eq!(b.lockstep_loads, 2, "{b:?}");
+        assert_eq!((b.miss, b.latched, b.seal, b.fault), (1, 0, 1, 3), "{b:?}");
+        assert_eq!((b.reader_error, b.unadmitted), (0, 0), "{b:?}");
+
+        let seqs: Vec<u64> = report.traces.iter().map(|t| t.seq).collect();
+        assert_eq!(
+            seqs,
+            (0..n as u64).collect::<Vec<_>>(),
+            "one trace per request"
+        );
+        for t in &report.traces {
+            assert!(!t.stages.is_empty(), "seq {} has no stage", t.seq);
+        }
+        // A lockstep lane's stages are its share of the block, after
+        // the time it waited on the rest of the block and its share of
+        // the block's fingerprint loop.
+        for seq in hits {
+            let names: Vec<&str> = report.traces[seq].stages.iter().map(|s| s.0).collect();
+            assert_eq!(
+                names,
+                [
+                    "block_wait",
+                    "fingerprint",
+                    "store_probe",
+                    "validate",
+                    "read"
+                ]
+            );
+        }
+        for seq in staged {
+            let t = &report.traces[seq];
+            let names: Vec<&str> = t.stages.iter().map(|s| s.0).collect();
+            assert_eq!(names, ["block_wait", "fingerprint", "store_probe", "load"]);
+            assert_eq!(t.outcome, RequestOutcome::Load);
+        }
+        // The lane that expired behind the stall never executed.
+        let t = &report.traces[expired];
+        let names: Vec<&str> = t.stages.iter().map(|s| s.0).collect();
+        assert_eq!(names, ["queue", "block_wait", "fingerprint"]);
+        assert_eq!(t.outcome, RequestOutcome::Error);
+        // Every other lane of the block waited on it too, by name.
+        for t in &report.traces[late as usize + 1..] {
+            assert!(
+                t.stages.iter().any(|s| s.0 == "block_wait"),
+                "seq {} has no block_wait stage",
+                t.seq
+            );
         }
     }
 
@@ -1464,68 +1443,67 @@ mod tests {
     /// session stays warm on it after the block.
     #[test]
     fn repeated_fingerprint_blocks_count_like_per_request_serving() {
-        for engine in [Engine::Vm, Engine::VmBatch] {
-            let (artifact, store) = dotprod_parts();
-            let opts = RunnerOptions {
-                engine,
-                ..RunnerOptions::default()
-            };
-            let cfg = DaemonConfig {
-                workers: 1,
-                runner: opts,
-                tracing: true,
-                ..DaemonConfig::default()
-            };
-            let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, None, cfg);
-            let mut reqs = vec![argv_fixed(1.0, 0.5, 0.5)];
-            daemon.submit(0, reqs[0].clone(), None).expect("submit");
-            assert!(collect(&rx, 1)[0].result.is_ok(), "staged y1 = 1");
-            // Wedge the worker on y1 = 2, then queue eight y1 = 1 lanes.
-            reqs.push(argv_fixed(2.0, 0.5, 0.5));
-            daemon
-                .submit(1, reqs[1].clone(), Some((Fault::Stall(100), 0)))
-                .expect("submit");
-            while daemon.shared.latches.live_entries() == 0 {
-                std::thread::yield_now();
-            }
-            for z in 0..8 {
-                let args = argv_fixed(1.0, f64::from(z), 1.5);
-                daemon
-                    .submit(reqs.len() as u64, args.clone(), None)
-                    .expect("submit");
-                reqs.push(args);
-            }
-            assert!(collect(&rx, 9).iter().all(|r| r.result.is_ok()));
-            // A lone request after the block is a warm serve.
-            let args = argv_fixed(1.0, 9.0, 1.5);
+        let engine = Engine::Vm;
+        let (artifact, store) = dotprod_parts();
+        let opts = RunnerOptions {
+            engine,
+            ..RunnerOptions::default()
+        };
+        let cfg = DaemonConfig {
+            workers: 1,
+            runner: opts,
+            tracing: true,
+            ..DaemonConfig::default()
+        };
+        let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, None, cfg);
+        let mut reqs = vec![argv_fixed(1.0, 0.5, 0.5)];
+        daemon.submit(0, reqs[0].clone(), None).expect("submit");
+        assert!(collect(&rx, 1)[0].result.is_ok(), "staged y1 = 1");
+        // Wedge the worker on y1 = 2, then queue eight y1 = 1 lanes.
+        reqs.push(argv_fixed(2.0, 0.5, 0.5));
+        daemon
+            .submit(1, reqs[1].clone(), Some((Fault::Stall(100), 0)))
+            .expect("submit");
+        while daemon.shared.latches.live_entries() == 0 {
+            std::thread::yield_now();
+        }
+        for z in 0..8 {
+            let args = argv_fixed(1.0, f64::from(z), 1.5);
             daemon
                 .submit(reqs.len() as u64, args.clone(), None)
                 .expect("submit");
             reqs.push(args);
-            assert!(collect(&rx, 1)[0].result.is_ok());
-            let report = daemon.join();
-            assert_eq!(report.blocks.blocks, 1, "{:?}", report.blocks);
-            assert_eq!(report.blocks.lockstep_lanes, 8, "{:?}", report.blocks);
-
-            let mut solo = Session::new(artifact, Arc::new(CacheStore::new(16)), opts);
-            solo.set_tracing(true);
-            for args in &reqs {
-                solo.run(args).expect("solo");
-            }
-            let (got, want) = (&report.stats, solo.stats());
-            assert_eq!(got.requests, want.requests, "{engine:?}");
-            assert_eq!(got.loads, want.loads, "{engine:?}");
-            assert_eq!(got.store_hits(), want.store_hits(), "{engine:?}");
-            assert_eq!(got.store_hits(), 1, "{engine:?}");
-            let outcomes = |traces: &[RequestTrace]| -> Vec<RequestOutcome> {
-                traces.iter().map(|t| t.outcome).collect()
-            };
-            assert_eq!(
-                outcomes(&report.traces),
-                outcomes(&solo.take_traces()),
-                "{engine:?}"
-            );
         }
+        assert!(collect(&rx, 9).iter().all(|r| r.result.is_ok()));
+        // A lone request after the block is a warm serve.
+        let args = argv_fixed(1.0, 9.0, 1.5);
+        daemon
+            .submit(reqs.len() as u64, args.clone(), None)
+            .expect("submit");
+        reqs.push(args);
+        assert!(collect(&rx, 1)[0].result.is_ok());
+        let report = daemon.join();
+        assert_eq!(report.blocks.blocks, 1, "{:?}", report.blocks);
+        assert_eq!(report.blocks.lockstep_lanes, 8, "{:?}", report.blocks);
+
+        let mut solo = Session::new(artifact, Arc::new(CacheStore::new(16)), opts);
+        solo.set_tracing(true);
+        for args in &reqs {
+            solo.run(args).expect("solo");
+        }
+        let (got, want) = (&report.stats, solo.stats());
+        assert_eq!(got.requests, want.requests, "{engine:?}");
+        assert_eq!(got.loads, want.loads, "{engine:?}");
+        assert_eq!(got.store_hits(), want.store_hits(), "{engine:?}");
+        assert_eq!(got.store_hits(), 1, "{engine:?}");
+        let outcomes = |traces: &[RequestTrace]| -> Vec<RequestOutcome> {
+            traces.iter().map(|t| t.outcome).collect()
+        };
+        assert_eq!(
+            outcomes(&report.traces),
+            outcomes(&solo.take_traces()),
+            "{engine:?}"
+        );
     }
 
     /// Wedges a one-worker daemon on a stalled load of `wedge`, so the
@@ -1555,82 +1533,79 @@ mod tests {
     /// the drain holds every install.
     #[test]
     fn distinct_miss_blocks_load_like_per_request_serving() {
-        for engine in [Engine::Vm, Engine::VmBatch] {
-            let (artifact, store) = dotprod_parts();
-            let opts = RunnerOptions {
-                engine,
-                rebuild_budget: 64,
-                eval: ds_interp::EvalOptions {
-                    profile: true,
-                    ..ds_interp::EvalOptions::default()
-                },
-                ..RunnerOptions::default()
-            };
-            let cfg = DaemonConfig {
-                workers: 1,
-                runner: opts,
-                tracing: true,
-                ..DaemonConfig::default()
-            };
-            let wal = Arc::new(Wal::in_memory(artifact.layout_fingerprint(), None));
-            let (daemon, rx) =
-                Daemon::start(Arc::clone(&artifact), store, Some(Arc::clone(&wal)), cfg);
-            let mut reqs = vec![argv_fixed(100.0, 0.5, 0.5)];
-            wedge(&daemon, 0, reqs[0].clone());
-            for y1 in 1..=12 {
-                let args = argv_fixed(f64::from(y1), f64::from(y1) * 0.25, 1.5);
-                daemon
-                    .submit(reqs.len() as u64, args.clone(), None)
-                    .expect("submit");
-                reqs.push(args);
-            }
-            let mut answers = collect(&rx, reqs.len());
-            answers.sort_by_key(|r| r.seq);
-            let report = daemon.join();
-            let b = report.blocks;
-            assert_eq!((b.blocks, b.lockstep_loads), (1, 12), "{engine:?} {b:?}");
-            assert_eq!((b.miss, b.latched, b.lockstep_lanes), (0, 0, 0), "{b:?}");
+        let engine = Engine::Vm;
+        let (artifact, store) = dotprod_parts();
+        let opts = RunnerOptions {
+            engine,
+            rebuild_budget: 64,
+            eval: ds_interp::EvalOptions {
+                profile: true,
+                ..ds_interp::EvalOptions::default()
+            },
+            ..RunnerOptions::default()
+        };
+        let cfg = DaemonConfig {
+            workers: 1,
+            runner: opts,
+            tracing: true,
+            ..DaemonConfig::default()
+        };
+        let wal = Arc::new(Wal::in_memory(artifact.layout_fingerprint(), None));
+        let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, Some(Arc::clone(&wal)), cfg);
+        let mut reqs = vec![argv_fixed(100.0, 0.5, 0.5)];
+        wedge(&daemon, 0, reqs[0].clone());
+        for y1 in 1..=12 {
+            let args = argv_fixed(f64::from(y1), f64::from(y1) * 0.25, 1.5);
+            daemon
+                .submit(reqs.len() as u64, args.clone(), None)
+                .expect("submit");
+            reqs.push(args);
+        }
+        let mut answers = collect(&rx, reqs.len());
+        answers.sort_by_key(|r| r.seq);
+        let report = daemon.join();
+        let b = report.blocks;
+        assert_eq!((b.blocks, b.lockstep_loads), (1, 12), "{engine:?} {b:?}");
+        assert_eq!((b.miss, b.latched, b.lockstep_lanes), (0, 0, 0), "{b:?}");
 
-            let solo_wal = Arc::new(Wal::in_memory(artifact.layout_fingerprint(), None));
-            let mut solo = Session::new(Arc::clone(&artifact), Arc::new(CacheStore::new(16)), opts);
-            solo.attach_wal(solo_wal);
-            solo.set_tracing(true);
-            for (r, args) in answers.iter().zip(&reqs) {
-                let want = solo.run(args).expect("solo");
-                let got = r.result.as_ref().expect("answered");
-                let (g, w) = (got.value.as_ref().unwrap(), want.value.as_ref().unwrap());
-                assert!(g.bits_eq(w), "{engine:?} seq {}", r.seq);
-                assert_eq!(got.cost, want.cost, "{engine:?} seq {}", r.seq);
-                assert_eq!(got.profile, want.profile, "{engine:?} seq {}", r.seq);
-            }
-            let (got, want) = (&report.stats, solo.stats());
-            assert_eq!(got.requests, want.requests, "{engine:?}");
-            assert_eq!(got.loads, want.loads, "{engine:?}");
-            assert_eq!(got.rebuilds(), want.rebuilds(), "{engine:?}");
-            assert_eq!(got.stale_reloads, want.stale_reloads, "{engine:?}");
-            assert_eq!(got.store_misses(), want.store_misses(), "{engine:?}");
-            assert_eq!(got.wal_appends(), want.wal_appends(), "{engine:?}");
-            assert_eq!(got.profile, want.profile, "{engine:?}");
-            let solo_traces = solo.take_traces();
-            assert_eq!(report.traces.len(), solo_traces.len());
-            for (t, s) in report.traces.iter().zip(&solo_traces) {
-                assert_eq!(t.outcome, s.outcome, "{engine:?} seq {}", t.seq);
-                assert_eq!(
-                    session_stages(t),
-                    session_stages(s),
-                    "{engine:?} seq {}",
-                    t.seq
-                );
-            }
-            let rec =
-                recover(None, &wal.log_text().expect("log"), artifact.layout()).expect("recover");
-            for args in &reqs {
-                let fp = artifact.inputs_fingerprint(args);
-                assert!(
-                    rec.entries.iter().any(|(e, _)| *e == fp),
-                    "{engine:?}: the install of {fp:x} is logged"
-                );
-            }
+        let solo_wal = Arc::new(Wal::in_memory(artifact.layout_fingerprint(), None));
+        let mut solo = Session::new(Arc::clone(&artifact), Arc::new(CacheStore::new(16)), opts);
+        solo.attach_wal(solo_wal);
+        solo.set_tracing(true);
+        for (r, args) in answers.iter().zip(&reqs) {
+            let want = solo.run(args).expect("solo");
+            let got = r.result.as_ref().expect("answered");
+            let (g, w) = (got.value.as_ref().unwrap(), want.value.as_ref().unwrap());
+            assert!(g.bits_eq(w), "{engine:?} seq {}", r.seq);
+            assert_eq!(got.cost, want.cost, "{engine:?} seq {}", r.seq);
+            assert_eq!(got.profile, want.profile, "{engine:?} seq {}", r.seq);
+        }
+        let (got, want) = (&report.stats, solo.stats());
+        assert_eq!(got.requests, want.requests, "{engine:?}");
+        assert_eq!(got.loads, want.loads, "{engine:?}");
+        assert_eq!(got.rebuilds(), want.rebuilds(), "{engine:?}");
+        assert_eq!(got.stale_reloads, want.stale_reloads, "{engine:?}");
+        assert_eq!(got.store_misses(), want.store_misses(), "{engine:?}");
+        assert_eq!(got.wal_appends(), want.wal_appends(), "{engine:?}");
+        assert_eq!(got.profile, want.profile, "{engine:?}");
+        let solo_traces = solo.take_traces();
+        assert_eq!(report.traces.len(), solo_traces.len());
+        for (t, s) in report.traces.iter().zip(&solo_traces) {
+            assert_eq!(t.outcome, s.outcome, "{engine:?} seq {}", t.seq);
+            assert_eq!(
+                session_stages(t),
+                session_stages(s),
+                "{engine:?} seq {}",
+                t.seq
+            );
+        }
+        let rec = recover(None, &wal.log_text().expect("log"), artifact.layout()).expect("recover");
+        for args in &reqs {
+            let fp = artifact.inputs_fingerprint(args);
+            assert!(
+                rec.entries.iter().any(|(e, _)| *e == fp),
+                "{engine:?}: the install of {fp:x} is logged"
+            );
         }
     }
 
@@ -2012,11 +1987,87 @@ mod tests {
         assert!(b >= 2, "dotprod's loader must cost more than one original");
         assert_eq!(report.counters.unspec_serves() as u32, b - 1);
         assert_eq!(report.counters.staged_serves() as u32, 5 - (b - 1));
-        // Unspecialized serves appear in traces as fallbacks.
-        assert!(report
+        // Every request is served by the session and counted; an
+        // unadmitted one is not a policy fallback.
+        assert_eq!(report.stats.requests, 5);
+        assert_eq!(report.stats.fallbacks(), 0);
+        // Unspecialized serves appear in traces as fallbacks, timed as
+        // the session's `unspec` stage.
+        let unspec: Vec<_> = report
             .traces
             .iter()
-            .any(|t| t.outcome == RequestOutcome::Fallback));
+            .filter(|t| t.outcome == RequestOutcome::Fallback)
+            .collect();
+        assert_eq!(unspec.len() as u32, b - 1);
+        for t in unspec {
+            assert_eq!(session_stages(t), ["unspec"], "seq {}", t.seq);
+        }
+        let hist = report.timing.stage("unspec").expect("unspec stage");
+        assert_eq!(hist.count() as u32, b - 1);
+        assert_eq!(report.timing.total.count(), 5);
+    }
+
+    /// A fault rides with its own request: an unadmitted request's
+    /// corrupt-slot fault is dropped, not left pending to strike the next,
+    /// admitted, request's load.
+    #[test]
+    fn an_unadmitted_request_drops_its_cache_fault() {
+        let (artifact, store) = dotprod_parts();
+        let cfg = DaemonConfig {
+            workers: 1,
+            admission: Admission::Auto,
+            ..DaemonConfig::default()
+        };
+        let (daemon, rx) = Daemon::start(Arc::clone(&artifact), store, None, cfg);
+        daemon.preseed_breakeven(Some(2));
+        let args = argv_fixed(2.0, 3.0, 6.0);
+        let want = artifact
+            .reference(&args, cfg.runner.eval)
+            .expect("reference");
+        for seq in 0..4u64 {
+            let fault = (seq == 0).then_some((Fault::CorruptSlot, 7));
+            daemon.submit(seq, args.clone(), fault).expect("submit");
+            let r = collect(&rx, 1).remove(0);
+            assert_eq!(r.specialized, seq > 0, "seq {seq}");
+            let got = r.result.expect("answered");
+            assert!(got.value.unwrap().bits_eq(want.value.as_ref().unwrap()));
+        }
+        let report = daemon.join();
+        let st = &report.stats;
+        assert_eq!(st.validation_failures(), 0);
+        assert_eq!((st.loads, st.rebuilds()), (1, 0));
+        assert_eq!(st.requests, 4);
+    }
+
+    /// An unadmitted request's stall delays that request: under a shorter
+    /// deadline it fails with a typed error, and the next request, which
+    /// is admitted, is not stalled.
+    #[test]
+    fn an_unadmitted_stall_exceeds_its_own_deadline() {
+        let (artifact, store) = dotprod_parts();
+        let cfg = DaemonConfig {
+            workers: 1,
+            deadline_ms: Some(20),
+            admission: Admission::After(2),
+            ..DaemonConfig::default()
+        };
+        let (daemon, rx) = Daemon::start(artifact, store, None, cfg);
+        let args = argv_fixed(2.0, 3.0, 6.0);
+        daemon
+            .submit(0, args.clone(), Some((Fault::Stall(80), 0)))
+            .expect("submit");
+        let stalled = collect(&rx, 1).remove(0);
+        assert!(!stalled.specialized);
+        assert_eq!(
+            stalled.result,
+            Err(RuntimeError::DeadlineExceeded { deadline_ms: 20 })
+        );
+        daemon.submit(1, args, None).expect("submit");
+        let next = collect(&rx, 1).remove(0);
+        assert!(next.specialized);
+        assert!(next.result.is_ok(), "{:?}", next.result);
+        let report = daemon.join();
+        assert_eq!(report.counters.deadline_missed(), 1);
     }
 
     #[test]

@@ -143,7 +143,8 @@ impl FromStr for Policy {
 /// Configuration of a [`Session`].
 #[derive(Debug, Clone, Copy)]
 pub struct RunnerOptions {
-    /// Which execution engine serves requests.
+    /// Which execution engine serves requests. Serving runs `vm-batch` as
+    /// `vm`: it changes only `run`, `measure` and `explain`.
     pub engine: Engine,
     /// The degradation policy.
     pub policy: Policy,
@@ -173,7 +174,8 @@ impl Default for RunnerOptions {
 /// observe.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunnerStats {
-    /// Requests served (successfully or not).
+    /// Requests served (successfully or not), the daemon's unadmitted
+    /// serves included.
     pub requests: u64,
     /// Loader executions, including the initial cold load.
     pub loads: u64,
@@ -194,7 +196,8 @@ impl RunnerStats {
         self.profile.rebuilds
     }
 
-    /// Requests served by the unspecialized fragment.
+    /// Requests the degradation policy served by the unspecialized
+    /// fragment; the daemon's unadmitted serves are not fallbacks.
     pub fn fallbacks(&self) -> u64 {
         self.profile.fallbacks
     }
@@ -905,16 +908,14 @@ impl Session {
             if let Some(p) = &out.profile {
                 self.stats.profile.merge(p);
             }
-            self.record(
-                lane,
-                if hit {
-                    RequestOutcome::StoreHit
-                } else {
-                    RequestOutcome::Warm
-                },
-                nanos,
-                stages,
-            );
+            self.req_stages.clear();
+            self.req_stages.extend_from_slice(stages);
+            let outcome = if hit {
+                RequestOutcome::StoreHit
+            } else {
+                RequestOutcome::Warm
+            };
+            self.record(lane.seq, lane.fp, outcome, nanos);
             served.push(Served::Lockstep { out, nanos });
         }
         served
@@ -1013,38 +1014,32 @@ impl Session {
         self.req_stages.clear();
         self.req_stages.extend(stages);
         let result = self.publish(lane.fp, cache).map(|()| out);
-        let stages = std::mem::take(&mut self.req_stages);
-        let nanos = stages.iter().map(|s| s.1).sum();
+        let nanos = self.req_stages.iter().map(|s| s.1).sum();
         let outcome = if result.is_err() {
             RequestOutcome::Error
         } else {
             RequestOutcome::Load
         };
-        self.record(lane, outcome, nanos, &stages);
-        self.req_stages = stages;
+        self.record(lane.seq, lane.fp, outcome, nanos);
         (result, nanos)
     }
 
-    /// Records a lane the block answered itself: its latency histograms,
-    /// its trace when tracing, and one step of the serve order.
-    fn record(
-        &mut self,
-        lane: &BlockLane<'_>,
-        outcome: RequestOutcome,
-        nanos: u64,
-        stages: &[(&'static str, u64)],
-    ) {
+    /// Records a served request, traced as `seq`: its latency histograms,
+    /// from its time `nanos` and the stages in `req_stages`, its trace
+    /// when tracing, and one step of the serve order. Every request the
+    /// session serves, per request or in a block, is recorded here.
+    fn record(&mut self, seq: u64, fp: u64, outcome: RequestOutcome, nanos: u64) {
         self.timing.record_total(nanos);
-        for &(stage, ns) in stages {
+        for &(stage, ns) in &self.req_stages {
             self.timing.record_stage(stage, ns);
         }
         if self.tracing {
             self.traces.push(RequestTrace {
-                seq: lane.seq,
-                inputs_fp: lane.fp,
+                seq,
+                inputs_fp: fp,
                 outcome,
                 total_nanos: nanos,
-                stages: stages.to_vec(),
+                stages: self.req_stages.clone(),
             });
         }
         self.seq += 1;
@@ -1084,32 +1079,41 @@ impl Session {
             }
             _ => self.fetch(args, fp, latches, probe),
         };
-        let total_nanos = started.elapsed().as_nanos() as u64;
-        self.timing.record_total(total_nanos);
-        for (stage, nanos) in &self.req_stages {
-            self.timing.record_stage(stage, *nanos);
-        }
-        if self.tracing {
-            let outcome = if result.is_err() {
-                RequestOutcome::Error
-            } else if self.stats.profile.fallbacks > fallbacks0 {
-                RequestOutcome::Fallback
-            } else if self.stats.loads > loads0 {
-                RequestOutcome::Load
-            } else if self.stats.profile.store_hits > hits0 {
-                RequestOutcome::StoreHit
-            } else {
-                RequestOutcome::Warm
-            };
-            self.traces.push(RequestTrace {
-                seq: self.seq,
-                inputs_fp: fp,
-                outcome,
-                total_nanos,
-                stages: std::mem::take(&mut self.req_stages),
-            });
-        }
-        self.seq += 1;
+        let outcome = if result.is_err() {
+            RequestOutcome::Error
+        } else if self.stats.profile.fallbacks > fallbacks0 {
+            RequestOutcome::Fallback
+        } else if self.stats.loads > loads0 {
+            RequestOutcome::Load
+        } else if self.stats.profile.store_hits > hits0 {
+            RequestOutcome::StoreHit
+        } else {
+            RequestOutcome::Warm
+        };
+        self.record(self.seq, fp, outcome, started.elapsed().as_nanos() as u64);
+        result
+    }
+
+    /// Serves a request the daemon's admission left unspecialized, timed
+    /// from `started`: the fragment, uncached, on the session's engine,
+    /// as the `unspec` stage, traced as a fallback. A pending stall
+    /// delays it; the warm cache, the store, the write-ahead log and the
+    /// rebuild budget are untouched, and `fallbacks` does not count it.
+    pub(crate) fn run_unspecialized(
+        &mut self,
+        args: &[Value],
+        fp: u64,
+        started: Instant,
+    ) -> Result<Outcome, RuntimeError> {
+        self.stats.requests += 1;
+        self.req_stages.clear();
+        let result = self.unspecialized(args, "unspec");
+        let outcome = if result.is_err() {
+            RequestOutcome::Error
+        } else {
+            RequestOutcome::Fallback
+        };
+        self.record(self.seq, fp, outcome, started.elapsed().as_nanos() as u64);
         result
     }
 
@@ -1405,10 +1409,19 @@ impl Session {
     /// Last resort: evaluate the unspecialized fragment for this request.
     fn fallback(&mut self, args: &[Value]) -> Result<Outcome, RuntimeError> {
         self.stats.profile.fallbacks += 1;
+        self.unspecialized(args, "fallback")
+    }
+
+    /// The one unspecialized path: the fragment, uncached, on the
+    /// session's engine, timed as `stage`.
+    fn unspecialized(
+        &mut self,
+        args: &[Value],
+        stage: &'static str,
+    ) -> Result<Outcome, RuntimeError> {
         let t = Instant::now();
         let out = self.exec(Stage::Fragment, args, None);
-        self.req_stages
-            .push(("fallback", t.elapsed().as_nanos() as u64));
+        self.req_stages.push((stage, t.elapsed().as_nanos() as u64));
         out.map_err(RuntimeError::Eval)
     }
 
