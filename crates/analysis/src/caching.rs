@@ -348,21 +348,16 @@ impl<'a, 'p> CacheSolver<'a, 'p> {
             // *writes* participate too: an element write is a
             // read-modify-write whose consumed definitions (the elements it
             // preserves) are recorded under the statement's own id.
-            let defs: Vec<TermId> = self
-                .rd
-                .defs_of(id)
-                .iter()
-                .filter_map(|d| match d {
-                    DefId::Stmt(sid) => Some(*sid),
-                    DefId::Param(_) => None, // parameters are reader inputs
-                })
-                .collect();
-            for d in defs {
-                self.raise(d, Label::Dynamic, Reason::DefinitionOfDynamicRef(id));
+            // (The analyses are shared borrows, not parts of the solver's
+            // own state, so raising labels while iterating them is fine.)
+            let (rd, ix) = (self.rd, self.ix);
+            for d in rd.defs_of(id) {
+                if let DefId::Stmt(sid) = *d {
+                    self.raise(sid, Label::Dynamic, Reason::DefinitionOfDynamicRef(id));
+                } // parameters are reader inputs
             }
             // Rule 5: guards of a dynamic term are dynamic.
-            let guards = self.ix.ctx(id).guards.clone();
-            for g in guards {
+            for &g in &ix.ctx(id).guards {
                 self.raise(g, Label::Dynamic, Reason::GuardsDynamicTerm(id));
             }
             // Rules 6/7: each value operand is cached if possible, else

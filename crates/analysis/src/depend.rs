@@ -23,7 +23,11 @@
 
 use crate::table::TermSet;
 use ds_lang::{Block, Expr, ExprKind, Proc, Stmt, StmtKind, TermId};
-use std::collections::{HashMap, HashSet};
+use ds_telemetry::StageMap;
+use std::collections::HashSet;
+
+/// Per-variable dependence, keyed on the procedure's own variable names.
+type State<'p> = StageMap<&'p str, bool>;
 
 /// Result of dependence analysis for one procedure.
 #[derive(Debug, Clone, Default)]
@@ -65,10 +69,10 @@ impl Dependence {
 /// ignored (callers validate the partition).
 pub fn analyze_dependence(proc: &Proc, varying: &HashSet<String>) -> Dependence {
     let mut out = Dependence::default();
-    let mut state: HashMap<String, bool> = proc
+    let mut state: State = proc
         .params
         .iter()
-        .map(|p| (p.name.clone(), varying.contains(&p.name)))
+        .map(|p| (p.name.as_str(), varying.contains(&p.name)))
         .collect();
     // One forward pass suffices (loops reach their fixpoints internally);
     // recording into the insert-only sets during iteration is sound because
@@ -77,13 +81,13 @@ pub fn analyze_dependence(proc: &Proc, varying: &HashSet<String>) -> Dependence 
     out
 }
 
-fn walk_block(b: &Block, state: &mut HashMap<String, bool>, cdep: bool, out: &mut Dependence) {
+fn walk_block<'p>(b: &'p Block, state: &mut State<'p>, cdep: bool, out: &mut Dependence) {
     for s in &b.stmts {
         walk_stmt(s, state, cdep, out);
     }
 }
 
-fn walk_stmt(s: &Stmt, state: &mut HashMap<String, bool>, cdep: bool, out: &mut Dependence) {
+fn walk_stmt<'p>(s: &'p Stmt, state: &mut State<'p>, cdep: bool, out: &mut Dependence) {
     if cdep {
         out.under_dep_control.insert(s.id);
     }
@@ -93,7 +97,7 @@ fn walk_stmt(s: &Stmt, state: &mut HashMap<String, bool>, cdep: bool, out: &mut 
             name, value: init, ..
         } => {
             let d = walk_expr(init, state, cdep, out) || cdep;
-            state.insert(name.clone(), d);
+            state.insert(name, d);
             if d {
                 out.dependent.insert(s.id);
             }
@@ -146,9 +150,9 @@ fn walk_stmt(s: &Stmt, state: &mut HashMap<String, bool>, cdep: bool, out: &mut 
             // possibly dependent, values), never remove it.
             let di = walk_expr(index, state, cdep, out);
             let dv = walk_expr(value, state, cdep, out);
-            let old = state.get(name).copied().unwrap_or(false);
+            let old = state.get(name.as_str()).copied().unwrap_or(false);
             let d = old || di || dv || cdep;
-            state.insert(name.clone(), d);
+            state.insert(name, d);
             if d {
                 out.dependent.insert(s.id);
             }
@@ -170,18 +174,13 @@ fn walk_stmt(s: &Stmt, state: &mut HashMap<String, bool>, cdep: bool, out: &mut 
     }
 }
 
-fn walk_expr(
-    e: &Expr,
-    state: &mut HashMap<String, bool>,
-    cdep: bool,
-    out: &mut Dependence,
-) -> bool {
+fn walk_expr(e: &Expr, state: &State<'_>, cdep: bool, out: &mut Dependence) -> bool {
     if cdep {
         out.under_dep_control.insert(e.id);
     }
     let dep = match &e.kind {
         ExprKind::IntLit(_) | ExprKind::FloatLit(_) | ExprKind::BoolLit(_) => false,
-        ExprKind::Var(name) => state.get(name).copied().unwrap_or(false),
+        ExprKind::Var(name) => state.get(name.as_str()).copied().unwrap_or(false),
         ExprKind::Unary(_, a) => walk_expr(a, state, cdep, out),
         ExprKind::Binary(_, l, r) => {
             // Evaluate both sides unconditionally: `|` not `||`.
@@ -200,7 +199,7 @@ fn walk_expr(
         // index computation's own dependence).
         ExprKind::Index { array, index } => {
             let di = walk_expr(index, state, cdep, out);
-            state.get(array).copied().unwrap_or(false) | di
+            state.get(array.as_str()).copied().unwrap_or(false) | di
         }
         ExprKind::Call(_, args) => {
             let mut d = false;

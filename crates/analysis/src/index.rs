@@ -5,7 +5,7 @@
 //! side tables indexed by the dense ids that [`ds_lang::Program::renumber`]
 //! assigns. This module builds those tables in one pass.
 
-use crate::table::TermTable;
+use crate::table::{TermSet, TermTable};
 use ds_lang::{Block, Builtin, Expr, ExprKind, Proc, Stmt, StmtKind, TermId};
 
 /// Borrowed random-access view of a procedure's terms.
@@ -14,6 +14,8 @@ pub struct TermIndex<'p> {
     exprs: TermTable<&'p Expr>,
     stmts: TermTable<&'p Stmt>,
     ctx: TermTable<TermCtx>,
+    /// Expressions whose subtree calls a builtin with a global effect.
+    effectful: TermSet,
     /// Lowest term id of the procedure (ids are program-wide dense, so a
     /// procedure's terms occupy `base..base + span`).
     base: TermId,
@@ -71,6 +73,7 @@ impl<'p> TermIndex<'p> {
             exprs: TermTable::with_range(base, span_len),
             stmts: TermTable::with_range(base, span_len),
             ctx: TermTable::with_range(base, span_len),
+            effectful: TermSet::default(),
             base,
             span: span_len,
             term_count: 0,
@@ -142,16 +145,7 @@ impl<'p> TermIndex<'p> {
     /// Whether the subtree rooted at expression `id` contains a call with a
     /// global effect (Rule 2's `HasGlobalEffect`).
     pub fn expr_has_global_effect(&self, id: TermId) -> bool {
-        let Some(e) = self.expr(id) else { return false };
-        let mut found = false;
-        e.walk(&mut |sub| {
-            if let ExprKind::Call(name, _) = &sub.kind {
-                if Builtin::from_name(name).is_some_and(|b| b.has_global_effect()) {
-                    found = true;
-                }
-            }
-        });
-        found
+        self.effectful.contains(id)
     }
 
     /// Direct *value operands* of term `id` (Rules 6–7): the subexpressions
@@ -207,8 +201,12 @@ impl<'a, 'p> Walk<'a, 'p> {
         self.ix.stmts.insert(s.id, s);
         self.record(s.id, parent);
         match &s.kind {
-            StmtKind::Decl { init, .. } => self.expr(init, s.id),
-            StmtKind::Assign { value, .. } => self.expr(value, s.id),
+            StmtKind::Decl { init, .. } => {
+                self.expr(init, s.id);
+            }
+            StmtKind::Assign { value, .. } => {
+                self.expr(value, s.id);
+            }
             StmtKind::If {
                 cond,
                 then_blk,
@@ -234,30 +232,50 @@ impl<'a, 'p> Walk<'a, 'p> {
                 self.expr(index, s.id);
                 self.expr(value, s.id);
             }
-            StmtKind::Return(Some(e)) => self.expr(e, s.id),
+            StmtKind::Return(Some(e)) => {
+                self.expr(e, s.id);
+            }
             StmtKind::Return(None) => {}
-            StmtKind::ExprStmt(e) => self.expr(e, s.id),
+            StmtKind::ExprStmt(e) => {
+                self.expr(e, s.id);
+            }
         }
     }
 
-    fn expr(&mut self, e: &'p Expr, parent: TermId) {
+    /// Indexes expression `e` and its subtree; returns whether the subtree
+    /// has a global effect.
+    fn expr(&mut self, e: &'p Expr, parent: TermId) -> bool {
         self.ix.exprs.insert(e.id, e);
         self.record(e.id, Some(parent));
-        match &e.kind {
+        let effect = match &e.kind {
+            ExprKind::IntLit(_)
+            | ExprKind::FloatLit(_)
+            | ExprKind::BoolLit(_)
+            | ExprKind::Var(_)
+            | ExprKind::CacheRef(..) => false,
+            ExprKind::Unary(_, a) | ExprKind::CacheStore(_, a) => self.expr(a, e.id),
+            ExprKind::Index { index, .. } => self.expr(index, e.id),
+            ExprKind::Binary(_, l, r) => self.expr(l, e.id) | self.expr(r, e.id),
             ExprKind::Cond(c, t, f) => {
-                self.expr(c, e.id);
+                let ec = self.expr(c, e.id);
                 // Ternary branches are guarded by the Cond expression.
                 self.guards.push(e.id);
-                self.expr(t, e.id);
-                self.expr(f, e.id);
+                let eb = self.expr(t, e.id) | self.expr(f, e.id);
                 self.guards.pop();
+                ec | eb
             }
-            _ => {
-                for c in e.children() {
-                    self.expr(c, e.id);
+            ExprKind::Call(name, args) => {
+                let mut effect = Builtin::from_name(name).is_some_and(|b| b.has_global_effect());
+                for a in args {
+                    effect |= self.expr(a, e.id);
                 }
+                effect
             }
+        };
+        if effect {
+            self.ix.effectful.insert(e.id);
         }
+        effect
     }
 }
 

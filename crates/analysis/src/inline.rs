@@ -22,10 +22,11 @@
 //!
 //! Violations are reported as [`InlineError`]s; the benchmark shaders comply.
 
-use ds_lang::{Block, Expr, ExprKind, Param, Proc, Program, Span, Stmt, StmtKind, Type};
-use std::collections::HashMap;
+use ds_lang::{Block, Expr, ExprKind, Proc, Program, Span, Stmt, StmtKind, Type};
+use ds_telemetry::StageMap;
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 
 /// Why inlining failed. Every variant carries the source [`Span`] of the
 /// offending construct so diagnostics can point at it: the call site for
@@ -125,39 +126,88 @@ impl Error for InlineError {}
 /// ```
 pub fn inline_entry(program: &Program, entry: &str) -> Result<Program, InlineError> {
     let mut cx = Inliner {
-        program,
-        done: HashMap::new(),
+        // The first definition of a name wins, as in `Program::proc`.
+        procs: program
+            .procs
+            .iter()
+            .rev()
+            .map(|p| (p.name.as_str(), p))
+            .collect(),
+        done: StageMap::default(),
         fresh: 0,
-        var_types: HashMap::new(),
+        var_types: StageMap::default(),
     };
-    let proc = cx.fully_inlined(entry, Span::DUMMY)?;
+    let proc = match cx.fully_inlined(entry, Span::DUMMY)? {
+        Inlined::Leaf(p) => p.clone(),
+        Inlined::Rewritten(p) => {
+            // Only the entry's own copy is left once the inliner is gone.
+            drop(cx);
+            Rc::try_unwrap(p).unwrap_or_else(|shared| (*shared).clone())
+        }
+    };
     let mut out = Program { procs: vec![proc] };
     out.renumber();
     Ok(out)
 }
 
 struct Inliner<'p> {
-    program: &'p Program,
-    done: HashMap<String, Proc>,
+    /// The program's procedures by name.
+    procs: UserProcs<'p>,
+    /// Each callee inlined so far, shared by every call site that splices
+    /// (a renamed copy of) it.
+    done: StageMap<&'p str, Inlined<'p>>,
     fresh: u32,
     /// Types of variables in scope in the procedure currently being
     /// inlined (parameters, declarations, splice temporaries) — used to
     /// type the temporaries that preserve effect order.
-    var_types: HashMap<String, Type>,
+    var_types: StageMap<String, Type>,
+}
+
+/// The procedures of the program being inlined, by name. A call to a name
+/// in this table is a user call; any other call is a builtin.
+type UserProcs<'p> = StageMap<&'p str, &'p Proc>;
+
+/// A fully inlined procedure: the program's own when it calls no user
+/// procedure (inlining would copy it unchanged), else the rewritten copy.
+#[derive(Clone)]
+enum Inlined<'p> {
+    Leaf(&'p Proc),
+    Rewritten(Rc<Proc>),
+}
+
+impl std::ops::Deref for Inlined<'_> {
+    type Target = Proc;
+
+    fn deref(&self) -> &Proc {
+        match self {
+            Inlined::Leaf(p) => p,
+            Inlined::Rewritten(p) => p,
+        }
+    }
 }
 
 impl<'p> Inliner<'p> {
-    fn fully_inlined(&mut self, name: &str, site: Span) -> Result<Proc, InlineError> {
+    fn fully_inlined(&mut self, name: &str, site: Span) -> Result<Inlined<'p>, InlineError> {
         if let Some(p) = self.done.get(name) {
             return Ok(p.clone());
         }
-        let proc = self
-            .program
-            .proc(name)
-            .ok_or_else(|| InlineError::UnknownProc {
-                name: name.to_string(),
-                span: site,
-            })?;
+        let (&key, &proc) =
+            self.procs
+                .get_key_value(name)
+                .ok_or_else(|| InlineError::UnknownProc {
+                    name: name.to_string(),
+                    span: site,
+                })?;
+        let mut leaf = true;
+        proc.walk_exprs(&mut |e| {
+            if let ExprKind::Call(callee, _) = &e.kind {
+                leaf &= !self.procs.contains_key(callee.as_str());
+            }
+        });
+        if leaf {
+            self.done.insert(key, Inlined::Leaf(proc));
+            return Ok(Inlined::Leaf(proc));
+        }
         let saved_types = std::mem::take(&mut self.var_types);
         for p in &proc.params {
             self.var_types.insert(p.name.clone(), p.ty);
@@ -167,14 +217,14 @@ impl<'p> Inliner<'p> {
             self.stmt(s.clone(), &mut body)?;
         }
         self.var_types = saved_types;
-        let result = Proc {
+        let result = Inlined::Rewritten(Rc::new(Proc {
             name: proc.name.clone(),
             params: proc.params.clone(),
             ret: proc.ret,
             body,
             span: proc.span,
-        };
-        self.done.insert(name.to_string(), result.clone());
+        }));
+        self.done.insert(key, result.clone());
         Ok(result)
     }
 
@@ -200,7 +250,8 @@ impl<'p> Inliner<'p> {
                 self.hoist_calls(value, out)?;
             }
             StmtKind::While { cond, .. } => {
-                if let Some((name, span)) = first_user_call(cond, self.program) {
+                if let Some((name, span)) = first_user_call(cond, &self.procs) {
+                    let name = name.to_string();
                     return Err(InlineError::CallInLoopCondition { name, span });
                 }
             }
@@ -244,11 +295,21 @@ impl<'p> Inliner<'p> {
     /// stay in place — the splice only defines fresh temporaries, so their
     /// values are unaffected.
     fn hoist_calls(&mut self, e: &mut Expr, out: &mut Block) -> Result<(), InlineError> {
+        if first_user_call(e, &self.procs).is_none() {
+            return Ok(()); // nothing to splice, and no effect to reorder
+        }
+        self.hoist_calls_in(e, out)
+    }
+
+    /// [`Inliner::hoist_calls`] over an expression that contains a user
+    /// call.
+    fn hoist_calls_in(&mut self, e: &mut Expr, out: &mut Block) -> Result<(), InlineError> {
         match &mut e.kind {
             ExprKind::Cond(c, t, f) => {
                 self.hoist_calls(c, out)?;
                 for branch in [t, f] {
-                    if let Some((name, span)) = first_user_call(branch, self.program) {
+                    if let Some((name, span)) = first_user_call(branch, &self.procs) {
+                        let name = name.to_string();
                         return Err(InlineError::CallInCondBranch { name, span });
                     }
                 }
@@ -265,7 +326,7 @@ impl<'p> Inliner<'p> {
                     let children: Vec<&mut Expr> = args.iter_mut().collect();
                     self.hoist_children(children, out)?;
                 }
-                if self.program.proc(name).is_none() {
+                if !self.procs.contains_key(name.as_str()) {
                     return Ok(()); // builtin call stays
                 }
                 let name = name.clone();
@@ -288,12 +349,12 @@ impl<'p> Inliner<'p> {
     ) -> Result<(), InlineError> {
         let has_call: Vec<bool> = children
             .iter()
-            .map(|c| first_user_call(c, self.program).is_some())
+            .map(|c| first_user_call(c, &self.procs).is_some())
             .collect();
         let n = children.len();
         for (i, child) in children.iter_mut().enumerate() {
             if has_call[i] {
-                self.hoist_calls(child, out)?;
+                self.hoist_calls_in(child, out)?;
             } else if has_trace(child) && has_call[i + 1..n].iter().any(|&b| b) {
                 let ty = self.infer_type(child);
                 let temp = format!("__eff{}", self.fresh);
@@ -338,7 +399,7 @@ impl<'p> Inliner<'p> {
                 .unwrap_or_else(|| panic!("untyped array `{array}` during inlining")),
             ExprKind::Call(name, _) => ds_lang::Builtin::from_name(name)
                 .map(|b| b.ret_type())
-                .or_else(|| self.program.proc(name).map(|p| p.ret))
+                .or_else(|| self.procs.get(name.as_str()).map(|p| p.ret))
                 .unwrap_or_else(|| panic!("unknown callee `{name}` during inlining")),
             ExprKind::CacheRef(_, ty) => *ty,
             ExprKind::CacheStore(_, inner) => self.infer_type(inner),
@@ -361,9 +422,10 @@ impl<'p> Inliner<'p> {
         let rename = |name: &str| -> String { format!("{prefix}{name}") };
         // Bind arguments to renamed parameters, in order.
         for (param, arg) in callee.params.iter().zip(args) {
-            self.var_types.insert(rename(&param.name), param.ty);
+            let name = rename(&param.name);
+            self.var_types.insert(name.clone(), param.ty);
             out.stmts.push(Stmt::synth(StmtKind::Decl {
-                name: rename(&param.name),
+                name,
                 ty: param.ty,
                 init: arg,
             }));
@@ -377,7 +439,7 @@ impl<'p> Inliner<'p> {
         // Bind the result.
         let result_var = format!("{prefix}ret");
         self.var_types.insert(result_var.clone(), callee.ret);
-        let ret_expr = rename_expr(ret_expr.clone(), &prefix);
+        let ret_expr = rename_expr(ret_expr, &prefix);
         out.stmts.push(Stmt::synth(StmtKind::Decl {
             name: result_var.clone(),
             ty: callee.ret,
@@ -445,7 +507,7 @@ fn has_trace(e: &Expr) -> bool {
 }
 
 /// Records the declared types of `s` and its nested statements.
-fn record_decl_types(s: &Stmt, types: &mut HashMap<String, Type>) {
+fn record_decl_types(s: &Stmt, types: &mut StageMap<String, Type>) {
     match &s.kind {
         StmtKind::Decl { name, ty, .. } => {
             types.insert(name.clone(), *ty);
@@ -466,13 +528,13 @@ fn record_decl_types(s: &Stmt, types: &mut HashMap<String, Type>) {
     }
 }
 
-fn first_user_call(e: &Expr, program: &Program) -> Option<(String, Span)> {
+fn first_user_call<'e>(e: &'e Expr, procs: &UserProcs<'_>) -> Option<(&'e str, Span)> {
     let mut found = None;
     e.walk(&mut |sub| {
         if found.is_none() {
             if let ExprKind::Call(name, _) = &sub.kind {
-                if program.proc(name).is_some() {
-                    found = Some((name.clone(), sub.span));
+                if procs.contains_key(name.as_str()) {
+                    found = Some((name.as_str(), sub.span));
                 }
             }
         }
@@ -485,7 +547,7 @@ fn rename_stmt(s: &Stmt, prefix: &str) -> Stmt {
         StmtKind::Decl { name, ty, init } => StmtKind::Decl {
             name: format!("{prefix}{name}"),
             ty: *ty,
-            init: rename_expr(init.clone(), prefix),
+            init: rename_expr(init, prefix),
         },
         StmtKind::Assign {
             name,
@@ -493,7 +555,7 @@ fn rename_stmt(s: &Stmt, prefix: &str) -> Stmt {
             is_phi,
         } => StmtKind::Assign {
             name: format!("{prefix}{name}"),
-            value: rename_expr(value.clone(), prefix),
+            value: rename_expr(value, prefix),
             is_phi: *is_phi,
         },
         StmtKind::If {
@@ -501,7 +563,7 @@ fn rename_stmt(s: &Stmt, prefix: &str) -> Stmt {
             then_blk,
             else_blk,
         } => StmtKind::If {
-            cond: rename_expr(cond.clone(), prefix),
+            cond: rename_expr(cond, prefix),
             then_blk: Block {
                 stmts: then_blk
                     .stmts
@@ -518,18 +580,18 @@ fn rename_stmt(s: &Stmt, prefix: &str) -> Stmt {
             },
         },
         StmtKind::While { cond, body } => StmtKind::While {
-            cond: rename_expr(cond.clone(), prefix),
+            cond: rename_expr(cond, prefix),
             body: Block {
                 stmts: body.stmts.iter().map(|s| rename_stmt(s, prefix)).collect(),
             },
         },
         StmtKind::ArrayAssign { name, index, value } => StmtKind::ArrayAssign {
             name: format!("{prefix}{name}"),
-            index: rename_expr(index.clone(), prefix),
-            value: rename_expr(value.clone(), prefix),
+            index: rename_expr(index, prefix),
+            value: rename_expr(value, prefix),
         },
-        StmtKind::Return(v) => StmtKind::Return(v.clone().map(|e| rename_expr(e, prefix))),
-        StmtKind::ExprStmt(e) => StmtKind::ExprStmt(rename_expr(e.clone(), prefix)),
+        StmtKind::Return(v) => StmtKind::Return(v.as_ref().map(|e| rename_expr(e, prefix))),
+        StmtKind::ExprStmt(e) => StmtKind::ExprStmt(rename_expr(e, prefix)),
     };
     Stmt {
         id: s.id,
@@ -538,40 +600,35 @@ fn rename_stmt(s: &Stmt, prefix: &str) -> Stmt {
     }
 }
 
-fn rename_expr(mut e: Expr, prefix: &str) -> Expr {
-    rename_expr_mut(&mut e, prefix);
-    e
-}
-
-fn rename_expr_mut(e: &mut Expr, prefix: &str) {
-    match &mut e.kind {
-        ExprKind::Var(name) => *name = format!("{prefix}{name}"),
-        ExprKind::Index { array, index } => {
-            *array = format!("{prefix}{array}");
-            rename_expr_mut(index, prefix);
-        }
-        ExprKind::Unary(_, a) | ExprKind::CacheStore(_, a) => rename_expr_mut(a, prefix),
-        ExprKind::Binary(_, l, r) => {
-            rename_expr_mut(l, prefix);
-            rename_expr_mut(r, prefix);
-        }
-        ExprKind::Cond(c, t, f) => {
-            rename_expr_mut(c, prefix);
-            rename_expr_mut(t, prefix);
-            rename_expr_mut(f, prefix);
-        }
-        ExprKind::Call(_, args) => {
-            for a in args {
-                rename_expr_mut(a, prefix);
-            }
-        }
-        _ => {}
+/// A copy of `e` with every variable and array name prefixed, built in one
+/// pass (no intermediate copy of the old names).
+fn rename_expr(e: &Expr, prefix: &str) -> Expr {
+    let sub = |x: &Expr| Box::new(rename_expr(x, prefix));
+    let kind = match &e.kind {
+        ExprKind::Var(name) => ExprKind::Var(format!("{prefix}{name}")),
+        ExprKind::Index { array, index } => ExprKind::Index {
+            array: format!("{prefix}{array}"),
+            index: sub(index),
+        },
+        ExprKind::Unary(op, a) => ExprKind::Unary(*op, sub(a)),
+        ExprKind::CacheStore(slot, a) => ExprKind::CacheStore(*slot, sub(a)),
+        ExprKind::Binary(op, l, r) => ExprKind::Binary(*op, sub(l), sub(r)),
+        ExprKind::Cond(c, t, f) => ExprKind::Cond(sub(c), sub(t), sub(f)),
+        ExprKind::Call(name, args) => ExprKind::Call(
+            name.clone(),
+            args.iter().map(|a| rename_expr(a, prefix)).collect(),
+        ),
+        ExprKind::IntLit(_)
+        | ExprKind::FloatLit(_)
+        | ExprKind::BoolLit(_)
+        | ExprKind::CacheRef(..) => e.kind.clone(),
+    };
+    Expr {
+        id: e.id,
+        kind,
+        span: e.span,
     }
 }
-
-/// Unused import keeper: `Param` and `Type` appear in signatures above.
-#[allow(dead_code)]
-fn _sig(_: &Param, _: Type) {}
 
 #[cfg(test)]
 mod tests {

@@ -15,19 +15,19 @@
 //! path never initialized would read an unbound name.
 
 use ds_lang::{Block, Expr, ExprKind, Proc, Stmt, StmtKind};
-use std::collections::HashSet;
+use ds_telemetry::StageSet;
 
 /// Inserts join-point phis into `proc` (idempotent), returning how many were
 /// added. Call [`ds_lang::Program::renumber`] on the owning program
 /// afterwards.
 pub fn insert_phis(proc: &mut Proc) -> usize {
-    let mut init: HashSet<String> = proc.params.iter().map(|p| p.name.clone()).collect();
+    let mut init: StageSet<String> = proc.params.iter().map(|p| p.name.clone()).collect();
     walk_block(&mut proc.body, &mut init)
 }
 
 /// Variables assigned (by `Assign` or `Decl`) anywhere inside a block,
 /// including nested control.
-fn assigned_vars(b: &Block, out: &mut HashSet<String>) {
+fn assigned_vars(b: &Block, out: &mut StageSet<String>) {
     for s in &b.stmts {
         match &s.kind {
             StmtKind::Decl { name, .. } => {
@@ -64,7 +64,7 @@ fn always_returns(b: &Block) -> bool {
     })
 }
 
-fn walk_block(b: &mut Block, init: &mut HashSet<String>) -> usize {
+fn walk_block(b: &mut Block, init: &mut StageSet<String>) -> usize {
     let mut added = 0;
     let mut i = 0;
     while i < b.stmts.len() {
@@ -76,7 +76,7 @@ fn walk_block(b: &mut Block, init: &mut HashSet<String>) -> usize {
             StmtKind::If {
                 then_blk, else_blk, ..
             } => {
-                let mut affected = HashSet::new();
+                let mut affected = StageSet::default();
                 assigned_vars(then_blk, &mut affected);
                 assigned_vars(else_blk, &mut affected);
 
@@ -95,7 +95,7 @@ fn walk_block(b: &mut Block, init: &mut HashSet<String>) -> usize {
                 phis = affected.into_iter().filter(|v| init.contains(v)).collect();
             }
             StmtKind::While { body, .. } => {
-                let mut affected = HashSet::new();
+                let mut affected = StageSet::default();
                 assigned_vars(body, &mut affected);
                 let before = init.clone();
                 let mut init_body = before.clone();

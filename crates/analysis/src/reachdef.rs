@@ -19,8 +19,16 @@
 //! statement's own [`TermId`]) and becomes the sole definition of every
 //! element.
 
+use crate::table::{TermSet, TermTable};
 use ds_lang::{Block, Expr, ExprKind, Proc, Stmt, StmtKind, TermId};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use ds_telemetry::StageMap;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// One definition set. Environments are copied at every branch and every
+/// loop pass, and each variable reference records the set it sees, so sets
+/// are shared and copied only when a merge adds to them.
+type DefSet = Arc<BTreeSet<DefId>>;
 
 /// A definition site of a variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,8 +42,8 @@ pub enum DefId {
 /// Result of reaching-definition analysis over one procedure.
 #[derive(Debug, Clone, Default)]
 pub struct ReachingDefs {
-    uses: HashMap<TermId, BTreeSet<DefId>>,
-    phi_rhs: HashSet<TermId>,
+    uses: TermTable<DefSet>,
+    phi_rhs: TermSet,
 }
 
 impl ReachingDefs {
@@ -44,21 +52,23 @@ impl ReachingDefs {
     /// Returns an empty set for ids that are not variable references.
     pub fn defs_of(&self, use_id: TermId) -> &BTreeSet<DefId> {
         static EMPTY: std::sync::OnceLock<BTreeSet<DefId>> = std::sync::OnceLock::new();
-        self.uses
-            .get(&use_id)
-            .unwrap_or_else(|| EMPTY.get_or_init(BTreeSet::new))
+        match self.uses.get(use_id) {
+            Some(defs) => defs,
+            None => EMPTY.get_or_init(BTreeSet::new),
+        }
     }
 
     /// Whether `use_id` is the right-hand-side variable reference of a
     /// join-point pseudo-phi assignment (`v = v /* phi */`). These are the
     /// only bare variable references the caching analysis may cache (§4.1).
     pub fn is_phi_rhs(&self, use_id: TermId) -> bool {
-        self.phi_rhs.contains(&use_id)
+        self.phi_rhs.contains(use_id)
     }
 
-    /// Iterates over all recorded (use, defs) pairs.
+    /// Iterates over all recorded (use, defs) pairs, in ascending id
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &BTreeSet<DefId>)> {
-        self.uses.iter().map(|(k, v)| (*k, v))
+        self.uses.iter().map(|(id, defs)| (id, &**defs))
     }
 }
 
@@ -66,16 +76,16 @@ impl ReachingDefs {
 /// set, arrays one set per element.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Defs {
-    Scalar(BTreeSet<DefId>),
-    Array(Vec<BTreeSet<DefId>>),
+    Scalar(DefSet),
+    Array(Vec<DefSet>),
 }
 
 impl Defs {
     /// Union of every definition site, collapsing array elements.
-    fn all(&self) -> BTreeSet<DefId> {
+    fn all(&self) -> DefSet {
         match self {
-            Defs::Scalar(s) => s.clone(),
-            Defs::Array(v) => v.iter().flatten().copied().collect(),
+            Defs::Scalar(s) => Arc::clone(s),
+            Defs::Array(v) => Arc::new(v.iter().flat_map(|s| s.iter()).copied().collect()),
         }
     }
 
@@ -83,37 +93,40 @@ impl Defs {
     /// was added. Shapes always agree in typechecked code (no shadowing).
     fn union_in(&mut self, other: &Defs) -> bool {
         match (self, other) {
-            (Defs::Scalar(a), Defs::Scalar(b)) => {
-                let mut changed = false;
-                for d in b {
-                    changed |= a.insert(*d);
-                }
-                changed
-            }
+            (Defs::Scalar(a), Defs::Scalar(b)) => union_set(a, b),
             (Defs::Array(a), Defs::Array(b)) if a.len() == b.len() => {
                 let mut changed = false;
                 for (ae, be) in a.iter_mut().zip(b) {
-                    for d in be {
-                        changed |= ae.insert(*d);
-                    }
+                    changed |= union_set(ae, be);
                 }
                 changed
             }
             (me, other) => {
                 // Shape mismatch cannot occur after typechecking; degrade to
                 // a collapsed scalar set rather than lose soundness.
-                let mut u = me.all();
+                let mut u = BTreeSet::clone(&me.all());
                 let before = u.len();
-                u.extend(other.all());
+                u.extend(other.all().iter().copied());
                 let changed = u.len() != before || !matches!(me, Defs::Scalar(_));
-                *me = Defs::Scalar(u);
+                *me = Defs::Scalar(Arc::new(u));
                 changed
             }
         }
     }
 }
 
-type Env = HashMap<String, Defs>;
+/// Adds `b` to `a`; returns whether anything was added. `a` is copied only
+/// when it grows and is shared.
+fn union_set(a: &mut DefSet, b: &DefSet) -> bool {
+    if Arc::ptr_eq(a, b) || b.is_subset(a) {
+        return false;
+    }
+    Arc::make_mut(a).extend(b.iter().copied());
+    true
+}
+
+/// The abstract environment, keyed on the procedure's own variable names.
+type Env<'p> = StageMap<&'p str, Defs>;
 
 /// Computes reaching definitions for `proc`.
 pub fn reaching_defs(proc: &Proc) -> ReachingDefs {
@@ -124,8 +137,8 @@ pub fn reaching_defs(proc: &Proc) -> ReachingDefs {
         .enumerate()
         .map(|(i, p)| {
             (
-                p.name.clone(),
-                Defs::Scalar(BTreeSet::from([DefId::Param(i)])),
+                p.name.as_str(),
+                Defs::Scalar(Arc::new(BTreeSet::from([DefId::Param(i)]))),
             )
         })
         .collect();
@@ -133,13 +146,13 @@ pub fn reaching_defs(proc: &Proc) -> ReachingDefs {
     out
 }
 
-fn merge(into: &mut Env, other: &Env) -> bool {
+fn merge<'p>(into: &mut Env<'p>, other: &Env<'p>) -> bool {
     let mut changed = false;
-    for (k, v) in other {
+    for (&k, v) in other {
         match into.get_mut(k) {
             Some(entry) => changed |= entry.union_in(v),
             None => {
-                into.insert(k.clone(), v.clone());
+                into.insert(k, v.clone());
                 changed = true;
             }
         }
@@ -155,22 +168,22 @@ fn const_index(e: &Expr) -> Option<usize> {
     }
 }
 
-fn block(b: &Block, env: &mut Env, out: &mut ReachingDefs) {
+fn block<'p>(b: &'p Block, env: &mut Env<'p>, out: &mut ReachingDefs) {
     for s in &b.stmts {
         stmt(s, env, out);
     }
 }
 
-fn stmt(s: &Stmt, env: &mut Env, out: &mut ReachingDefs) {
+fn stmt<'p>(s: &'p Stmt, env: &mut Env<'p>, out: &mut ReachingDefs) {
     match &s.kind {
         StmtKind::Decl { name, ty, init } => {
             record_uses(init, env, out);
-            let def = BTreeSet::from([DefId::Stmt(s.id)]);
+            let def = Arc::new(BTreeSet::from([DefId::Stmt(s.id)]));
             let entry = match ty.array_len() {
                 Some(n) => Defs::Array(vec![def; n as usize]),
                 None => Defs::Scalar(def),
             };
-            env.insert(name.clone(), entry);
+            env.insert(name, entry);
         }
         StmtKind::Assign {
             name,
@@ -183,19 +196,19 @@ fn stmt(s: &Stmt, env: &mut Env, out: &mut ReachingDefs) {
                     out.phi_rhs.insert(value.id);
                 }
             }
-            let def = BTreeSet::from([DefId::Stmt(s.id)]);
+            let def = Arc::new(BTreeSet::from([DefId::Stmt(s.id)]));
             // A whole-array assignment (copy or phi) redefines every element.
-            let entry = match env.get(name) {
+            let entry = match env.get(name.as_str()) {
                 Some(Defs::Array(elems)) => Defs::Array(vec![def; elems.len()]),
                 _ => Defs::Scalar(def),
             };
-            env.insert(name.clone(), entry);
+            env.insert(name, entry);
         }
         StmtKind::ArrayAssign { name, index, value } => {
             record_uses(index, env, out);
             record_uses(value, env, out);
-            let def = BTreeSet::from([DefId::Stmt(s.id)]);
-            if let Some(Defs::Array(elems)) = env.get_mut(name) {
+            let def = Arc::new(BTreeSet::from([DefId::Stmt(s.id)]));
+            if let Some(Defs::Array(elems)) = env.get_mut(name.as_str()) {
                 match const_index(index).filter(|&i| i < elems.len()) {
                     // Literal in-bounds index: strong kill of one element.
                     // The write is still a read-modify-write of the *other*
@@ -210,7 +223,7 @@ fn stmt(s: &Stmt, env: &mut Env, out: &mut ReachingDefs) {
                             .filter(|&(j, _)| j != i)
                             .flat_map(|(_, e)| e.iter().copied())
                             .collect();
-                        out.uses.insert(s.id, rest);
+                        out.uses.insert(s.id, Arc::new(rest));
                         elems[i] = def;
                     }
                     // Dynamic (or doomed out-of-bounds) index: degrade to a
@@ -219,8 +232,9 @@ fn stmt(s: &Stmt, env: &mut Env, out: &mut ReachingDefs) {
                     // own id so dependence still flows through it — and
                     // becomes the sole definition of every element.
                     None => {
-                        let old: BTreeSet<DefId> = elems.iter().flatten().copied().collect();
-                        out.uses.insert(s.id, old);
+                        let old: BTreeSet<DefId> =
+                            elems.iter().flat_map(|e| e.iter()).copied().collect();
+                        out.uses.insert(s.id, Arc::new(old));
                         for e in elems.iter_mut() {
                             *e = def.clone();
                         }
@@ -266,19 +280,19 @@ fn stmt(s: &Stmt, env: &mut Env, out: &mut ReachingDefs) {
     }
 }
 
-fn record_uses(e: &Expr, env: &Env, out: &mut ReachingDefs) {
+fn record_uses(e: &Expr, env: &Env<'_>, out: &mut ReachingDefs) {
     e.walk(&mut |sub| match &sub.kind {
         ExprKind::Var(name) => {
-            let defs = env.get(name).map(Defs::all).unwrap_or_default();
+            let defs = env.get(name.as_str()).map(Defs::all).unwrap_or_default();
             out.uses.insert(sub.id, defs);
         }
         ExprKind::Index { array, index } => {
             // A constant-index read sees exactly that element's definitions;
             // a dynamic read may touch any element.
-            let defs = match (env.get(array), const_index(index)) {
-                (Some(Defs::Array(elems)), Some(i)) if i < elems.len() => elems[i].clone(),
+            let defs = match (env.get(array.as_str()), const_index(index)) {
+                (Some(Defs::Array(elems)), Some(i)) if i < elems.len() => Arc::clone(&elems[i]),
                 (Some(d), _) => d.all(),
-                (None, _) => BTreeSet::new(),
+                (None, _) => DefSet::default(),
             };
             out.uses.insert(sub.id, defs);
         }

@@ -25,8 +25,8 @@ use ds_analysis::{
     analyze_dependence, inline_entry, insert_phis, reaching_defs, reassociate, CacheSolver,
     CachingOptions, TermIndex,
 };
-use ds_lang::{parse_program, print_expr, typecheck, Proc, Program};
-use ds_telemetry::{PhaseSpan, SpecReport, TraceEvent};
+use ds_lang::{check_procs, parse_program, print_expr, typecheck, Proc, Program, TermId};
+use ds_telemetry::{PhaseSpan, SpecReport, StageMap, TraceEvent};
 use std::time::Instant;
 
 /// Knobs for [`specialize`].
@@ -159,8 +159,9 @@ impl Specialization {
 /// * [`SpecError::Frontend`] if `program` does not type-check;
 /// * [`SpecError::Inline`] if a user call cannot be inlined (early returns,
 ///   calls in loop conditions or ternary branches);
-/// * [`SpecError::Internal`] if a generated loader/reader fails validation
-///   (a specializer bug).
+/// * [`SpecError::Internal`] if an internal invariant fails: a cached term
+///   without a slot or a type, an inconsistent labeling, or a generated
+///   loader/reader that fails validation (a specializer bug).
 ///
 /// # Examples
 ///
@@ -191,6 +192,8 @@ pub fn specialize(
     partition: &InputPartition,
     opts: &SpecializeOptions,
 ) -> Result<Specialization, SpecError> {
+    // The request and the input program are checked first.
+    let t0 = Instant::now();
     let proc0 = program
         .proc(entry)
         .ok_or_else(|| SpecError::UnknownProc(entry.to_string()))?;
@@ -200,10 +203,16 @@ pub fn specialize(
             proc: entry.to_string(),
             param,
         })?;
-    typecheck(program)?;
-
+    check_procs(&program.procs)?;
     let mut report = SpecReport::default();
     let entry_nodes = proc0.node_count();
+    report.push_phase(PhaseSpan {
+        name: "typecheck",
+        wall_nanos: t0.elapsed().as_nanos() as u64,
+        input_terms: entry_nodes,
+        output_terms: entry_nodes,
+        iterations: program.procs.len() as u64,
+    });
 
     // §5: the fragment is a single nonrecursive procedure.
     let t0 = Instant::now();
@@ -249,11 +258,21 @@ pub fn specialize(
         });
     }
 
+    // The rewritten fragment is re-checked: the checks are the same as for
+    // the input, and the types recorded here size the cache slots.
+    let t0 = Instant::now();
     let types = typecheck(&prog).map_err(|e| {
         SpecError::Internal(format!("normalized fragment no longer type-checks: {e}"))
     })?;
     let proc = &prog.procs[0];
     let fragment_nodes = proc.node_count();
+    report.push_phase(PhaseSpan {
+        name: "retype",
+        wall_nanos: t0.elapsed().as_nanos() as u64,
+        input_terms: fragment_nodes,
+        output_terms: types.len(),
+        iterations: 0,
+    });
 
     let t0 = Instant::now();
     let ix = TermIndex::build(proc);
@@ -322,10 +341,18 @@ pub fn specialize(
     }
 
     let t0 = Instant::now();
-    let layout = CacheLayout::new(solver.cached_terms().into_iter().map(|t| {
-        let e = ix.expr(t).expect("cached terms are expressions");
-        (t, types.expr_type(t), print_expr(e))
-    }));
+    let slots = solver
+        .cached_terms()
+        .into_iter()
+        .map(|t| {
+            let internal =
+                || SpecError::Internal(format!("cached term {t} is not a typed expression"));
+            let e = ix.expr(t).ok_or_else(internal)?;
+            let ty = types.try_expr_type(t).ok_or_else(internal)?;
+            Ok((t, ty, print_expr(e)))
+        })
+        .collect::<Result<Vec<_>, SpecError>>()?;
+    let layout = CacheLayout::new(slots);
     report.push_phase(PhaseSpan {
         name: "layout",
         wall_nanos: t0.elapsed().as_nanos() as u64,
@@ -334,8 +361,9 @@ pub fn specialize(
         iterations: layout.size_bytes() as u64,
     });
 
+    // §7.1: where each speculatively cached term's store is hoisted to.
     let t0 = Instant::now();
-    let hoists: std::collections::HashMap<ds_lang::TermId, ds_lang::TermId> = layout
+    let hoists: StageMap<TermId, TermId> = layout
         .slots()
         .iter()
         .filter_map(|slot| {
@@ -344,28 +372,52 @@ pub fn specialize(
                 .map(|anchor| (slot.term, anchor))
         })
         .collect();
-    let (loader, reader) = split(proc, &solver, &layout, &types, &hoists);
+    report.push_phase(PhaseSpan {
+        name: "hoist",
+        wall_nanos: t0.elapsed().as_nanos() as u64,
+        input_terms: layout.slot_count(),
+        output_terms: hoists.len(),
+        iterations: 0,
+    });
+
+    let t0 = Instant::now();
+    let (loader, reader) = split(proc, &solver, &layout, &types, &hoists)?;
     validate_generated(&loader)?;
     validate_generated(&reader)?;
+    let loader_nodes = loader.node_count();
+    let reader_nodes = reader.node_count();
     report.push_phase(PhaseSpan {
         name: "split",
         wall_nanos: t0.elapsed().as_nanos() as u64,
         input_terms: fragment_nodes,
-        output_terms: loader.node_count() + reader.node_count(),
+        output_terms: loader_nodes + reader_nodes,
         iterations: hoists.len() as u64,
     });
 
+    // The analyses borrow the fragment. Once they are freed, it moves out
+    // of the inlined program instead of being copied.
+    let t0 = Instant::now();
     let stats = SpecStats {
         fragment_nodes,
-        loader_nodes: loader.node_count(),
-        reader_nodes: reader.node_count(),
+        loader_nodes,
+        reader_nodes,
         label_counts: solver.counts(),
         phis_inserted,
         chains_reassociated,
         evictions,
     };
+    drop(solver);
+    drop((ix, rd, dep, types, hoists));
+    let fragment = prog.procs.swap_remove(0);
+    report.push_phase(PhaseSpan {
+        name: "teardown",
+        wall_nanos: t0.elapsed().as_nanos() as u64,
+        input_terms: fragment_nodes,
+        output_terms: fragment_nodes,
+        iterations: 0,
+    });
     Ok(Specialization {
-        fragment: proc.clone(),
+        fragment,
         loader,
         reader,
         layout,
@@ -391,13 +443,11 @@ pub fn specialize_source(
 }
 
 /// Generated procedures must themselves be well-typed MiniC (with cache
-/// forms); failure indicates a splitting bug.
+/// forms); failure indicates a splitting bug. The procedure is checked in
+/// place, as a one-procedure program, for the verdict alone: it does not
+/// depend on term ids, and no types are recorded.
 fn validate_generated(p: &Proc) -> Result<(), SpecError> {
-    let mut wrapper = Program {
-        procs: vec![p.clone()],
-    };
-    wrapper.renumber();
-    typecheck(&wrapper).map_err(|e| {
+    check_procs(std::slice::from_ref(p)).map_err(|e| {
         SpecError::Internal(format!(
             "generated procedure `{}` does not type-check: {e}",
             p.name
@@ -814,12 +864,16 @@ mod tests {
         assert_eq!(
             names,
             [
+                "typecheck",
                 "inline",
                 "normalize",
+                "retype",
                 "dependence",
                 "caching",
                 "layout",
-                "split"
+                "hoist",
+                "split",
+                "teardown"
             ]
         );
         assert!(plain.report.events.is_empty(), "events are opt-in");
@@ -836,14 +890,18 @@ mod tests {
         assert_eq!(
             names,
             [
+                "typecheck",
                 "inline",
                 "normalize",
                 "reassociate",
+                "retype",
                 "dependence",
                 "caching",
                 "limit",
                 "layout",
-                "split"
+                "hoist",
+                "split",
+                "teardown"
             ]
         );
         assert_eq!(

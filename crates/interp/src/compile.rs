@@ -36,8 +36,9 @@ use crate::value::Value;
 use ds_lang::{
     BinOp, Block, Builtin, Elem, Expr, ExprKind, Program, Span, Stmt, StmtKind, Type, UnOp,
 };
+use ds_telemetry::StageMap;
 use ds_telemetry::{FusedPair, FusionStats};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One bytecode instruction. Registers (`u32` fields) index the running
 /// procedure's register window; `args_at` fields index its argument pool.
@@ -166,7 +167,7 @@ pub(crate) struct CompiledProc {
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     pub(crate) procs: Vec<CompiledProc>,
-    pub(crate) by_name: HashMap<String, usize>,
+    pub(crate) by_name: StageMap<String, usize>,
     /// Shared constant pool.
     pub(crate) consts: Vec<Value>,
     /// Interned names for lazy error instructions.
@@ -217,9 +218,9 @@ impl ConstKey {
 #[derive(Default)]
 struct Pools {
     consts: Vec<Value>,
-    const_ids: HashMap<ConstKey, u32>,
+    const_ids: StageMap<ConstKey, u32>,
     names: Vec<String>,
-    name_ids: HashMap<String, u32>,
+    name_ids: StageMap<String, u32>,
 }
 
 impl Pools {
@@ -248,7 +249,7 @@ impl Pools {
 /// instructions that raise the same error when executed, so `compile`
 /// itself cannot fail.
 pub fn compile(program: &Program) -> CompiledProgram {
-    let mut by_name: HashMap<String, usize> = HashMap::new();
+    let mut by_name: StageMap<String, usize> = StageMap::default();
     for (i, p) in program.procs.iter().enumerate() {
         // First definition wins, matching `Program::proc` lookup order.
         by_name.entry(p.name.clone()).or_insert(i);
@@ -394,55 +395,56 @@ pub fn fuse_hot_pairs(
 }
 
 /// Per-procedure lowering state.
-struct FnCompiler<'a> {
-    proc_ids: &'a HashMap<String, usize>,
+struct FnCompiler<'a, 'p> {
+    proc_ids: &'a StageMap<String, usize>,
     pools: &'a mut Pools,
     code: Vec<Op>,
     spans: Vec<Span>,
     arg_pool: Vec<u32>,
-    vars: HashMap<String, u32>,
+    /// Register of each variable, keyed on the procedure's own names.
+    vars: StageMap<&'p str, u32>,
     /// Declared element count of each array-typed variable; a whole-array
     /// store charges one `STORE_COST` per element.
-    array_lens: HashMap<String, u32>,
+    array_lens: StageMap<&'p str, u32>,
     next_tmp: u32,
     max_reg: u32,
 }
 
-impl<'a> FnCompiler<'a> {
-    fn new(proc_ids: &'a HashMap<String, usize>, pools: &'a mut Pools) -> Self {
+impl<'a, 'p> FnCompiler<'a, 'p> {
+    fn new(proc_ids: &'a StageMap<String, usize>, pools: &'a mut Pools) -> Self {
         FnCompiler {
             proc_ids,
             pools,
             code: Vec::new(),
             spans: Vec::new(),
             arg_pool: Vec::new(),
-            vars: HashMap::new(),
-            array_lens: HashMap::new(),
+            vars: StageMap::default(),
+            array_lens: StageMap::default(),
             next_tmp: 0,
             max_reg: 0,
         }
     }
 
-    fn lower(&mut self, proc: &ds_lang::Proc) -> CompiledProc {
+    fn lower(&mut self, proc: &'p ds_lang::Proc) -> CompiledProc {
         // Fixed registers: parameters first, then every name bound anywhere
         // in the body. MiniC blocks do not open scopes (names are unique per
         // procedure after type checking), so a flat name → register map
         // reproduces the evaluator's flat environment exactly.
         for param in &proc.params {
             let r = self.next_tmp;
-            self.vars.insert(param.name.clone(), r);
+            self.vars.insert(&param.name, r);
             self.next_tmp += 1;
         }
-        proc.walk_stmts(&mut |s: &Stmt| {
+        proc.walk_stmts(&mut |s| {
             if let StmtKind::Decl { name, .. } | StmtKind::Assign { name, .. } = &s.kind {
-                if !self.vars.contains_key(name) {
-                    self.vars.insert(name.clone(), self.next_tmp);
+                if !self.vars.contains_key(name.as_str()) {
+                    self.vars.insert(name, self.next_tmp);
                     self.next_tmp += 1;
                 }
             }
             if let StmtKind::Decl { name, ty, .. } = &s.kind {
                 if let Some(n) = ty.array_len() {
-                    self.array_lens.insert(name.clone(), n);
+                    self.array_lens.insert(name, n);
                 }
             }
         });

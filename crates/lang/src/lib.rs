@@ -66,4 +66,4 @@ pub use parser::{parse_expr, parse_program};
 pub use pretty::{print_expr, print_proc, print_program};
 pub use span::{LineCol, Span};
 pub use token::{Token, TokenKind};
-pub use typeck::{typecheck, validate, TypeInfo};
+pub use typeck::{check_procs, typecheck, validate, TypeInfo};

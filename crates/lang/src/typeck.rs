@@ -17,13 +17,16 @@ use crate::ast::*;
 use crate::builtins::Builtin;
 use crate::error::{FrontendError, Phase};
 use crate::span::Span;
-use std::collections::{HashMap, HashSet};
+use ds_telemetry::{StageMap, StageSet};
 
 /// Per-program typing facts produced by [`typecheck`].
 #[derive(Debug, Clone, Default)]
 pub struct TypeInfo {
-    expr_types: HashMap<TermId, Type>,
-    var_types: HashMap<String, HashMap<String, Type>>,
+    expr_types: ExprTypes,
+    var_types: StageMap<String, StageMap<String, Type>>,
+    /// Whether the checker records facts at all ([`check_procs`] only
+    /// wants the verdict).
+    unrecorded: bool,
 }
 
 impl TypeInfo {
@@ -34,15 +37,14 @@ impl TypeInfo {
     /// Panics if `id` is not an expression of the checked program (e.g. after
     /// a rewriting pass without re-checking).
     pub fn expr_type(&self, id: TermId) -> Type {
-        *self
-            .expr_types
-            .get(&id)
+        self.expr_types
+            .get(id)
             .unwrap_or_else(|| panic!("no type recorded for {id}; re-run typecheck after rewrites"))
     }
 
     /// The type of expression `id`, if recorded.
     pub fn try_expr_type(&self, id: TermId) -> Option<Type> {
-        self.expr_types.get(&id).copied()
+        self.expr_types.get(id)
     }
 
     /// The declared type of variable `var` in procedure `proc` (parameters
@@ -53,12 +55,56 @@ impl TypeInfo {
 
     /// Number of typed expressions (mainly for tests).
     pub fn len(&self) -> usize {
-        self.expr_types.len()
+        self.expr_types.len
     }
 
     /// Whether no expressions were typed.
     pub fn is_empty(&self) -> bool {
-        self.expr_types.is_empty()
+        self.expr_types.len == 0
+    }
+
+    fn record_expr(&mut self, id: TermId, ty: Type) {
+        if !self.unrecorded {
+            self.expr_types.insert(id, ty);
+        }
+    }
+}
+
+/// Expression types by [`TermId`]. Renumbered programs have dense ids, so
+/// those index a `Vec`; any other id (a synthesized node's
+/// [`TermId::UNASSIGNED`], or an id past [`ExprTypes::DENSE_LIMIT`]) goes
+/// to a map.
+#[derive(Debug, Clone, Default)]
+struct ExprTypes {
+    dense: Vec<Option<Type>>,
+    sparse: StageMap<TermId, Type>,
+    /// Distinct ids recorded.
+    len: usize,
+}
+
+impl ExprTypes {
+    /// Ids below this are stored densely.
+    const DENSE_LIMIT: u32 = 1 << 20;
+
+    fn insert(&mut self, id: TermId, ty: Type) {
+        let fresh = if id.0 < Self::DENSE_LIMIT {
+            let i = id.0 as usize;
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, None);
+            }
+            self.dense[i].replace(ty).is_none()
+        } else {
+            self.sparse.insert(id, ty).is_none()
+        };
+        self.len += usize::from(fresh);
+    }
+
+    fn get(&self, id: TermId) -> Option<Type> {
+        if id.0 < Self::DENSE_LIMIT {
+            self.dense.get(id.0 as usize).copied().flatten()
+        } else {
+            self.sparse.get(&id).copied()
+        }
     }
 }
 
@@ -82,7 +128,47 @@ impl TypeInfo {
 /// # }
 /// ```
 pub fn typecheck(program: &Program) -> Result<TypeInfo, FrontendError> {
-    typecheck_inner(program)
+    check_into(&program.procs, TypeInfo::default())
+}
+
+/// Checks `procs` in place, for the verdict alone: the same checks as
+/// [`typecheck`] over a [`Program`] holding exactly these procedures, with
+/// no copy of them and no [`TypeInfo`] recorded. The verdict does not
+/// depend on [`TermId`]s, so the procedures need not be renumbered.
+///
+/// # Errors
+///
+/// Returns the first front-end error, exactly as [`typecheck`] would.
+pub fn check_procs(procs: &[Proc]) -> Result<(), FrontendError> {
+    let unrecorded = TypeInfo {
+        unrecorded: true,
+        ..TypeInfo::default()
+    };
+    check_into(procs, unrecorded).map(drop)
+}
+
+fn check_into(procs: &[Proc], mut info: TypeInfo) -> Result<TypeInfo, FrontendError> {
+    // Procedure table; reject duplicates and builtin-name collisions.
+    let mut table: StageMap<&str, &Proc> = StageMap::default();
+    for p in procs {
+        if Builtin::from_name(&p.name).is_some() {
+            return Err(err(
+                format!("procedure `{}` shadows a builtin", p.name),
+                p.span,
+            ));
+        }
+        if table.insert(p.name.as_str(), p).is_some() {
+            return Err(err(format!("duplicate procedure `{}`", p.name), p.span));
+        }
+    }
+
+    // Non-recursion: DFS over the call graph.
+    check_nonrecursive(procs, &table)?;
+
+    for p in procs {
+        check_proc(p, &table, &mut info)?;
+    }
+    Ok(info)
 }
 
 /// Validity checker for synthesized or mutated ASTs: renumbers the program
@@ -95,64 +181,27 @@ pub fn typecheck(program: &Program) -> Result<TypeInfo, FrontendError> {
 /// Returns the first front-end error, exactly as [`typecheck`] would.
 pub fn validate(program: &mut Program) -> Result<TypeInfo, FrontendError> {
     program.renumber();
-    typecheck_inner(program)
-}
-
-fn typecheck_inner(program: &Program) -> Result<TypeInfo, FrontendError> {
-    let mut info = TypeInfo::default();
-
-    // Procedure table; reject duplicates and builtin-name collisions.
-    let mut procs: HashMap<&str, &Proc> = HashMap::new();
-    for p in &program.procs {
-        if Builtin::from_name(&p.name).is_some() {
-            return Err(err(
-                format!("procedure `{}` shadows a builtin", p.name),
-                p.span,
-            ));
-        }
-        if procs.insert(p.name.as_str(), p).is_some() {
-            return Err(err(format!("duplicate procedure `{}`", p.name), p.span));
-        }
-    }
-
-    // Non-recursion: DFS over the call graph.
-    check_nonrecursive(program, &procs)?;
-
-    for p in &program.procs {
-        check_proc(p, &procs, &mut info)?;
-    }
-    Ok(info)
+    typecheck(program)
 }
 
 fn err(message: impl Into<String>, span: Span) -> FrontendError {
     FrontendError::new(Phase::Type, message, span)
 }
 
-fn check_nonrecursive(
-    program: &Program,
-    procs: &HashMap<&str, &Proc>,
+fn check_nonrecursive<'p>(
+    procs: &'p [Proc],
+    table: &StageMap<&'p str, &'p Proc>,
 ) -> Result<(), FrontendError> {
-    fn callees(p: &Proc, procs: &HashMap<&str, &Proc>) -> Vec<String> {
-        let mut out = Vec::new();
-        p.walk_exprs(&mut |e| {
-            if let ExprKind::Call(name, _) = &e.kind {
-                if procs.contains_key(name.as_str()) {
-                    out.push(name.clone());
-                }
-            }
-        });
-        out
-    }
     // Colors: 0 unvisited, 1 on stack, 2 done.
-    let mut color: HashMap<&str, u8> = HashMap::new();
+    let mut color: StageMap<&str, u8> = StageMap::default();
     fn dfs<'p>(
         name: &'p str,
-        procs: &HashMap<&'p str, &'p Proc>,
-        color: &mut HashMap<&'p str, u8>,
+        table: &StageMap<&'p str, &'p Proc>,
+        color: &mut StageMap<&'p str, u8>,
     ) -> Result<(), FrontendError> {
         match color.get(name).copied().unwrap_or(0) {
             1 => {
-                let span = procs.get(name).map(|p| p.span).unwrap_or(Span::DUMMY);
+                let span = table.get(name).map(|p| p.span).unwrap_or(Span::DUMMY);
                 return Err(err(
                     format!("recursion detected through procedure `{name}`"),
                     span,
@@ -162,45 +211,48 @@ fn check_nonrecursive(
             _ => {}
         }
         color.insert(name, 1);
-        if let Some(p) = procs.get(name) {
-            for callee in callees(p, procs) {
-                let callee_key = procs
-                    .keys()
-                    .find(|k| **k == callee.as_str())
-                    .copied()
-                    .expect("callee filtered to known procs");
-                dfs(callee_key, procs, color)?;
+        if let Some(p) = table.get(name) {
+            let mut callees = Vec::new();
+            p.walk_exprs(&mut |e| {
+                if let ExprKind::Call(callee, _) = &e.kind {
+                    if let Some((&key, _)) = table.get_key_value(callee.as_str()) {
+                        callees.push(key);
+                    }
+                }
+            });
+            for callee in callees {
+                dfs(callee, table, color)?;
             }
         }
         color.insert(name, 2);
         Ok(())
     }
-    for p in &program.procs {
-        dfs(p.name.as_str(), procs, &mut color)?;
+    for p in procs {
+        dfs(p.name.as_str(), table, &mut color)?;
     }
     Ok(())
 }
 
 struct ProcChecker<'a> {
-    procs: &'a HashMap<&'a str, &'a Proc>,
-    vars: HashMap<String, Type>,
+    procs: &'a StageMap<&'a str, &'a Proc>,
+    vars: StageMap<&'a str, Type>,
     /// Definitely-initialized variables at the current program point. MiniC
     /// blocks do not open scopes, so a declaration inside one branch of an
     /// `if` leaves the variable *declared* afterwards but only
     /// *definitely initialized* if every path initialized it.
-    init: HashSet<String>,
+    init: StageSet<&'a str>,
     ret: Type,
 }
 
-fn check_proc(
-    p: &Proc,
-    procs: &HashMap<&str, &Proc>,
+fn check_proc<'a>(
+    p: &'a Proc,
+    procs: &'a StageMap<&'a str, &'a Proc>,
     info: &mut TypeInfo,
 ) -> Result<(), FrontendError> {
     let mut ck = ProcChecker {
         procs,
-        vars: HashMap::new(),
-        init: HashSet::new(),
+        vars: StageMap::default(),
+        init: StageSet::default(),
         ret: p.ret,
     };
     // Arrays are procedure-local only: parameters, return values and cache
@@ -219,14 +271,14 @@ fn check_proc(
                 p.span,
             ));
         }
-        if ck.vars.insert(param.name.clone(), param.ty).is_some() {
+        if ck.vars.insert(param.name.as_str(), param.ty).is_some() {
             return Err(err(format!("duplicate parameter `{}`", param.name), p.span));
         }
-        ck.init.insert(param.name.clone());
+        ck.init.insert(param.name.as_str());
     }
     // Pre-scan for duplicate declarations anywhere in the procedure (blocks
     // do not open scopes in MiniC).
-    let mut declared: HashSet<&str> = p.params.iter().map(|q| q.name.as_str()).collect();
+    let mut declared: StageSet<&str> = p.params.iter().map(|q| q.name.as_str()).collect();
     let mut dup: Option<(String, Span)> = None;
     p.walk_stmts(&mut |s| {
         if let StmtKind::Decl { name, .. } = &s.kind {
@@ -252,13 +304,20 @@ fn check_proc(
             p.span,
         ));
     }
-    info.var_types.insert(p.name.clone(), ck.vars);
+    if !info.unrecorded {
+        let vars = ck.vars.into_iter().map(|(k, v)| (k.to_string(), v));
+        info.var_types.insert(p.name.clone(), vars.collect());
+    }
     Ok(())
 }
 
 impl<'a> ProcChecker<'a> {
     /// Checks a block; returns whether it returns on every path.
-    fn check_block(&mut self, block: &Block, info: &mut TypeInfo) -> Result<bool, FrontendError> {
+    fn check_block(
+        &mut self,
+        block: &'a Block,
+        info: &mut TypeInfo,
+    ) -> Result<bool, FrontendError> {
         let mut returns = false;
         for s in &block.stmts {
             returns |= self.check_stmt(s, info)?;
@@ -266,7 +325,7 @@ impl<'a> ProcChecker<'a> {
         Ok(returns)
     }
 
-    fn check_stmt(&mut self, s: &Stmt, info: &mut TypeInfo) -> Result<bool, FrontendError> {
+    fn check_stmt(&mut self, s: &'a Stmt, info: &mut TypeInfo) -> Result<bool, FrontendError> {
         match &s.kind {
             StmtKind::Decl { name, ty, init } => {
                 let ity = self.check_expr(init, info)?;
@@ -279,13 +338,13 @@ impl<'a> ProcChecker<'a> {
                         s.span,
                     ));
                 }
-                self.vars.insert(name.clone(), *ty);
-                self.init.insert(name.clone());
+                self.vars.insert(name, *ty);
+                self.init.insert(name);
                 Ok(false)
             }
             StmtKind::Assign { name, value, .. } => {
                 let vty = self.check_expr(value, info)?;
-                let Some(&dty) = self.vars.get(name) else {
+                let Some(&dty) = self.vars.get(name.as_str()) else {
                     return Err(err(format!("assignment to undeclared `{name}`"), s.span));
                 };
                 if vty != dty {
@@ -294,7 +353,7 @@ impl<'a> ProcChecker<'a> {
                         s.span,
                     ));
                 }
-                self.init.insert(name.clone());
+                self.init.insert(name);
                 Ok(false)
             }
             StmtKind::If {
@@ -315,7 +374,7 @@ impl<'a> ProcChecker<'a> {
                     (true, true) => after_else.clone(),
                     (true, false) => after_else.clone(),
                     (false, true) => after_then,
-                    (false, false) => after_then.intersection(after_else).cloned().collect(),
+                    (false, false) => after_then.intersection(after_else).copied().collect(),
                 };
                 Ok(t && e && !else_blk.stmts.is_empty())
             }
@@ -355,7 +414,7 @@ impl<'a> ProcChecker<'a> {
                 Ok(true)
             }
             StmtKind::ArrayAssign { name, index, value } => {
-                let Some(&dty) = self.vars.get(name) else {
+                let Some(&dty) = self.vars.get(name.as_str()) else {
                     return Err(err(
                         format!("element assignment to undeclared `{name}`"),
                         s.span,
@@ -367,7 +426,7 @@ impl<'a> ProcChecker<'a> {
                         s.span,
                     ));
                 };
-                if !self.init.contains(name) {
+                if !self.init.contains(name.as_str()) {
                     return Err(err(
                         format!("array `{name}` may be used before it is initialized on some path"),
                         s.span,
@@ -398,7 +457,7 @@ impl<'a> ProcChecker<'a> {
         }
     }
 
-    fn expect_bool(&mut self, e: &Expr, info: &mut TypeInfo) -> Result<(), FrontendError> {
+    fn expect_bool(&mut self, e: &'a Expr, info: &mut TypeInfo) -> Result<(), FrontendError> {
         let ty = self.check_expr(e, info)?;
         if ty != Type::Bool {
             return Err(err(
@@ -409,7 +468,7 @@ impl<'a> ProcChecker<'a> {
         Ok(())
     }
 
-    fn check_expr(&mut self, e: &Expr, info: &mut TypeInfo) -> Result<Type, FrontendError> {
+    fn check_expr(&mut self, e: &'a Expr, info: &mut TypeInfo) -> Result<Type, FrontendError> {
         let ty = match &e.kind {
             ExprKind::IntLit(_) => Type::Int,
             ExprKind::FloatLit(_) => Type::Float,
@@ -417,9 +476,9 @@ impl<'a> ProcChecker<'a> {
             ExprKind::Var(name) => {
                 let ty = *self
                     .vars
-                    .get(name)
+                    .get(name.as_str())
                     .ok_or_else(|| err(format!("use of undeclared variable `{name}`"), e.span))?;
-                if !self.init.contains(name) {
+                if !self.init.contains(name.as_str()) {
                     return Err(err(
                         format!(
                             "variable `{name}` may be used before it is initialized on some path"
@@ -511,7 +570,7 @@ impl<'a> ProcChecker<'a> {
             ExprKind::Index { array, index } => {
                 let aty = *self
                     .vars
-                    .get(array)
+                    .get(array.as_str())
                     .ok_or_else(|| err(format!("use of undeclared variable `{array}`"), e.span))?;
                 let Some(elem) = aty.elem() else {
                     return Err(err(
@@ -519,7 +578,7 @@ impl<'a> ProcChecker<'a> {
                         e.span,
                     ));
                 };
-                if !self.init.contains(array) {
+                if !self.init.contains(array.as_str()) {
                     return Err(err(
                         format!(
                             "array `{array}` may be used before it is initialized on some path"
@@ -601,7 +660,7 @@ impl<'a> ProcChecker<'a> {
             // statement checker tolerates it because nothing consumes it.
             // Any other position would have failed the surrounding check.
         }
-        info.expr_types.insert(e.id, ty);
+        info.record_expr(e.id, ty);
         Ok(ty)
     }
 }
@@ -647,6 +706,42 @@ mod tests {
             };
         });
         assert!(saw_bool && saw_float);
+    }
+
+    #[test]
+    fn ids_outside_the_dense_range_are_recorded_too() {
+        let mut prog = parse_program("float f(float x) { return x * 2.0; }").unwrap();
+        let mut ids = [TermId(5_000_000), TermId::UNASSIGNED].into_iter();
+        prog.procs[0].walk_exprs_mut(&mut |e| {
+            if let Some(id) = ids.next() {
+                e.id = id;
+            }
+        });
+        let info = typecheck(&prog).unwrap();
+        assert_eq!(info.try_expr_type(TermId(5_000_000)), Some(Type::Float));
+        assert_eq!(info.try_expr_type(TermId::UNASSIGNED), Some(Type::Float));
+        assert_eq!(info.len(), 3);
+    }
+
+    #[test]
+    fn check_procs_gives_the_typecheck_verdict() {
+        for src in [
+            "float f(float x) { if (x > 0.0) { return x; } return -x; }",
+            "float f(float x) { return x + 1; }",
+            "float f(float x) { float y; return y; }",
+            "float f(float x) { return g(x); } float g(float x) { return f(x); }",
+            "float f(float x) { float x = 1.0; return x; }",
+            "float sin(float x) { return x; }",
+        ] {
+            let Ok(prog) = parse_program(src) else {
+                continue;
+            };
+            assert_eq!(
+                check_procs(&prog.procs),
+                typecheck(&prog).map(drop),
+                "{src}"
+            );
+        }
     }
 
     #[test]

@@ -81,6 +81,7 @@ impl Hash64 {
 
     /// Feeds a byte string: its length, then its bytes as 8-byte
     /// little-endian words, the last one zero-padded.
+    #[inline]
     pub fn bytes(self, bytes: &[u8]) -> Hash64 {
         let mut h = self.u64(bytes.len() as u64);
         let mut chunks = bytes.chunks_exact(8);
@@ -91,20 +92,26 @@ impl Hash64 {
         }
         let tail = chunks.remainder();
         if !tail.is_empty() {
-            let mut w = [0u8; 8];
-            w[..tail.len()].copy_from_slice(tail);
-            h = h.u64(u64::from_le_bytes(w));
+            // The zero-padded little-endian word, built without a
+            // variable-length copy.
+            let w = tail
+                .iter()
+                .rev()
+                .fold(0u64, |w, &b| (w << 8) | u64::from(b));
+            h = h.u64(w);
         }
         h
     }
 
     /// Feeds a string's UTF-8 bytes, as [`Hash64::bytes`].
+    #[inline]
     pub fn str(self, s: &str) -> Hash64 {
         self.bytes(s.as_bytes())
     }
 
     /// The hash of everything fed so far: murmur3's `fmix64` of the state,
     /// a bijection.
+    #[inline]
     pub fn finish(&self) -> u64 {
         let mut k = self.0;
         k ^= k >> 33;
@@ -114,6 +121,72 @@ impl Hash64 {
         k ^ (k >> 33)
     }
 }
+
+/// A [`std::hash::Hasher`] over [`Hash64`]'s word step, for the hash maps
+/// staging builds.
+///
+/// The specializer's and the compiler's maps key on data from the program
+/// being staged (term ids, variable and procedure names), never on data a
+/// client sends, so they need no per-process random keys: they hash with
+/// this fixed hasher through [`StageMap`] and [`StageSet`], and the
+/// workspace keeps one hash primitive. The serving runtime's maps key on
+/// request data and stay on `std`'s randomly keyed `RandomState`.
+///
+/// Integers are one word each; byte strings are fed as [`Hash64::bytes`]
+/// feeds them (length, then words).
+///
+/// # Examples
+///
+/// ```
+/// use ds_telemetry::StageMap;
+/// let mut m: StageMap<&str, u32> = StageMap::default();
+/// m.insert("slot", 1);
+/// assert_eq!(m.get("slot"), Some(&1));
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StageHasher(Hash64);
+
+impl std::hash::Hasher for StageHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = self.0.bytes(bytes);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.0 = self.0.u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.0 = self.0.u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.u64(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.0 = self.0.u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+}
+
+/// The fixed [`std::hash::BuildHasher`] of staging maps (see
+/// [`StageHasher`]).
+pub type BuildStageHasher = std::hash::BuildHasherDefault<StageHasher>;
+
+/// A `HashMap` keyed on data of the program being staged.
+pub type StageMap<K, V> = std::collections::HashMap<K, V, BuildStageHasher>;
+
+/// A `HashSet` of data of the program being staged.
+pub type StageSet<K> = std::collections::HashSet<K, BuildStageHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -220,5 +293,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn stage_hasher_feeds_the_word_step() {
+        use std::hash::BuildHasher;
+        let build = BuildStageHasher::default();
+        // Fixed keys: the same value hashes the same in every map.
+        assert_eq!(build.hash_one(7u32), build.hash_one(7u32));
+        assert_eq!(build.hash_one(7u32), Hash64::new().u64(7).finish());
+        // `str` hashes as its bytes, then a 0xff terminator word.
+        assert_eq!(
+            build.hash_one("slot"),
+            Hash64::new().str("slot").u64(0xff).finish()
+        );
+        let set: StageSet<u32> = (0..1000).collect();
+        assert_eq!(set.len(), 1000);
+        assert!((0..1000).all(|i| set.contains(&i)));
     }
 }

@@ -17,7 +17,8 @@
 //!   (`schema` + `version` fields) every exported metrics file carries;
 //! * [`hash`] — the word-at-a-time 64-bit hash behind layout
 //!   fingerprints, cache seals, request fingerprints and the runtime's
-//!   log and cache-file checksums;
+//!   log and cache-file checksums, and (as [`StageMap`] / [`StageSet`])
+//!   behind the hash maps the specializer and the compiler build;
 //! * [`LatencyHist`] / [`Timing`] — mergeable log2-bucket latency
 //!   histograms for the *serving* path. Wall time is nondeterministic, so
 //!   it travels in this side-channel beside the deterministic metrics
@@ -35,8 +36,8 @@
 //! cycles. Decision identifiers are plain `u32` term ids rather than
 //! `ds_lang::TermId` for the same reason.
 //!
-//! Telemetry is strictly additive: nothing here is consulted by the
-//! analyses or the evaluators, so collection can be disabled with zero
+//! Telemetry is strictly additive: nothing recorded here is consulted by
+//! the analyses or the evaluators, so collection can be disabled with zero
 //! behavioural difference (the differential suites enforce this).
 
 #![warn(missing_docs)]
@@ -52,7 +53,7 @@ pub mod span;
 pub use counters::ServeCounters;
 pub use event::TraceEvent;
 pub use fusion::{FusedPair, FusionStats};
-pub use hash::{hash64, Hash64};
+pub use hash::{hash64, BuildStageHasher, Hash64, StageHasher, StageMap, StageSet};
 pub use hist::{format_nanos, LatencyHist, Timing};
 pub use json::{parse, Json, JsonError};
 pub use span::{PhaseSpan, SpecReport};
