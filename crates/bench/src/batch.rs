@@ -19,8 +19,8 @@ use std::time::Instant;
 
 use ds_core::{specialize, specialize_source, InputPartition, SpecializeOptions};
 use ds_interp::{
-    compile, fuse_hot_pairs, static_op_histogram, BatchVm, CacheBuf, CompiledProgram, EvalError,
-    EvalOptions, Outcome, Value, Vm, DEFAULT_FUSION_TOP_K,
+    compile, fuse_hot_pairs, static_op_histogram, BatchStats, BatchVm, CacheBuf, CompiledProgram,
+    EvalError, EvalOptions, Outcome, Value, Vm, DEFAULT_FUSION_TOP_K,
 };
 use ds_shaders::{all_shaders, pixel_inputs};
 
@@ -43,9 +43,10 @@ pub struct BatchThroughput {
     pub lanes: usize,
     /// Superinstruction sites the fusion pass rewrote in the batch build.
     pub fused_sites: u64,
-    /// Fused superinstructions dispatched during one timed batch run
-    /// (batch-wide dispatches, not per-lane).
-    pub fused_dispatches: u64,
+    /// The batch executor's side-channel counts for one run over the
+    /// lanes: fused dispatches and every exit from lockstep. Lockstep
+    /// exits are deterministic, so the untimed warm-up run yields them.
+    pub stats: BatchStats,
     /// Best-of-three scalar VM wall time per lane, in nanoseconds.
     pub scalar_ns_per_lane: f64,
     /// Best-of-three batch executor wall time per lane, in nanoseconds.
@@ -105,7 +106,7 @@ fn measure_batch(
         .map(|p| p.op_histogram)
         .unwrap_or_else(|| static_op_histogram(compiled));
     let mut fused = compiled.clone();
-    let stats = fuse_hot_pairs(&mut fused, &hist, DEFAULT_FUSION_TOP_K);
+    let fusion = fuse_hot_pairs(&mut fused, &hist, DEFAULT_FUSION_TOP_K);
 
     // Untimed scalar warmup: first-touch costs (heap growth for the VM
     // register stacks, page faults, cold branch predictors) land here
@@ -124,7 +125,7 @@ fn measure_batch(
     let mut batch_best = u128::MAX;
     let mut scalar_out = Vec::new();
     let mut batch_out = Vec::new();
-    let mut dispatches = 0u64;
+    let mut batch_stats = BatchStats::default();
     for rep in 0..TIMING_REPS {
         let t = Instant::now();
         let out: Vec<Result<Outcome, EvalError>> = lanes
@@ -158,7 +159,9 @@ fn measure_batch(
             cache.as_deref_mut(),
             EvalOptions::default(),
         ));
-        let before = bvm.fused_dispatches();
+        if rep == 0 {
+            batch_stats = bvm.stats();
+        }
         let t = Instant::now();
         let out = bvm.run(
             &fused,
@@ -170,7 +173,6 @@ fn measure_batch(
         batch_best = batch_best.min(t.elapsed().as_nanos());
         let out = std::hint::black_box(out);
         if rep == 0 {
-            dispatches = bvm.fused_dispatches() - before;
             batch_out = out;
         }
     }
@@ -182,8 +184,8 @@ fn measure_batch(
         scenario,
         entry: entry.to_string(),
         lanes: lanes.len(),
-        fused_sites: stats.fused_sites,
-        fused_dispatches: dispatches,
+        fused_sites: fusion.fused_sites,
+        stats: batch_stats,
         scalar_ns_per_lane,
         batch_ns_per_lane,
         speedup: scalar_ns_per_lane / batch_ns_per_lane,
@@ -360,7 +362,7 @@ mod tests {
             );
             assert!(b.fused_sites > 0, "{}: nothing fused: {b:?}", b.scenario);
             assert!(
-                b.fused_dispatches > 0,
+                b.stats.fused_dispatches > 0,
                 "{}: fused ops never dispatched: {b:?}",
                 b.scenario
             );

@@ -154,7 +154,8 @@ fn main() {
     println!("\n[W-BATCH] SoA batch executor, wall clock vs scalar VM (per lane):");
     for b in &batch_ms {
         println!(
-            "  {} ({}): {} lanes, {} fused sites, {} ns -> {} ns, speedup {}x, bit-exact {}",
+            "  {} ({}): {} lanes, {} fused sites, {} ns -> {} ns, speedup {}x, bit-exact {}\n    \
+             lockstep exits: {} divergent block(s), {} resumed, {} type exit(s), {} masked",
             b.scenario,
             b.entry,
             b.lanes,
@@ -162,13 +163,17 @@ fn main() {
             f(b.scalar_ns_per_lane, 0),
             f(b.batch_ns_per_lane, 0),
             f(b.speedup, 2),
-            b.bit_exact
+            b.bit_exact,
+            b.stats.divergent_blocks,
+            b.stats.resumed_lanes,
+            b.stats.type_exits,
+            b.stats.masked_lanes,
         );
     }
 
     println!(
         "\n[T-SPEC] and [T-MEM] run separately (table_speculation, table_memory);\n\
-         repro_json exports everything machine-readably."
+         {out} holds every number above, per-partition rows included."
     );
 
     let doc = ds_telemetry::envelope(
@@ -191,6 +196,28 @@ fn main() {
                     ("min_speedup", Json::from(min_speedup)),
                     ("cache_mean_bytes", Json::from(mean)),
                     ("cache_median_bytes", Json::from(median)),
+                    (
+                        "rows",
+                        Json::Arr(
+                            measurements
+                                .iter()
+                                .map(|m| {
+                                    Json::obj([
+                                        ("shader", Json::from(m.shader)),
+                                        ("shader_index", Json::from(m.shader_index)),
+                                        ("param", Json::from(m.param)),
+                                        ("speedup", Json::from(m.speedup)),
+                                        ("orig_cost", Json::from(m.orig_cost)),
+                                        ("loader_cost", Json::from(m.loader_cost)),
+                                        ("reader_cost", Json::from(m.reader_cost)),
+                                        ("cache_bytes", Json::from(m.cache_bytes)),
+                                        ("slots", Json::from(m.slots)),
+                                        ("breakeven", m.breakeven.map_or(Json::Null, Json::from)),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
                 ]),
             ),
             (
@@ -216,6 +243,22 @@ fn main() {
                             Json::obj([
                                 ("bound_bytes", Json::from(bound)),
                                 ("mean_retention_pct", Json::from(mean_at(bound))),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+            (
+                "limit_sweep_points",
+                Json::Arr(
+                    points
+                        .iter()
+                        .map(|p| {
+                            Json::obj([
+                                ("param", Json::from(p.param)),
+                                ("bound", Json::from(p.bound)),
+                                ("bytes_used", Json::from(p.bytes_used)),
+                                ("speedup", Json::from(p.speedup)),
                             ])
                         })
                         .collect(),
@@ -260,7 +303,11 @@ fn main() {
                                 ("entry", Json::from(b.entry.clone())),
                                 ("lanes", Json::from(b.lanes)),
                                 ("fused_sites", Json::from(b.fused_sites)),
-                                ("fused_dispatches", Json::from(b.fused_dispatches)),
+                                ("fused_dispatches", Json::from(b.stats.fused_dispatches)),
+                                ("divergent_blocks", Json::from(b.stats.divergent_blocks)),
+                                ("resumed_lanes", Json::from(b.stats.resumed_lanes)),
+                                ("type_exits", Json::from(b.stats.type_exits)),
+                                ("masked_lanes", Json::from(b.stats.masked_lanes)),
                                 ("scalar_ns_per_lane", Json::from(b.scalar_ns_per_lane)),
                                 ("batch_ns_per_lane", Json::from(b.batch_ns_per_lane)),
                                 ("speedup", Json::from(b.speedup)),

@@ -2,7 +2,8 @@
 //! line and checks it is a well-formed `ds-telemetry` envelope of the
 //! current schema version. Exits nonzero (after reporting every file) if
 //! any document fails, so the workflow step catches schema drift from any
-//! producer — `dsc --metrics-out`, the bench sidecar, or future ones.
+//! producer — `dsc --metrics-out`, the `BENCH_*.json` writers, or future
+//! ones.
 
 use ds_bench::json;
 

@@ -8,6 +8,7 @@ use ds_core::{specialize, InputPartition, SpecializeOptions};
 use ds_interp::{CacheBuf, Evaluator, Value};
 use ds_shaders::{all_shaders, measure_partition, MeasureOptions, Measurement, Shader};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The sample-grid edge used by the headline experiments. Per-pixel
 /// statistics are grid-size independent (§5.2: "truly per-pixel
@@ -428,13 +429,9 @@ pub struct RebuildPoint {
 /// each invariant change forces a staleness reload. The baseline runs the
 /// unspecialized fragment directly on the same request stream.
 pub fn exp_rebuild_overhead(requests: usize) -> Vec<RebuildPoint> {
-    use ds_runtime::{CacheStore, Session, StagedArtifact};
-    use std::sync::Arc;
+    use ds_runtime::{CacheStore, Session};
 
-    let part = InputPartition::varying(["z1", "z2"]);
-    let spec = ds_core::specialize_source(DOTPROD_SRC, "dotprod", &part, &SpecializeOptions::new())
-        .expect("specialize dotprod");
-    let artifact = Arc::new(StagedArtifact::new(&spec, &part));
+    let (_, artifact) = dotprod_artifact();
     [1usize, 2, 4, 8, 16, 64]
         .iter()
         .map(|&interval| {
@@ -446,17 +443,7 @@ pub fn exp_rebuild_overhead(requests: usize) -> Vec<RebuildPoint> {
             let mut session = Session::new(Arc::clone(&artifact), store, ropts);
             let mut staged_cost = 0u64;
             let mut unspec_cost = 0u64;
-            for i in 0..requests {
-                let epoch = (i / interval) as f64;
-                let args = [
-                    Value::Float(1.0 + epoch), // x1: invariant within an epoch
-                    Value::Float(2.0),
-                    Value::Float(i as f64), // z1: varies every request
-                    Value::Float(4.0),
-                    Value::Float(5.0),
-                    Value::Float(0.5 * i as f64 + 1.0), // z2: varies every request
-                    Value::Float(2.0),
-                ];
+            for args in churn_stream(requests, interval) {
                 let out = session.run(&args).expect("staged request");
                 staged_cost += out.cost;
                 unspec_cost += session.reference(&args).expect("reference run").cost;
@@ -469,6 +456,34 @@ pub fn exp_rebuild_overhead(requests: usize) -> Vec<RebuildPoint> {
                 unspec_cost,
                 amortized_speedup: unspec_cost as f64 / staged_cost as f64,
             }
+        })
+        .collect()
+}
+
+/// Dotprod staged on `{z1, z2}`, as the runtime experiments serve it.
+fn dotprod_artifact() -> (ds_core::Specialization, Arc<ds_runtime::StagedArtifact>) {
+    let part = InputPartition::varying(["z1", "z2"]);
+    let spec = ds_core::specialize_source(DOTPROD_SRC, "dotprod", &part, &SpecializeOptions::new())
+        .expect("specialize dotprod");
+    let artifact = Arc::new(ds_runtime::StagedArtifact::new(&spec, &part));
+    (spec, artifact)
+}
+
+/// The runtime experiments' dotprod request stream: the varying inputs
+/// change every request, the invariant inputs every `interval` requests.
+fn churn_stream(requests: usize, interval: usize) -> Vec<Vec<Value>> {
+    (0..requests)
+        .map(|i| {
+            let epoch = (i / interval) as f64;
+            vec![
+                Value::Float(1.0 + epoch), // x1: invariant within an epoch
+                Value::Float(2.0),
+                Value::Float(i as f64), // z1: varies every request
+                Value::Float(4.0),
+                Value::Float(5.0),
+                Value::Float(0.5 * i as f64 + 1.0), // z2: varies every request
+                Value::Float(2.0),
+            ]
         })
         .collect()
 }
@@ -512,33 +527,13 @@ pub struct WalOverheadPoint {
 /// every 8 appends. Both answer streams are compared against the
 /// reference before any timing is reported.
 pub fn exp_wal_overhead(requests: usize) -> Vec<WalOverheadPoint> {
-    use ds_runtime::{CacheStore, Session, StagedArtifact};
-    use std::sync::Arc;
+    use ds_runtime::{CacheStore, Session};
 
-    let part = InputPartition::varying(["z1", "z2"]);
-    let spec = ds_core::specialize_source(DOTPROD_SRC, "dotprod", &part, &SpecializeOptions::new())
-        .expect("specialize dotprod");
-    let artifact = Arc::new(StagedArtifact::new(&spec, &part));
-    let stream_for = |interval: usize| -> Vec<Vec<Value>> {
-        (0..requests)
-            .map(|i| {
-                let epoch = (i / interval) as f64;
-                vec![
-                    Value::Float(1.0 + epoch), // x1: invariant within an epoch
-                    Value::Float(2.0),
-                    Value::Float(i as f64), // z1: varies every request
-                    Value::Float(4.0),
-                    Value::Float(5.0),
-                    Value::Float(0.5 * i as f64 + 1.0), // z2: varies every request
-                    Value::Float(2.0),
-                ]
-            })
-            .collect()
-    };
+    let (spec, artifact) = dotprod_artifact();
     [1usize, 8, 64]
         .iter()
         .map(|&interval| {
-            let stream = stream_for(interval);
+            let stream = churn_stream(requests, interval);
             let ropts = ds_runtime::RunnerOptions {
                 rebuild_budget: requests as u32,
                 ..ds_runtime::RunnerOptions::default()
@@ -597,141 +592,6 @@ pub fn exp_wal_overhead(requests: usize) -> Vec<WalOverheadPoint> {
             }
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Parallel scaling — throughput vs workers x invariant-churn mix
-// ---------------------------------------------------------------------
-
-/// One cell of the parallel-scaling matrix: a request stream mixing
-/// `distinct_contexts` invariant contexts, served by `workers` sessions
-/// over one shared artifact and store.
-#[derive(Debug, Clone)]
-pub struct ScalingCell {
-    /// Worker threads (sessions) serving the stream.
-    pub workers: usize,
-    /// Distinct invariant-input contexts interleaved in the stream.
-    pub distinct_contexts: usize,
-    /// Requests served.
-    pub requests: usize,
-    /// Wall-clock nanoseconds for the whole stream.
-    pub elapsed_nanos: u128,
-    /// Requests per wall-clock second.
-    pub throughput: f64,
-    /// Loader executions summed over all workers.
-    pub loads: u64,
-    /// Store hits summed over all workers.
-    pub store_hits: u64,
-    /// Store evictions summed over all workers.
-    pub store_evictions: u64,
-    /// Whether every answer matched the single-threaded reference.
-    pub answers_match: bool,
-}
-
-/// Builds the dotprod request stream for one churn mix: request `i`
-/// belongs to invariant context `i % contexts` (its fixed inputs depend
-/// only on the context), while its varying inputs change every request.
-fn scaling_requests(requests: usize, contexts: usize) -> Vec<Vec<Value>> {
-    (0..requests)
-        .map(|i| {
-            let ctx = (i % contexts) as f64;
-            vec![
-                Value::Float(1.0 + ctx), // x1: fixed within a context
-                Value::Float(2.0 + ctx), // y1: fixed within a context
-                Value::Float(i as f64),  // z1: varies every request
-                Value::Float(4.0),
-                Value::Float(5.0),
-                Value::Float(0.5 * i as f64 + 1.0), // z2: varies every request
-                Value::Float(2.0),
-            ]
-        })
-        .collect()
-}
-
-/// Measures parallel serving throughput: for every worker count x churn
-/// mix, `requests` dotprod requests are partitioned into contiguous
-/// chunks across that many [`ds_runtime::Session`]s sharing one
-/// `Arc<StagedArtifact>` and one polyvariant `CacheStore` of
-/// `store_capacity` entries. Every cell checks its answers against the
-/// single-threaded tree-walked reference, so a scaling win can never be
-/// bought with a wrong result.
-pub fn exp_scaling(
-    requests: usize,
-    worker_counts: &[usize],
-    context_counts: &[usize],
-    store_capacity: usize,
-) -> Vec<ScalingCell> {
-    use ds_runtime::{CacheStore, RunnerOptions, Session, StagedArtifact};
-    use std::sync::Arc;
-
-    let part = InputPartition::varying(["z1", "z2"]);
-    let spec = ds_core::specialize_source(DOTPROD_SRC, "dotprod", &part, &SpecializeOptions::new())
-        .expect("specialize dotprod");
-    let artifact = Arc::new(StagedArtifact::new(&spec, &part));
-    let ropts = RunnerOptions {
-        rebuild_budget: requests as u32,
-        ..RunnerOptions::default()
-    };
-
-    let mut cells = Vec::new();
-    for &contexts in context_counts {
-        let stream = scaling_requests(requests, contexts);
-        let reference: Vec<Option<Value>> = stream
-            .iter()
-            .map(|args| {
-                artifact
-                    .reference(args, ropts.eval)
-                    .expect("reference run")
-                    .value
-            })
-            .collect();
-        for &workers in worker_counts {
-            let store = Arc::new(CacheStore::new(store_capacity));
-            let chunk = requests.div_ceil(workers.max(1)).max(1);
-            let started = std::time::Instant::now();
-            let per_worker: Vec<(Vec<Option<Value>>, ds_runtime::RunnerStats)> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = stream
-                        .chunks(chunk)
-                        .map(|batch| {
-                            let mut session =
-                                Session::new(Arc::clone(&artifact), Arc::clone(&store), ropts);
-                            scope.spawn(move || {
-                                let answers: Vec<Option<Value>> = batch
-                                    .iter()
-                                    .map(|args| session.run(args).expect("staged request").value)
-                                    .collect();
-                                (answers, session.stats().clone())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("scaling worker"))
-                        .collect()
-                });
-            let elapsed = started.elapsed();
-            let mut merged = ds_runtime::RunnerStats::default();
-            let mut answers = Vec::with_capacity(requests);
-            for (a, stats) in per_worker {
-                answers.extend(a);
-                merged.merge(&stats);
-            }
-            let secs = elapsed.as_secs_f64().max(1e-9);
-            cells.push(ScalingCell {
-                workers,
-                distinct_contexts: contexts,
-                requests,
-                elapsed_nanos: elapsed.as_nanos(),
-                throughput: requests as f64 / secs,
-                loads: merged.loads,
-                store_hits: merged.store_hits(),
-                store_evictions: merged.store_evictions(),
-                answers_match: answers == reference,
-            });
-        }
-    }
-    cells
 }
 
 #[cfg(test)]
@@ -848,29 +708,6 @@ mod tests {
         let s = &spec.stats;
         let growth = (s.loader_nodes + s.reader_nodes) as f64 / s.fragment_nodes as f64;
         assert!(growth < 2.0, "growth {growth}");
-    }
-
-    #[test]
-    fn scaling_cells_match_the_reference_and_load_once_per_context() {
-        let cells = exp_scaling(64, &[1, 2], &[1, 4], 8);
-        assert_eq!(cells.len(), 4);
-        for c in &cells {
-            assert!(
-                c.answers_match,
-                "{}x{} diverged",
-                c.workers, c.distinct_contexts
-            );
-            // Polyvariance: at most one loader run per (context, worker) —
-            // never one per context *switch*.
-            assert!(
-                c.loads <= (c.distinct_contexts * c.workers) as u64,
-                "{} loads for {} contexts x {} workers",
-                c.loads,
-                c.distinct_contexts,
-                c.workers
-            );
-            assert!(c.throughput > 0.0);
-        }
     }
 
     #[test]

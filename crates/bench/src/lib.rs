@@ -12,9 +12,14 @@
 //! | `figure10_limit_norm` | Figure 10 — % of max speedup vs limit |
 //! | `table_code_growth` | §3.3 — loader+reader < 2× fragment |
 //! | `table_code_vs_data` | §6.1 — code- vs data-specialization trade-off |
-//! | `table_scaling` | beyond the paper — parallel serving throughput vs workers × invariant churn |
+//! | `table_rebuild_overhead` | beyond the paper — staged runtime vs direct evaluation under invariant churn; writes `BENCH_rebuild.json` |
+//! | `table_wal_overhead` | beyond the paper — write-ahead-log durability overhead; writes `BENCH_serve.json` |
 //! | `table_workloads` | beyond the paper — non-shader families: fixed-shape matrix/sparse kernels and unrolled interpreter dispatch (W-MAT / W-DISP) |
-//! | `repro_all` | everything above, plus the SoA batch-executor throughput scenarios (W-BATCH) and a consolidated summary |
+//! | `repro_all` | the paper's artifacts above plus W-MAT/W-DISP and the SoA batch-executor scenarios (W-BATCH); writes `BENCH_repro.json`, per-partition rows included |
+//!
+//! Each committed `BENCH_*.json` number has exactly one producer above.
+//! Serving throughput and latency are timed by the `perfbench` harness,
+//! which drives the daemon with repeats.
 //!
 //! Criterion benches under `benches/` measure the same pipelines in
 //! wall-clock terms (the abstract cost meter is the primary metric; the

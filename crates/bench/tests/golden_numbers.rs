@@ -3,7 +3,8 @@
 //! numbers are locked *exactly*. A diff here means the reproduction's
 //! results changed — deliberate changes must update EXPERIMENTS.md too.
 
-use ds_bench::{exp_dotprod, DOTPROD_SRC};
+use ds_bench::json::{parse, Json};
+use ds_bench::{exp_dotprod, exp_rebuild_overhead, DOTPROD_SRC};
 use ds_core::{specialize_source, InputPartition, SpecializeOptions};
 use ds_shaders::{all_shaders, measure_partition, MeasureOptions};
 
@@ -87,4 +88,30 @@ fn figure9_ks_cliff_locked() {
         (s16 - s12) > 0.5 * (s40 - s12),
         "expected a cliff between 12B ({s12:.2}x) and 16B ({s16:.2}x), max {s40:.2}x"
     );
+}
+
+#[test]
+fn rebuild_rows_match_the_committed_envelope() {
+    // BENCH_rebuild.json is the only home of these rows, and every one
+    // of them is deterministic: regenerating it must reproduce the file.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_rebuild.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_rebuild.json is committed");
+    let doc = parse(&text).expect("BENCH_rebuild.json parses");
+    assert_eq!(
+        doc.get("kind").and_then(Json::as_str),
+        Some("bench-rebuild")
+    );
+    assert_eq!(doc.get("requests").and_then(Json::as_u64), Some(64));
+    let rows = doc.get("points").and_then(Json::as_arr).expect("points");
+    let points = exp_rebuild_overhead(64);
+    assert_eq!(rows.len(), points.len());
+    for (row, p) in rows.iter().zip(&points) {
+        let field = |name: &str| row.get(name).and_then(Json::as_f64);
+        let per_req = |cost: u64| cost as f64 / p.requests as f64;
+        assert_eq!(field("churn_interval"), Some(p.churn_interval as f64));
+        assert_eq!(field("loads"), Some(p.loads as f64));
+        assert_eq!(field("staged_cost_per_req"), Some(per_req(p.staged_cost)));
+        assert_eq!(field("direct_cost_per_req"), Some(per_req(p.unspec_cost)));
+        assert_eq!(field("amortized_speedup"), Some(p.amortized_speedup));
+    }
 }

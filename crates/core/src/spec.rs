@@ -43,7 +43,7 @@ pub struct SpecializeOptions {
     /// evaluation can be soundly hoisted ahead of the guard. Off by
     /// default, matching the paper's implementation.
     pub speculate: bool,
-    /// Record a [`TraceEvent`](ds_telemetry::TraceEvent) for every labeling
+    /// Record a [`TraceEvent`] for every labeling
     /// and eviction decision into the run's [`SpecReport`]. Off by default:
     /// the event list is proportional to the fragment size, and phase spans
     /// alone cover the common observability need.

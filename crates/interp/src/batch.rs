@@ -2,7 +2,7 @@
 //!
 //! The paper's payoff shape is many evaluations of one small reader: an
 //! 8×8 grid times a slider sweep, or a 640×480 frame. The scalar
-//! [`Vm`](crate::Vm) pays full instruction dispatch — fetch, decode,
+//! [`Vm`] pays full instruction dispatch — fetch, decode,
 //! fuel, cost, profile bookkeeping — once *per input per instruction*.
 //! [`BatchVm`] instead holds the register file as columns (register-major:
 //! all lanes of register `r` are contiguous) and executes each instruction
@@ -46,7 +46,7 @@
 //!   surviving lanes continue undisturbed.
 //! * **Resume at the branch** — when live lanes disagree on a branch
 //!   condition, the batch abandons lockstep and finishes every remaining
-//!   lane on the scalar [`Vm`](crate::Vm) *from that branch*: the lane
+//!   lane on the scalar [`Vm`] *from that branch*: the lane
 //!   carries its register column (each word turned back into a [`Value`]
 //!   by its register's tag), the shared frame stack, fuel, cost, its trace
 //!   and a clone of the shared [`Profile`] into the scalar loop, which
@@ -523,7 +523,7 @@ type Done = Option<Result<Outcome, EvalError>>;
 /// A reusable structure-of-arrays batch executor.
 ///
 /// Holds the columnar register file, a scratch buffer and an embedded
-/// scalar [`Vm`](crate::Vm) for the fallback paths, all reused across
+/// scalar [`Vm`] for the fallback paths, all reused across
 /// [`run`](BatchVm::run) calls. See the [module docs](self) for the
 /// execution model.
 #[derive(Debug, Default)]
@@ -1706,7 +1706,7 @@ impl CompiledProgram {
     /// Structure-of-arrays execution: each instruction is fetched, decoded
     /// and metered once for the whole batch. Results are bit-exact against
     /// running the scalar VM per lane — values, costs, traces,
-    /// [`Profile`](crate::Profile) counters and typed errors — with
+    /// [`Profile`] counters and typed errors — with
     /// faulting lanes masked out and lane-divergent branches finishing
     /// per lane on the scalar VM (see the [module docs](self)).
     ///

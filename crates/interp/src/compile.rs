@@ -18,7 +18,7 @@
 //! fuel parity structurally: every AST node the evaluator charges a step
 //! for compiles to exactly one fuel-charging instruction, while control
 //! glue (jumps) charges none; statement-entry and loop back-edge charges
-//! become explicit [`Op::Step`] instructions.
+//! become explicit `Op::Step` instructions.
 //!
 //! Errors the evaluator raises lazily at runtime (calling an unknown
 //! procedure, reading an unbound variable, falling off the end of a
@@ -314,7 +314,7 @@ pub const DEFAULT_FUSION_TOP_K: usize = 4;
 /// Scans every procedure for adjacent fusible instruction pairs
 /// (unary/binary operators and array loads), scores each *pair kind* by
 /// the summed hotness of its two mnemonics in `op_histogram`, and rewrites
-/// all sites of the `top_k` hottest kinds into [`Op::Fused`]
+/// all sites of the `top_k` hottest kinds into `Op::Fused`
 /// superinstructions. The second instruction of each fused pair is left in
 /// place as a shadow slot, so branches into the middle of a pair keep
 /// their unfused meaning; sites are fused greedily left to right without

@@ -3,9 +3,9 @@
 //! Executes [`CompiledProgram`]s produced by [`compile`](crate::compile()),
 //! with an explicit frame stack instead of Rust recursion and a contiguous
 //! register file instead of per-call hash maps. Observational behaviour
-//! matches the tree-walking [`Evaluator`](crate::Evaluator) exactly on
+//! matches the tree-walking [`Evaluator`] exactly on
 //! type-checked programs — see the parity contract in
-//! [`compile`](crate::compile).
+//! [`compile`](mod@crate::compile).
 //!
 //! Two entry points matter for the paper's workload:
 //!

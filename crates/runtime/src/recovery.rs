@@ -78,7 +78,7 @@ pub fn recover(
     log: &str,
     layout: &CacheLayout,
 ) -> Result<Recovery, IntegrityError> {
-    let (mut entries, cover_lsn) = match checkpoint {
+    let (entries, cover_lsn) = match checkpoint {
         None => (Vec::new(), 0),
         Some(text) => {
             let (loaded, lsn) = cachefile::parse_store_with_lsn(text, layout)?;
@@ -89,19 +89,7 @@ pub fn recover(
             (entries, lsn)
         }
     };
-    let checkpoint_entries = entries.len() as u64;
-    let scan = scan_log(log, layout);
-    let last_lsn = scan.records.last().map_or(0, |r| r.lsn);
-    let (replayed, skipped) = replay(&mut entries, &scan.records, cover_lsn);
-    Ok(Recovery {
-        entries,
-        checkpoint_entries,
-        replayed,
-        skipped,
-        damaged_tail: scan.torn,
-        valid_log_bytes: scan.valid_bytes,
-        next_lsn: last_lsn.max(cover_lsn) + 1,
-    })
+    Ok(replay_log(entries, cover_lsn, log, layout))
 }
 
 /// Recovers with automatic degradation: a damaged checkpoint is discarded
@@ -114,10 +102,31 @@ pub fn recover_or_degrade(
 ) -> (Recovery, Option<IntegrityError>) {
     match recover(checkpoint, log, layout) {
         Ok(rec) => (rec, None),
-        Err(e) => {
-            let rec = recover(None, log, layout).expect("log-only recovery is infallible");
-            (rec, Some(e))
-        }
+        Err(e) => (replay_log(Vec::new(), 0, log, layout), Some(e)),
+    }
+}
+
+/// The infallible half of recovery: scans `log` for its valid prefix and
+/// replays every record past `cover_lsn` on top of the checkpoint's
+/// `entries`. Log damage only shortens the replayed prefix.
+fn replay_log(
+    mut entries: Vec<(u64, CacheBuf)>,
+    cover_lsn: Lsn,
+    log: &str,
+    layout: &CacheLayout,
+) -> Recovery {
+    let checkpoint_entries = entries.len() as u64;
+    let scan = scan_log(log, layout);
+    let last_lsn = scan.records.last().map_or(0, |r| r.lsn);
+    let (replayed, skipped) = replay(&mut entries, &scan.records, cover_lsn);
+    Recovery {
+        entries,
+        checkpoint_entries,
+        replayed,
+        skipped,
+        damaged_tail: scan.torn,
+        valid_log_bytes: scan.valid_bytes,
+        next_lsn: last_lsn.max(cover_lsn) + 1,
     }
 }
 

@@ -8,8 +8,8 @@
 //!
 //! A session is one caller's mutable serving state — the VM register file,
 //! a private working [`CacheBuf`], degradation bookkeeping and statistics.
-//! It shares the immutable [`StagedArtifact`](crate::StagedArtifact) and the
-//! polyvariant [`CacheStore`](crate::CacheStore) with every other session
+//! It shares the immutable [`StagedArtifact`] and the
+//! polyvariant [`CacheStore`] with every other session
 //! through [`Arc`]s; the [`Daemon`](crate::Daemon) runs one session per
 //! worker thread.
 //!

@@ -7,7 +7,7 @@
 //! re-attach to whichever context they belong to. [`CacheStore`] is that
 //! map: sharded for concurrency, LRU-bounded by a configurable global
 //! capacity, and shared between [`Session`](crate::Session)s through an
-//! [`Arc`](std::sync::Arc).
+//! [`Arc`].
 //!
 //! ## Concurrency model
 //!

@@ -1,12 +1,12 @@
 //! The write-ahead log: durable sealed-cache installs with crash safety.
 //!
 //! A serving process that dies between two checkpoints used to lose every
-//! sealed cache built since the last [`cachefile`](crate::cachefile)
+//! sealed cache built since the last [`cachefile`]
 //! bundle was written. The WAL closes that window: every store-visible
 //! operation — a sealed-cache **install** or a damaged-entry
 //! **invalidate** — is appended to the log *before* the request is
 //! acknowledged, and recovery on the next open replays the valid prefix
-//! into the [`CacheStore`](crate::CacheStore).
+//! into the [`CacheStore`].
 //!
 //! ## Record format
 //!

@@ -3,7 +3,7 @@
 //! Profile-guided fusion (see `ds_interp::compile::fuse_hot_pairs`) rewrites
 //! hot adjacent opcode pairs of a compiled program into combined handlers.
 //! The rewrite is *semantically invisible* — fused execution produces the
-//! same values, the same abstract cost and the same [`Profile`] counters as
+//! same values, the same abstract cost and the same `Profile` counters as
 //! the unfused program (the parity suites enforce it) — so everything about
 //! the fusion decision travels in this side-channel struct, never inside
 //! the deterministic metrics `Profile`. The split mirrors

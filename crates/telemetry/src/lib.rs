@@ -72,7 +72,8 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// ```
 ///
 /// `kind` names the producer (`"run"`, `"measure"`, `"explain"`,
-/// `"bench"`), so one validator serves every export path.
+/// `"serve"`, `"bench-repro"`, ...), so one validator serves every
+/// export path.
 pub fn envelope(kind: &str, body: Vec<(String, Json)>) -> Json {
     let mut pairs = vec![
         ("schema".to_string(), Json::from(SCHEMA_NAME)),
