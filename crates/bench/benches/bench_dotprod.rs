@@ -4,7 +4,7 @@
 //!
 //! Each phase is measured on both execution backends: the reference tree
 //! walker (`Evaluator`) and the register-bytecode VM (`compile` + [`Vm`]).
-//! The `reader-vm-batch` case drives the VM through
+//! The `reader-batch` case drives the batch VM through
 //! [`ds_interp::CompiledProgram::run_batch_soa`], the intended shape for the
 //! paper's workload — one compiled program and one warm cache replayed
 //! across a sweep of varying inputs.
@@ -97,7 +97,7 @@ fn bench_dotprod(c: &mut Criterion) {
     let sweep: Vec<Vec<Value>> = (0..64)
         .map(|i| args(f64::from(i), f64::from(i) * 0.5, 2.0))
         .collect();
-    group.bench_function("reader-vm-batch-64", |b| {
+    group.bench_function("reader-batch-64", |b| {
         b.iter(|| {
             let outs = compiled.run_batch_soa(
                 "dotprod__reader",

@@ -4,7 +4,7 @@
 //! noise-defeating partition (marble/veinfreq).
 //!
 //! Every phase runs on both backends — the reference tree walker and the
-//! register-bytecode VM — and each case ends with a `reader-vm-batch`
+//! register-bytecode VM — and each case ends with a `reader-batch`
 //! measurement replaying a sweep of varying inputs through
 //! [`ds_interp::CompiledProgram::run_batch_soa`] against one warm cache, the
 //! shape a renderer would actually use per frame.
@@ -104,7 +104,7 @@ fn bench_case(c: &mut Criterion, shader: &Shader, param: &str) {
         .iter()
         .map(|&v| full_args(shader, param, v))
         .collect();
-    let label = format!("reader-vm-batch-{}", sweep.len());
+    let label = format!("reader-batch-{}", sweep.len());
     group.bench_function(label.as_str(), |b| {
         b.iter(|| {
             let outs = compiled.run_batch_soa(

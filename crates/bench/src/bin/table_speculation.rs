@@ -118,7 +118,6 @@ fn main() {
                 &MeasureOptions {
                     grid: 4,
                     spec: SpecializeOptions::new(),
-                    ..Default::default()
                 },
             );
             let spec = measure_partition(
@@ -127,7 +126,6 @@ fn main() {
                 &MeasureOptions {
                     grid: 4,
                     spec: SpecializeOptions::new().with_speculation(),
-                    ..Default::default()
                 },
             );
             total += 1;

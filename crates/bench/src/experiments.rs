@@ -19,7 +19,6 @@ fn default_opts() -> MeasureOptions {
     MeasureOptions {
         grid: DEFAULT_GRID,
         spec: SpecializeOptions::new(),
-        ..Default::default()
     }
 }
 
@@ -215,7 +214,6 @@ pub fn exp_limit_sweep(grid: u32) -> Vec<LimitPoint> {
             let opts = MeasureOptions {
                 grid,
                 spec: SpecializeOptions::new().with_cache_bound(bound),
-                ..Default::default()
             };
             let m = measure_partition(rings, control.name, &opts);
             out.push(LimitPoint {
@@ -343,7 +341,6 @@ pub fn exp_code_vs_data(shader: &Shader, param: &str, grid: u32) -> CompareRow {
     let opts = MeasureOptions {
         grid,
         spec: SpecializeOptions::new(),
-        ..Default::default()
     };
     let m = measure_partition(shader, param, &opts);
 
@@ -658,7 +655,6 @@ mod tests {
         let opts = MeasureOptions {
             grid: 3,
             spec: SpecializeOptions::new(),
-            ..Default::default()
         };
         let ms: Vec<Measurement> = suite[0]
             .controls
@@ -683,7 +679,6 @@ mod tests {
                 let opts = MeasureOptions {
                     grid: 3,
                     spec: SpecializeOptions::new().with_cache_bound(bound),
-                    ..Default::default()
                 };
                 let m = measure_partition(rings, "ambient", &opts);
                 out.push((bound, m.speedup));

@@ -49,7 +49,6 @@ fn marble_kd_partition_locked() {
         &MeasureOptions {
             grid: 3,
             spec: SpecializeOptions::new(),
-            ..Default::default()
         },
     );
     // Exact values from the deterministic pipeline (grid 3).
@@ -76,7 +75,6 @@ fn figure9_ks_cliff_locked() {
             &MeasureOptions {
                 grid: 3,
                 spec: SpecializeOptions::new().with_cache_bound(bound),
-                ..Default::default()
             },
         )
         .speedup

@@ -160,7 +160,7 @@ impl Args {
         }
     }
 
-    /// `--engine tree|vm|vm-batch` selecting the execution backend (tree by
+    /// `--engine tree|vm` selecting the execution backend (tree by
     /// default).
     pub fn engine(&self) -> Result<ds_interp::Engine, UsageError> {
         match self.options.get("engine") {
@@ -506,8 +506,6 @@ mod tests {
         assert_eq!(a.engine().unwrap(), ds_interp::Engine::Vm);
         let a = parse_ok(&["run", "f.mc", "--engine", "tree"]);
         assert_eq!(a.engine().unwrap(), ds_interp::Engine::Tree);
-        let a = parse_ok(&["run", "f.mc", "--engine", "vm-batch"]);
-        assert_eq!(a.engine().unwrap(), ds_interp::Engine::VmBatch);
         let a = parse_ok(&["run", "f.mc"]);
         assert_eq!(a.engine().unwrap(), ds_interp::Engine::Tree);
         let a = parse_ok(&["run", "f.mc", "--engine", "jit"]);

@@ -74,6 +74,7 @@ use ds_runtime::{
 };
 use ds_telemetry::{format_nanos, Json, LatencyHist, Timing};
 use std::fmt;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -156,16 +157,16 @@ USAGE:
     dsc labels FILE --vary a,b [--entry NAME] [--speculate] [--explain]
     dsc specialize FILE --vary a,b [--entry NAME] [--bound BYTES]
                    [--reassociate] [--speculate] [--loader] [--reader]
-    dsc run FILE --args 1.0,2,true [--entry NAME] [--engine tree|vm|vm-batch]
+    dsc run FILE --args 1.0,2,true [--entry NAME] [--engine tree|vm]
                 [--metrics-out PATH]
     dsc measure FILE --vary a,b --args ... [--entry NAME]
                 [--bound BYTES] [--reassociate] [--speculate]
-                [--engine tree|vm|vm-batch] [--metrics-out PATH]
+                [--engine tree|vm] [--metrics-out PATH]
     dsc explain FILE --vary a,b [--entry NAME] [--bound BYTES]
-                [--reassociate] [--speculate] [--engine tree|vm|vm-batch]
+                [--reassociate] [--speculate] [--engine tree|vm]
                 [--metrics-out PATH]
     dsc serve FILE --vary a,b --requests PATH [--entry NAME]
-              [--engine tree|vm|vm-batch] [--policy fail-fast|rebuild|fallback]
+              [--engine tree|vm] [--policy fail-fast|rebuild|fallback]
               [--rebuild-budget N] [--workers N] [--store-capacity N]
               [--cache-file PATH] [--wal PATH] [--checkpoint-every N]
               [--group-commit N] [--inject FAULT] [--seed N]
@@ -183,13 +184,13 @@ The input is a MiniC source file (a subset of C without pointers or goto).
 `--vary` names the procedure parameters that vary across executions; all
 other parameters are held fixed. `specialize` prints the cache layout and
 both generated phases unless --loader/--reader select one. `--engine`
-picks the execution backend: the reference tree walker (default), the
-register-bytecode VM, or the structure-of-arrays batch VM (`vm-batch`,
-bit-exact with both); all charge identical abstract costs. `explain`
+picks the execution backend: the reference tree walker (default) or the
+register-bytecode VM (`vm`, which serve also runs in lockstep blocks on
+the batch VM); both charge identical abstract costs. `explain`
 reruns the specializer with decision tracing: every cached or dynamic
 term is printed with the caching rule (Figure 3 / §4.3) that labeled it;
-with `--engine vm-batch` it also previews the profile-guided
-superinstruction plan (the hot adjacent opcode pairs the batch VM fuses).
+with `--engine vm` it also previews the profile-guided superinstruction
+plan (the hot adjacent opcode pairs fusion rewrites in the bytecode).
 `serve` replays a requests file (one `--args`-style vector per line,
 `#` comments allowed) through the serving daemon and prints the answers
 in file order: caches are fingerprinted, validated and rebuilt as inputs
@@ -554,15 +555,16 @@ fn cmd_explain(args: &Args) -> Result<(), CliError> {
 
     println!("// varying: {{{}}}", vary.join(", "));
     print!("{}", ds_core::explain_specialization(&spec));
-    // The superinstruction preview prints only under --engine vm-batch,
-    // so the golden test (which never passes --engine) stays byte-exact.
-    if args.engine()? == ds_interp::Engine::VmBatch {
+    // Fusion rewrites the compiled bytecode, so the superinstruction
+    // preview prints only under --engine vm; the golden test (which never
+    // passes --engine) stays byte-exact.
+    if args.engine()? == ds_interp::Engine::Vm {
         let mut compiled = ds_interp::compile(&spec.as_program());
         let hist = ds_interp::static_op_histogram(&compiled);
         let stats =
             ds_interp::fuse_hot_pairs(&mut compiled, &hist, ds_interp::DEFAULT_FUSION_TOP_K);
         println!(
-            "// superinstructions (vm-batch): {} of {} candidate sites fused",
+            "// superinstructions: {} of {} candidate sites fused",
             stats.fused_sites, stats.candidate_sites
         );
         for pair in &stats.selected {
@@ -714,6 +716,21 @@ fn serve_exit(
 /// Store capacity when `--store-capacity` is not given.
 const DEFAULT_STORE_CAPACITY: usize = 16;
 
+/// Applies an injected file fault (`corrupt-file`, `truncate-file`) to
+/// the persisted `text` read from `path`; any other fault leaves it as is.
+fn inject_file_fault(inject: Option<Fault>, seed: u64, path: &str, text: String) -> String {
+    let Some(fault) = inject.filter(Fault::is_file_fault) else {
+        return text;
+    };
+    let mut inj = FaultInjector::new(seed);
+    let text = match fault {
+        Fault::TruncateFile => inj.truncate_text(&text),
+        _ => inj.corrupt_text(&text),
+    };
+    println!("inject: applied {fault} to `{path}` (seed {seed})");
+    text
+}
+
 fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
     let (program, _) = load(args)?;
     let entry = args.entry(&program)?.to_string();
@@ -779,17 +796,9 @@ fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
                 .map(String::from)
                 .unwrap_or_else(|| format!("{wal_path}.checkpoint"));
             let log_text = std::fs::read_to_string(wal_path).unwrap_or_default();
-            let mut ckpt_text = std::fs::read_to_string(&ckpt_path).ok();
-            if let Some(fault) = inject.filter(Fault::is_file_fault) {
-                if let Some(text) = &ckpt_text {
-                    let mut inj = FaultInjector::new(seed);
-                    ckpt_text = Some(match fault {
-                        Fault::TruncateFile => inj.truncate_text(text),
-                        _ => inj.corrupt_text(text),
-                    });
-                    println!("inject: applied {fault} to `{ckpt_path}` (seed {seed})");
-                }
-            }
+            let ckpt_text = std::fs::read_to_string(&ckpt_path)
+                .ok()
+                .map(|text| inject_file_fault(inject, seed, &ckpt_path, text));
             let (rec, ckpt_err) =
                 ds_runtime::recover_or_degrade(ckpt_text.as_deref(), &log_text, artifact.layout());
             if let Some(e) = ckpt_err {
@@ -826,15 +835,8 @@ fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
 
     if wal.is_none() {
         if let Some(path) = args.cache_file() {
-            if let Ok(mut text) = std::fs::read_to_string(path) {
-                if let Some(fault) = inject.filter(Fault::is_file_fault) {
-                    let mut inj = FaultInjector::new(seed);
-                    text = match fault {
-                        Fault::TruncateFile => inj.truncate_text(&text),
-                        _ => inj.corrupt_text(&text),
-                    };
-                    println!("inject: applied {fault} to `{path}` (seed {seed})");
-                }
+            if let Ok(text) = std::fs::read_to_string(path) {
+                let text = inject_file_fault(inject, seed, path, text);
                 match bootstrap.load_cache_text(&text) {
                     Ok(()) => println!("cache: adopted `{path}` (warm start)"),
                     Err(e) => {
@@ -1360,6 +1362,37 @@ fn read_stdin_requests(daemon: Arc<Daemon>, mut fault: Option<(Fault, u64)>) {
 /// BENCH_*.json) as human-readable summaries, or `--compare OLD NEW` to
 /// diff two envelopes and gate on performance regressions (exit 7).
 fn cmd_report(args: &Args) -> Result<(), CliError> {
+    let mut out = Report(None);
+    let rendered = report(&mut out, args);
+    match out.0 {
+        Some(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError::Usage(format!("cannot write the report: {e}")))
+        }
+        _ => rendered,
+    }
+}
+
+/// `dsc report`'s stdout. `println!` panics once the reader closes the
+/// pipe (`dsc report FILE | head`); this writer keeps the first write
+/// error and drops the rest of the report quietly.
+struct Report(Option<std::io::Error>);
+
+impl Report {
+    fn line(&mut self, line: fmt::Arguments<'_>) {
+        if self.0.is_none() {
+            self.0 = writeln!(std::io::stdout(), "{line}").err();
+        }
+    }
+}
+
+/// Writes one line of a report, like `println!`.
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        $out.line(format_args!($($arg)*))
+    };
+}
+
+fn report(out: &mut Report, args: &Args) -> Result<(), CliError> {
     if args.flag("compare") {
         let threshold = args.threshold()?;
         if args.positional.len() != 2 {
@@ -1367,7 +1400,7 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
                 "report --compare needs exactly two files: OLD NEW".into(),
             ));
         }
-        return report_compare(&args.positional[0], &args.positional[1], threshold);
+        return report_compare(out, &args.positional[0], &args.positional[1], threshold);
     }
     if args.positional.is_empty() {
         return Err(CliError::Usage(
@@ -1376,44 +1409,44 @@ fn cmd_report(args: &Args) -> Result<(), CliError> {
     }
     for (i, path) in args.positional.iter().enumerate() {
         if i > 0 {
-            println!();
+            outln!(out, "");
         }
-        report_file(path)?;
+        report_file(out, path)?;
     }
     Ok(())
 }
 
 /// Summarizes one telemetry file: a single-document envelope, or a JSONL
 /// trace stream (header envelope line + one event per line).
-fn report_file(path: &str) -> Result<(), CliError> {
+fn report_file(out: &mut Report, path: &str) -> Result<(), CliError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Usage(format!("cannot read `{path}`: {e}")))?;
-    println!("== {path} ==");
+    outln!(out, "== {path} ==");
     match ds_telemetry::parse(&text) {
-        Ok(doc) => report_doc(path, &doc),
-        Err(_) => report_trace_jsonl(path, &text),
+        Ok(doc) => report_doc(out, path, &doc),
+        Err(_) => report_trace_jsonl(out, path, &text),
     }
 }
 
-fn report_doc(path: &str, doc: &Json) -> Result<(), CliError> {
+fn report_doc(out: &mut Report, path: &str, doc: &Json) -> Result<(), CliError> {
     let kind = ds_telemetry::validate_envelope(doc)
         .map_err(|e| CliError::Usage(format!("`{path}` is not a valid envelope: {e}")))?;
-    println!("kind: {kind}");
+    outln!(out, "kind: {kind}");
     if kind == "serve" {
-        report_serve_summary(doc);
+        report_serve_summary(out, doc);
     }
     let mut leaves = Vec::new();
     collect_numeric_leaves(doc, "", &mut leaves);
     let width = leaves.iter().map(|(p, _)| p.len()).max().unwrap_or(0);
     for (p, v) in &leaves {
-        println!("  {p:<width$}  {}", render_metric(p, *v));
+        outln!(out, "  {p:<width$}  {}", render_metric(p, *v));
     }
     Ok(())
 }
 
 /// The derived serve headline: throughput, hit rate, WAL overhead and
 /// end-to-end/per-stage percentiles, ahead of the raw leaf table.
-fn report_serve_summary(doc: &Json) {
+fn report_serve_summary(out: &mut Report, doc: &Json) {
     let stat = |name: &str| -> f64 {
         doc.get("stats")
             .and_then(|s| s.get(name))
@@ -1425,12 +1458,15 @@ fn report_serve_summary(doc: &Json) {
         doc.get("wall_ms").and_then(Json::as_f64),
         doc.get("throughput_rps").and_then(Json::as_f64),
     ) {
-        println!("  {requests:.0} request(s) in {wall:.1} ms ({rps:.0} req/s)");
+        outln!(
+            out,
+            "  {requests:.0} request(s) in {wall:.1} ms ({rps:.0} req/s)"
+        );
     }
     let hits = stat("store_hits");
     let probes = hits + stat("store_misses");
     if probes > 0.0 {
-        println!(
+        outln!(out,
             "  store hit rate: {:.1}% ({hits:.0}/{probes:.0} probes), {:.0} load(s), {:.0} fallback(s)",
             100.0 * hits / probes,
             stat("loads"),
@@ -1438,7 +1474,8 @@ fn report_serve_summary(doc: &Json) {
         );
     }
     if stat("wal_appends") > 0.0 {
-        println!(
+        outln!(
+            out,
             "  wal: {:.0} append(s), {:.0} replay(s), {:.0} recovered cache(s)",
             stat("wal_appends"),
             stat("wal_replays"),
@@ -1448,9 +1485,9 @@ fn report_serve_summary(doc: &Json) {
     if let Some(latency) = doc.get("latency") {
         if let Ok(timing) = Timing::from_json(latency) {
             if !timing.total.is_empty() {
-                println!("  latency end-to-end:  {}", timing.total);
+                outln!(out, "  latency end-to-end:  {}", timing.total);
                 for (stage, hist) in &timing.stages {
-                    println!("  latency {:<12} {hist}", format!("{stage}:"));
+                    outln!(out, "  latency {:<12} {hist}", format!("{stage}:"));
                 }
             }
         }
@@ -1459,7 +1496,7 @@ fn report_serve_summary(doc: &Json) {
 
 /// Summarizes a `--trace-out` JSONL stream: outcome counts plus an
 /// end-to-end latency histogram rebuilt from the per-event totals.
-fn report_trace_jsonl(path: &str, text: &str) -> Result<(), CliError> {
+fn report_trace_jsonl(out: &mut Report, path: &str, text: &str) -> Result<(), CliError> {
     let mut lines = text.lines();
     let header = lines
         .next()
@@ -1475,7 +1512,7 @@ fn report_trace_jsonl(path: &str, text: &str) -> Result<(), CliError> {
             "`{path}` is neither a JSON document nor a trace stream (kind `{kind}`)"
         )));
     }
-    println!("kind: trace");
+    outln!(out, "kind: trace");
     let mut hist = LatencyHist::new();
     let mut outcomes: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
     let mut events = Vec::new();
@@ -1496,12 +1533,12 @@ fn report_trace_jsonl(path: &str, text: &str) -> Result<(), CliError> {
             *outcomes.entry(o).or_default() += 1;
         }
     }
-    println!("  {} event(s)", events.len());
+    outln!(out, "  {} event(s)", events.len());
     for (outcome, n) in &outcomes {
-        println!("  outcome {outcome:<10} {n}");
+        outln!(out, "  outcome {outcome:<10} {n}");
     }
     if !hist.is_empty() {
-        println!("  latency end-to-end:  {hist}");
+        outln!(out, "  latency end-to-end:  {hist}");
     }
     Ok(())
 }
@@ -1571,7 +1608,12 @@ fn direction_of(path: &str) -> Option<Direction> {
 /// `dsc report --compare OLD NEW`: diff the performance metrics of two
 /// envelopes; any metric moving the wrong way by more than `threshold`
 /// (relative) is a regression and the process exits 7.
-fn report_compare(old_path: &str, new_path: &str, threshold: f64) -> Result<(), CliError> {
+fn report_compare(
+    out: &mut Report,
+    old_path: &str,
+    new_path: &str,
+    threshold: f64,
+) -> Result<(), CliError> {
     let load_doc = |path: &str| -> Result<Json, CliError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::Usage(format!("cannot read `{path}`: {e}")))?;
@@ -1599,7 +1641,8 @@ fn report_compare(old_path: &str, new_path: &str, threshold: f64) -> Result<(), 
     let old_map: std::collections::BTreeMap<&str, f64> =
         old_leaves.iter().map(|(p, v)| (p.as_str(), *v)).collect();
 
-    println!(
+    outln!(
+        out,
         "== compare {old_path} -> {new_path} (threshold {:.0}%) ==",
         threshold * 100.0
     );
@@ -1633,10 +1676,11 @@ fn report_compare(old_path: &str, new_path: &str, threshold: f64) -> Result<(), 
                 render_metric(path, *new_v),
                 change * 100.0
             );
-            println!("{line}");
+            outln!(out, "{line}");
             regressions.push(line);
         } else if improved {
-            println!(
+            outln!(
+                out,
                 "improved    {path}: {} -> {} ({:+.1}%)",
                 render_metric(path, old_v),
                 render_metric(path, *new_v),
@@ -1645,7 +1689,8 @@ fn report_compare(old_path: &str, new_path: &str, threshold: f64) -> Result<(), 
         }
     }
     if regressions.is_empty() {
-        println!(
+        outln!(
+            out,
             "ok: no regression beyond {:.0}% across {compared} metric(s)",
             threshold * 100.0
         );

@@ -390,6 +390,41 @@ fn explain_attributes_every_verdict_to_a_rule() {
     assert!(!out.status.success());
 }
 
+/// `--engine vm` adds the superinstruction preview to `explain` (fusion
+/// rewrites the compiled bytecode); the default engine prints none, and
+/// the retired batch engine name is an unknown engine.
+#[test]
+fn explain_previews_superinstructions_under_the_vm_engine() {
+    let path = write_temp("explain-vm.mc", DOTPROD);
+    let path = path.to_str().expect("utf8 path");
+    let preview = |text: &str| {
+        text.lines()
+            .filter(|l| l.starts_with("// superinstructions: "))
+            .count()
+    };
+    let out = dsc(&["explain", path, "--vary", "z1,z2", "--engine", "vm"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(preview(&text), 1, "{text}");
+    assert!(text.contains("//   fuse mul+add"), "{text}");
+
+    let out = dsc(&["explain", path, "--vary", "z1,z2"]);
+    assert_eq!(preview(&String::from_utf8_lossy(&out.stdout)), 0);
+
+    let out = dsc(&["explain", path, "--vary", "z1,z2", "--engine", "vm-batch"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr)
+            .contains("unknown engine `vm-batch` (expected `tree` or `vm`)"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 /// Acceptance: `dsc explain` on shader-catalog programs prints per-term
 /// labels, each citing a Figure-3 rule.
 #[test]
@@ -839,6 +874,32 @@ fn report_summarizes_and_compare_gates_regressions() {
     let _ = std::fs::remove_file(&metrics);
     let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&regressed);
+}
+
+/// A reader that closes the pipe early (`dsc report FILE | head`) ends the
+/// report quietly: exit 0, no panic. Four copies of the repro envelope
+/// make the report larger than any pipe buffer, so `dsc` is still writing
+/// when the pipe closes.
+#[test]
+fn report_stops_quietly_when_the_reader_closes_the_pipe() {
+    use std::io::BufRead;
+    let bench = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dsc"))
+        .args(["report", bench, bench, bench, bench])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn dsc");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("stdout"))
+        .read_line(&mut first)
+        .expect("read one line");
+    assert!(first.starts_with("== "), "{first}");
+    let out = child.wait_with_output().expect("wait for dsc");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 // --- serve --listen: the online daemon through a real process ---------

@@ -104,7 +104,7 @@
 //! and are identical, field for field, to a scalar run's.
 
 use crate::cache::{CacheBuf, CacheError};
-use crate::compile::{CompiledProgram, Op};
+use crate::compile::{CompiledProgram, Fusible, Op};
 use crate::error::EvalError;
 use crate::eval::{
     apply_binop_at, builtin_arg_error, try_builtin, EvalOptions, Outcome, Profile, CALL_COST,
@@ -1658,10 +1658,11 @@ impl BatchVm {
                     for (part, span) in [first, second].into_iter().zip(spans) {
                         step1!();
                         match part {
-                            Op::Un { op, dst, src } => exec_un!(op, dst, src, span),
-                            Op::Bin { op, dst, lhs, rhs } => exec_bin!(op, dst, lhs, rhs, span),
-                            Op::LoadIndex { dst, arr, idx } => exec_load!(dst, arr, idx, span),
-                            other => unreachable!("non-fusible constituent {other:?}"),
+                            Fusible::Un { op, dst, src } => exec_un!(op, dst, src, span),
+                            Fusible::Bin { op, dst, lhs, rhs } => {
+                                exec_bin!(op, dst, lhs, rhs, span)
+                            }
+                            Fusible::LoadIndex { dst, arr, idx } => exec_load!(dst, arr, idx, span),
                         }
                     }
                     pc += 1; // skip the shadow slot

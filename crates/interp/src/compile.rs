@@ -145,7 +145,48 @@ pub(crate) struct CompiledProc {
     pub nregs: u32,
     /// Constituents of each [`Op::Fused`] site, in selection order. Empty
     /// until [`fuse_hot_pairs`] runs.
-    pub fused: Vec<(Op, Op)>,
+    pub fused: Vec<(Fusible, Fusible)>,
+}
+
+/// One constituent of an [`Op::Fused`] superinstruction: the instructions
+/// with uniform accounting — one fuel, a fixed cost, one histogram entry —
+/// which keeps the fused handler's bookkeeping exactly equal to the
+/// unfused pair's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Fusible {
+    /// [`Op::Un`].
+    Un { op: UnOp, dst: u32, src: u32 },
+    /// [`Op::Bin`].
+    Bin {
+        op: BinOp,
+        dst: u32,
+        lhs: u32,
+        rhs: u32,
+    },
+    /// [`Op::LoadIndex`].
+    LoadIndex { dst: u32, arr: u32, idx: u32 },
+}
+
+impl Fusible {
+    /// `op` as a fusion candidate, if it is one.
+    fn of(op: &Op) -> Option<Fusible> {
+        match *op {
+            Op::Un { op, dst, src } => Some(Fusible::Un { op, dst, src }),
+            Op::Bin { op, dst, lhs, rhs } => Some(Fusible::Bin { op, dst, lhs, rhs }),
+            Op::LoadIndex { dst, arr, idx } => Some(Fusible::LoadIndex { dst, arr, idx }),
+            _ => None,
+        }
+    }
+
+    /// Mnemonic under which the instruction appears in
+    /// [`Profile::op_histogram`](crate::Profile).
+    fn mnemonic(self) -> &'static str {
+        match self {
+            Fusible::Un { op, .. } => op.mnemonic(),
+            Fusible::Bin { op, .. } => op.mnemonic(),
+            Fusible::LoadIndex { .. } => "idxload",
+        }
+    }
 }
 
 /// A whole program lowered to bytecode, ready for repeated execution by
@@ -272,20 +313,6 @@ pub fn compile(program: &Program) -> CompiledProgram {
     }
 }
 
-/// Mnemonic under which an instruction appears in
-/// [`Profile::op_histogram`](crate::Profile), if it is a fusion
-/// candidate. Only instructions with uniform accounting — one fuel, a
-/// fixed cost, one histogram entry — are fusible, which keeps the fused
-/// handler's bookkeeping exactly equal to the unfused pair's.
-fn fusible_mnemonic(op: &Op) -> Option<&'static str> {
-    match op {
-        Op::Un { op, .. } => Some(op.mnemonic()),
-        Op::Bin { op, .. } => Some(op.mnemonic()),
-        Op::LoadIndex { .. } => Some("idxload"),
-        _ => None,
-    }
-}
-
 /// Counts the fusible opcodes of a compiled program by static occurrence.
 ///
 /// A stand-in histogram for contexts with no runtime profile at hand
@@ -296,8 +323,8 @@ pub fn static_op_histogram(prog: &CompiledProgram) -> BTreeMap<&'static str, u64
     let mut hist = BTreeMap::new();
     for p in &prog.procs {
         for op in &p.code {
-            if let Some(m) = fusible_mnemonic(op) {
-                *hist.entry(m).or_default() += 1;
+            if let Some(f) = Fusible::of(op) {
+                *hist.entry(f.mnemonic()).or_default() += 1;
             }
         }
     }
@@ -334,7 +361,8 @@ pub fn fuse_hot_pairs(
     let mut candidate_sites = 0u64;
     for p in &prog.procs {
         for w in p.code.windows(2) {
-            if let (Some(a), Some(b)) = (fusible_mnemonic(&w[0]), fusible_mnemonic(&w[1])) {
+            if let (Some(a), Some(b)) = (Fusible::of(&w[0]), Fusible::of(&w[1])) {
+                let (a, b) = (a.mnemonic(), b.mnemonic());
                 candidate_sites += 1;
                 let score = op_histogram.get(a).copied().unwrap_or(0)
                     + op_histogram.get(b).copied().unwrap_or(0);
@@ -356,21 +384,18 @@ pub fn fuse_hot_pairs(
     for p in &mut prog.procs {
         let mut i = 0;
         while i + 1 < p.code.len() {
-            let pair = match (
-                fusible_mnemonic(&p.code[i]),
-                fusible_mnemonic(&p.code[i + 1]),
-            ) {
-                (Some(a), Some(b)) if chosen.contains(&(a, b)) => (a, b),
+            let (a, b) = match (Fusible::of(&p.code[i]), Fusible::of(&p.code[i + 1])) {
+                (Some(a), Some(b)) if chosen.contains(&(a.mnemonic(), b.mnemonic())) => (a, b),
                 _ => {
                     i += 1;
                     continue;
                 }
             };
-            let constituents = (p.code[i], p.code[i + 1]);
+            let pair = (a.mnemonic(), b.mnemonic());
             p.code[i] = Op::Fused {
                 pair: p.fused.len() as u32,
             };
-            p.fused.push(constituents);
+            p.fused.push((a, b));
             *sites_per_kind.entry(pair).or_default() += 1;
             fused_sites += 1;
             i += 2; // the shadow slot cannot start another fusion
@@ -820,7 +845,7 @@ mod tests {
         };
         // The shadow slot still holds the second constituent verbatim, so
         // a jump landing on it executes the unfused tail.
-        assert_eq!(p.code[at + 1], p.fused[pair as usize].1);
+        assert_eq!(Fusible::of(&p.code[at + 1]), Some(p.fused[pair as usize].1));
         assert_eq!(cp.fusion_stats().unwrap(), &stats);
     }
 

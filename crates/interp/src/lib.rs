@@ -14,6 +14,9 @@
 //! * [`Evaluator`] — runs procedures, optionally with a [`CacheBuf`]
 //!   attached so that loader (`CacheStore`) and reader (`CacheRef`) code
 //!   can communicate;
+//! * [`Engine`] — the one-shot choice between the reference tree walker
+//!   and the register bytecode [`Vm`] (`--engine tree|vm`), which charge
+//!   identical costs;
 //! * [`BatchVm`] / [`CompiledProgram::run_batch_soa`] — the
 //!   structure-of-arrays batch executor that replays one compiled reader
 //!   over many inputs in lockstep, sharing one cache, reading one cache

@@ -16,9 +16,13 @@
 //!   "user drags a slider" sweep), executed in structure-of-arrays
 //!   lockstep by the [`BatchVm`](crate::BatchVm) so instruction dispatch
 //!   is amortized across the whole sweep.
+//!
+//! [`Engine`] names the two engines a caller picks between: the reference
+//! tree walker and this VM. The batch VM runs only where the code itself
+//! holds lanes (a sweep, a daemon block), never as a one-shot engine.
 
 use crate::cache::CacheBuf;
-use crate::compile::{CompiledProc, CompiledProgram, Op};
+use crate::compile::{CompiledProc, CompiledProgram, Fusible, Op};
 use crate::error::EvalError;
 use crate::eval::{
     apply_binop_at, apply_builtin_at, apply_unop_at, EvalOptions, Evaluator, Outcome, Profile,
@@ -39,7 +43,9 @@ use std::str::FromStr;
 /// wall-clock speed. The tree walker needs no compilation step and is the
 /// reference implementation; the VM compiles once and then evaluates
 /// several times faster, which is what the paper's per-pixel reader replay
-/// rewards.
+/// rewards. The [`BatchVm`](crate::BatchVm) is not an engine choice: it
+/// runs where the caller holds many lanes of one procedure, and its lanes
+/// match the scalar VM's runs bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The reference tree-walking evaluator.
@@ -47,16 +53,11 @@ pub enum Engine {
     Tree,
     /// The register bytecode VM.
     Vm,
-    /// The structure-of-arrays batch VM ([`BatchVm`](crate::BatchVm)).
-    /// For single evaluations it runs a batch of one; its payoff is
-    /// [`CompiledProgram::run_batch_soa`], which amortizes instruction
-    /// dispatch across every lane of a sweep.
-    VmBatch,
 }
 
 impl Engine {
     /// Runs `entry` from `program` on this engine. One-shot convenience:
-    /// the VM variants compile the whole program per call, so hot loops
+    /// the VM compiles the whole program per call, so hot loops
     /// should instead [`compile`](crate::compile()) once and use
     /// [`Vm::run`] or [`CompiledProgram::run_batch_soa`].
     pub fn run_program(
@@ -76,10 +77,6 @@ impl Engine {
                 }
             }
             Engine::Vm => crate::compile::compile(program).run(entry, args, cache, opts),
-            Engine::VmBatch => crate::compile::compile(program)
-                .run_batch_soa(entry, &[args.to_vec()], cache, opts)
-                .pop()
-                .expect("a batch of one yields one outcome"),
         }
     }
 }
@@ -91,9 +88,8 @@ impl FromStr for Engine {
         match s {
             "tree" => Ok(Engine::Tree),
             "vm" => Ok(Engine::Vm),
-            "vm-batch" => Ok(Engine::VmBatch),
             other => Err(format!(
-                "unknown engine `{other}` (expected `tree`, `vm` or `vm-batch`)"
+                "unknown engine `{other}` (expected `tree` or `vm`)"
             )),
         }
     }
@@ -104,7 +100,6 @@ impl std::fmt::Display for Engine {
         f.write_str(match self {
             Engine::Tree => "tree",
             Engine::Vm => "vm",
-            Engine::VmBatch => "vm-batch",
         })
     }
 }
@@ -240,6 +235,69 @@ impl Vm {
             };
         }
 
+        // The fusible instructions, shared by their own opcodes and by a
+        // fused pair's constituents, so both charge alike.
+        macro_rules! exec_un {
+            ($op:expr, $dst:expr, $src:expr, $span:expr) => {{
+                let op = $op;
+                cost += unop_cost(op);
+                if let Some(p) = profile.as_mut() {
+                    p.ops += 1;
+                    *p.op_histogram.entry(op.mnemonic()).or_default() += 1;
+                }
+                let v = apply_unop_at(op, self.regs[base + $src as usize].clone(), $span)?;
+                self.regs[base + $dst as usize] = v;
+            }};
+        }
+        macro_rules! exec_bin {
+            ($op:expr, $dst:expr, $lhs:expr, $rhs:expr, $span:expr) => {{
+                let op = $op;
+                cost += binop_cost(op);
+                if let Some(p) = profile.as_mut() {
+                    p.ops += 1;
+                    *p.op_histogram.entry(op.mnemonic()).or_default() += 1;
+                }
+                let v = apply_binop_at(
+                    op,
+                    self.regs[base + $lhs as usize].clone(),
+                    self.regs[base + $rhs as usize].clone(),
+                    $span,
+                )?;
+                self.regs[base + $dst as usize] = v;
+            }};
+        }
+        macro_rules! exec_load {
+            ($dst:expr, $arr:expr, $idx:expr, $span:expr) => {{
+                let span = $span;
+                cost += INDEX_COST;
+                if let Some(p) = profile.as_mut() {
+                    p.ops += 1;
+                    *p.op_histogram.entry("idxload").or_default() += 1;
+                }
+                let i =
+                    self.regs[base + $idx as usize]
+                        .as_int()
+                        .ok_or(EvalError::TypeMismatch {
+                            expected: Type::Int,
+                            span,
+                        })?;
+                let Value::Array(elems) = &self.regs[base + $arr as usize] else {
+                    return Err(EvalError::TypeMismatch {
+                        expected: Type::Int,
+                        span,
+                    });
+                };
+                if i < 0 || i as usize >= elems.len() {
+                    return Err(EvalError::IndexOutOfBounds {
+                        index: i,
+                        len: elems.len(),
+                        span,
+                    });
+                }
+                self.regs[base + $dst as usize] = elems[i as usize].clone();
+            }};
+        }
+
         let value = loop {
             let op = proc.code[pc];
             pc += 1;
@@ -262,32 +320,11 @@ impl Vm {
                 }
                 Op::Un { op, dst, src } => {
                     step1!();
-                    cost += unop_cost(op);
-                    if let Some(p) = profile.as_mut() {
-                        p.ops += 1;
-                        *p.op_histogram.entry(op.mnemonic()).or_default() += 1;
-                    }
-                    let v = apply_unop_at(
-                        op,
-                        self.regs[base + src as usize].clone(),
-                        proc.spans[pc - 1],
-                    )?;
-                    self.regs[base + dst as usize] = v;
+                    exec_un!(op, dst, src, proc.spans[pc - 1]);
                 }
                 Op::Bin { op, dst, lhs, rhs } => {
                     step1!();
-                    cost += binop_cost(op);
-                    if let Some(p) = profile.as_mut() {
-                        p.ops += 1;
-                        *p.op_histogram.entry(op.mnemonic()).or_default() += 1;
-                    }
-                    let v = apply_binop_at(
-                        op,
-                        self.regs[base + lhs as usize].clone(),
-                        self.regs[base + rhs as usize].clone(),
-                        proc.spans[pc - 1],
-                    )?;
-                    self.regs[base + dst as usize] = v;
+                    exec_bin!(op, dst, lhs, rhs, proc.spans[pc - 1]);
                 }
                 Op::FillArray { dst, src, n } => {
                     let v = self.regs[base + src as usize].clone();
@@ -295,33 +332,7 @@ impl Vm {
                 }
                 Op::LoadIndex { dst, arr, idx } => {
                     step1!();
-                    cost += INDEX_COST;
-                    if let Some(p) = profile.as_mut() {
-                        p.ops += 1;
-                        *p.op_histogram.entry("idxload").or_default() += 1;
-                    }
-                    let span = proc.spans[pc - 1];
-                    let i =
-                        self.regs[base + idx as usize]
-                            .as_int()
-                            .ok_or(EvalError::TypeMismatch {
-                                expected: Type::Int,
-                                span,
-                            })?;
-                    let Value::Array(elems) = &self.regs[base + arr as usize] else {
-                        return Err(EvalError::TypeMismatch {
-                            expected: Type::Int,
-                            span,
-                        });
-                    };
-                    if i < 0 || i as usize >= elems.len() {
-                        return Err(EvalError::IndexOutOfBounds {
-                            index: i,
-                            len: elems.len(),
-                            span,
-                        });
-                    }
-                    self.regs[base + dst as usize] = elems[i as usize].clone();
+                    exec_load!(dst, arr, idx, proc.spans[pc - 1]);
                 }
                 Op::StoreIndex { arr, idx, src } => {
                     cost += INDEX_STORE_COST;
@@ -506,61 +517,11 @@ impl Vm {
                     for (part, span) in [first, second].into_iter().zip(spans) {
                         step1!();
                         match part {
-                            Op::Un { op, dst, src } => {
-                                cost += unop_cost(op);
-                                if let Some(p) = profile.as_mut() {
-                                    p.ops += 1;
-                                    *p.op_histogram.entry(op.mnemonic()).or_default() += 1;
-                                }
-                                let v = apply_unop_at(
-                                    op,
-                                    self.regs[base + src as usize].clone(),
-                                    span,
-                                )?;
-                                self.regs[base + dst as usize] = v;
+                            Fusible::Un { op, dst, src } => exec_un!(op, dst, src, span),
+                            Fusible::Bin { op, dst, lhs, rhs } => {
+                                exec_bin!(op, dst, lhs, rhs, span)
                             }
-                            Op::Bin { op, dst, lhs, rhs } => {
-                                cost += binop_cost(op);
-                                if let Some(p) = profile.as_mut() {
-                                    p.ops += 1;
-                                    *p.op_histogram.entry(op.mnemonic()).or_default() += 1;
-                                }
-                                let v = apply_binop_at(
-                                    op,
-                                    self.regs[base + lhs as usize].clone(),
-                                    self.regs[base + rhs as usize].clone(),
-                                    span,
-                                )?;
-                                self.regs[base + dst as usize] = v;
-                            }
-                            Op::LoadIndex { dst, arr, idx } => {
-                                cost += INDEX_COST;
-                                if let Some(p) = profile.as_mut() {
-                                    p.ops += 1;
-                                    *p.op_histogram.entry("idxload").or_default() += 1;
-                                }
-                                let i = self.regs[base + idx as usize].as_int().ok_or(
-                                    EvalError::TypeMismatch {
-                                        expected: Type::Int,
-                                        span,
-                                    },
-                                )?;
-                                let Value::Array(elems) = &self.regs[base + arr as usize] else {
-                                    return Err(EvalError::TypeMismatch {
-                                        expected: Type::Int,
-                                        span,
-                                    });
-                                };
-                                if i < 0 || i as usize >= elems.len() {
-                                    return Err(EvalError::IndexOutOfBounds {
-                                        index: i,
-                                        len: elems.len(),
-                                        span,
-                                    });
-                                }
-                                self.regs[base + dst as usize] = elems[i as usize].clone();
-                            }
-                            other => unreachable!("non-fusible constituent {other:?}"),
+                            Fusible::LoadIndex { dst, arr, idx } => exec_load!(dst, arr, idx, span),
                         }
                     }
                     pc += 1;
@@ -883,9 +844,8 @@ mod tests {
         ds_lang::typecheck(&prog).unwrap();
         assert_eq!("tree".parse::<Engine>(), Ok(Engine::Tree));
         assert_eq!("vm".parse::<Engine>(), Ok(Engine::Vm));
-        assert_eq!("vm-batch".parse::<Engine>(), Ok(Engine::VmBatch));
         assert!("jit".parse::<Engine>().is_err());
-        for engine in [Engine::Tree, Engine::Vm, Engine::VmBatch] {
+        for engine in [Engine::Tree, Engine::Vm] {
             let out = engine
                 .run_program(
                     &prog,

@@ -143,8 +143,8 @@ impl FromStr for Policy {
 /// Configuration of a [`Session`].
 #[derive(Debug, Clone, Copy)]
 pub struct RunnerOptions {
-    /// Which execution engine serves requests. Serving runs `vm-batch` as
-    /// `vm`: it changes only `run`, `measure` and `explain`.
+    /// Which execution engine serves requests. Under `vm` the daemon also
+    /// runs its blocks of hits and misses on the batch VM.
     pub engine: Engine,
     /// The degradation policy.
     pub policy: Policy,
@@ -957,17 +957,7 @@ impl Session {
                 plans[i] = Plan::Back(Exit::Latched, Some(Probe { entry, nanos: 0 }));
                 continue;
             }
-            // Every load after the session's first is a rebuild, and the
-            // staged lanes before this one count as loads.
-            let before = staged.len() as u64;
-            let rebuilds = u64::from(self.rebuilds_used)
-                + if self.ever_loaded {
-                    before
-                } else {
-                    before.saturating_sub(1)
-                };
-            let rebuild = self.ever_loaded || before > 0;
-            if rebuild && rebuilds >= u64::from(self.opts.rebuild_budget) {
+            if self.rebuild_refused(staged.len() as u64) {
                 continue;
             }
             staged.push(fp);
@@ -1301,20 +1291,30 @@ impl Session {
         loaded
     }
 
+    /// Whether the rebuild budget refuses a load with `ahead` loads staged
+    /// before it (0 for a per-request load). Every load after the
+    /// session's first is a rebuild, and a rebuild is refused once the
+    /// rebuilds before it reach the budget.
+    fn rebuild_refused(&self, ahead: u64) -> bool {
+        let loads_before = u64::from(self.ever_loaded) + ahead;
+        let rebuilds_before = u64::from(self.rebuilds_used) + loads_before.saturating_sub(1);
+        loads_before > 0 && rebuilds_before >= u64::from(self.opts.rebuild_budget)
+    }
+
     /// Runs the loader to (re)build the cache for `fp`, returning the
     /// loader's own outcome (it computes the result while filling slots),
     /// and publishes the sealed result to the store. Rebuilds beyond the
     /// initial load are budget-gated.
     fn reload(&mut self, args: &[Value], fp: u64) -> Result<Outcome, RuntimeError> {
+        if self.rebuild_refused(0) {
+            return match self.opts.policy {
+                Policy::FailFast => Err(RuntimeError::RebuildBudgetExhausted {
+                    budget: self.opts.rebuild_budget,
+                }),
+                _ => self.fallback(args),
+            };
+        }
         if self.ever_loaded {
-            if self.rebuilds_used >= self.opts.rebuild_budget {
-                return match self.opts.policy {
-                    Policy::FailFast => Err(RuntimeError::RebuildBudgetExhausted {
-                        budget: self.opts.rebuild_budget,
-                    }),
-                    _ => self.fallback(args),
-                };
-            }
             self.rebuilds_used += 1;
             self.stats.profile.rebuilds += 1;
         }
@@ -1456,10 +1456,10 @@ impl Session {
                     ev.run(name, args)
                 }
             }
-            // A single request runs on the scalar VM under either
-            // bytecode engine: batch parity with it is bit-exact by
-            // contract, and the daemon batches store hits itself.
-            Engine::Vm | Engine::VmBatch => {
+            // A single request runs on the scalar VM: batch parity with
+            // it is bit-exact by contract, and the daemon batches store
+            // hits itself.
+            Engine::Vm => {
                 let cache = if with_cache {
                     Some(&mut self.cache)
                 } else {

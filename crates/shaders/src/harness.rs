@@ -24,10 +24,7 @@
 use crate::catalog::Shader;
 use crate::scene::sample_grid;
 use ds_core::{specialize, InputPartition, Specialization, SpecializeOptions};
-use ds_interp::{
-    compile, BatchVm, CacheBuf, CompiledProgram, Engine, EvalOptions, Evaluator, Outcome, Value, Vm,
-};
-use ds_lang::Program;
+use ds_interp::{CacheBuf, Evaluator, Value};
 
 /// The result of measuring one input partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,9 +60,6 @@ pub struct MeasureOptions {
     pub grid: u32,
     /// Specializer configuration.
     pub spec: SpecializeOptions,
-    /// Execution backend. Abstract costs are engine-independent (the two
-    /// engines charge identically); the VM just produces them faster.
-    pub engine: Engine,
 }
 
 impl Default for MeasureOptions {
@@ -73,56 +67,6 @@ impl Default for MeasureOptions {
         MeasureOptions {
             grid: 8,
             spec: SpecializeOptions::new(),
-            engine: Engine::Tree,
-        }
-    }
-}
-
-/// A program bound to one execution engine, ready for repeated runs.
-///
-/// Abstracts the only difference between the engines that matters to the
-/// harness: the tree walker borrows the program, while the VM compiles it
-/// once up front and then reuses its register buffers per run.
-enum BoundProgram<'p> {
-    Tree(Evaluator<'p>),
-    Vm(CompiledProgram, Vm),
-    VmBatch(CompiledProgram, Box<BatchVm>),
-}
-
-impl<'p> BoundProgram<'p> {
-    fn bind(engine: Engine, program: &'p Program) -> Self {
-        match engine {
-            Engine::Tree => BoundProgram::Tree(Evaluator::new(program)),
-            Engine::Vm => BoundProgram::Vm(compile(program), Vm::new()),
-            Engine::VmBatch => BoundProgram::VmBatch(compile(program), Box::default()),
-        }
-    }
-
-    fn run(
-        &mut self,
-        entry: &str,
-        args: &[Value],
-        cache: Option<&mut CacheBuf>,
-    ) -> Result<Outcome, ds_interp::EvalError> {
-        match self {
-            BoundProgram::Tree(ev) => match cache {
-                Some(c) => ev.run_with_cache(entry, args, c),
-                None => ev.run(entry, args),
-            },
-            BoundProgram::Vm(cp, vm) => vm.run(cp, entry, args, cache, EvalOptions::default()),
-            // The measurement loop is per-pixel, so the batch engine runs
-            // a batch of one here; abstract costs are engine-invariant
-            // either way. Sweep-shaped throughput lives in ds-bench.
-            BoundProgram::VmBatch(cp, bvm) => bvm
-                .run(
-                    cp,
-                    entry,
-                    std::slice::from_ref(&args.to_vec()),
-                    cache,
-                    EvalOptions::default(),
-                )
-                .pop()
-                .expect("a batch of one yields one outcome"),
         }
     }
 }
@@ -163,7 +107,9 @@ pub fn measure_partition(shader: &Shader, param: &str, opts: &MeasureOptions) ->
 }
 
 /// Executes the loader/reader protocol over the sample grid, returning mean
-/// per-pixel `(original, loader, reader)` costs.
+/// per-pixel `(original, loader, reader)` costs. The reference tree walker
+/// runs every phase: abstract costs are engine-invariant, and sweep-shaped
+/// wall time lives in ds-bench.
 fn run_partition(
     shader: &Shader,
     param: &str,
@@ -171,7 +117,7 @@ fn run_partition(
     opts: &MeasureOptions,
 ) -> (f64, f64, f64) {
     let program = spec.as_program();
-    let mut exec = BoundProgram::bind(opts.engine, &program);
+    let exec = Evaluator::new(&program);
     let control = shader.control(param).expect("validated by caller");
     let sweep = control.sweep();
 
@@ -187,11 +133,9 @@ fn run_partition(
         // Initial frame: the loader fills this pixel's cache and must agree
         // with the original.
         let args0 = self::args(shader, pixel.to_args(), param, control.default);
-        let orig0 = exec
-            .run("shade", &args0, None)
-            .expect("original shader run");
+        let orig0 = exec.run("shade", &args0).expect("original shader run");
         let load = exec
-            .run("shade__loader", &args0, Some(&mut cache))
+            .run_with_cache("shade__loader", &args0, &mut cache)
             .expect("loader run");
         check_equal(shader.name, param, &orig0.value, &load.value, opts);
         assert_eq!(orig0.trace, load.trace, "loader changed effect order");
@@ -201,9 +145,9 @@ fn run_partition(
         // The user drags the slider: replay the reader per new value.
         for value in sweep {
             let args = self::args(shader, pixel.to_args(), param, value);
-            let orig = exec.run("shade", &args, None).expect("original shader run");
+            let orig = exec.run("shade", &args).expect("original shader run");
             let read = exec
-                .run("shade__reader", &args, Some(&mut cache))
+                .run_with_cache("shade__reader", &args, &mut cache)
                 .expect("reader run");
             check_equal(shader.name, param, &orig.value, &read.value, opts);
             assert_eq!(orig.trace, read.trace, "reader changed effect order");
@@ -311,7 +255,6 @@ mod tests {
         MeasureOptions {
             grid: 3,
             spec: SpecializeOptions::new(),
-            ..Default::default()
         }
     }
 

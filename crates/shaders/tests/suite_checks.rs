@@ -8,7 +8,6 @@ fn tiny() -> MeasureOptions {
     MeasureOptions {
         grid: 3,
         spec: SpecializeOptions::new(),
-        ..Default::default()
     }
 }
 
@@ -31,7 +30,6 @@ fn grid_size_does_not_change_cache_size() {
         &MeasureOptions {
             grid: 6,
             spec: SpecializeOptions::new(),
-            ..Default::default()
         },
     );
     assert_eq!(small.cache_bytes, larger.cache_bytes);
@@ -50,7 +48,6 @@ fn per_pixel_statistics_are_grid_stable() {
         &MeasureOptions {
             grid: 6,
             spec: SpecializeOptions::new(),
-            ..Default::default()
         },
     );
     let ratio = s3.speedup / s6.speedup;

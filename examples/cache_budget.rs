@@ -43,7 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let opts = MeasureOptions {
             grid: 6,
             spec: SpecializeOptions::new().with_cache_bound(bound),
-            ..Default::default()
         };
         let m = measure_partition(rings, &param, &opts);
         println!(

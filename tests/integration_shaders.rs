@@ -15,7 +15,6 @@ fn all_131_partitions_specialize_and_validate() {
     let opts = MeasureOptions {
         grid: 2,
         spec: SpecializeOptions::new(),
-        ..Default::default()
     };
     let mut count = 0;
     for shader in all_shaders() {
@@ -42,7 +41,6 @@ fn suite_validates_under_reassociation() {
     let opts = MeasureOptions {
         grid: 2,
         spec: SpecializeOptions::new().with_reassociation(),
-        ..Default::default()
     };
     let suite = all_shaders();
     for shader in [&suite[0], &suite[2], &suite[9]] {
@@ -61,7 +59,6 @@ fn suite_validates_under_cache_budgets() {
         let opts = MeasureOptions {
             grid: 2,
             spec: SpecializeOptions::new().with_cache_bound(bound),
-            ..Default::default()
         };
         let m = measure_partition(&suite[9], "ambient", &opts);
         assert!(m.cache_bytes <= bound);
