@@ -209,8 +209,9 @@ impl Args {
         }
     }
 
-    /// `--cache-file PATH`: serialized cache to adopt on start (if it
-    /// exists and validates) and write back on exit.
+    /// `--cache-file PATH`: the checkpoint-format cache file to adopt on
+    /// start (if it exists and validates) and write back on exit; with
+    /// `--wal`, the log's checkpoint.
     pub fn cache_file(&self) -> Option<&str> {
         self.options.get("cache-file").map(String::as_str)
     }
@@ -222,7 +223,7 @@ impl Args {
     }
 
     /// `--checkpoint-every N`: compact the write-ahead log into a
-    /// checkpoint bundle after every N appends (`None` = only at exit).
+    /// checkpoint after every N appends (`None` = only at exit).
     pub fn checkpoint_every(&self) -> Result<Option<u64>, UsageError> {
         match self.options.get("checkpoint-every") {
             None => Ok(None),

@@ -206,13 +206,14 @@ per-worker stats are merged in worker order. A requests file runs with
 admission `always`, no deadline and a queue as long as the file.
 `--wal PATH` write-ahead-logs every sealed-cache install before the
 request is acknowledged and recovers the store crash-consistently on the
-next start (checkpointing into the `--cache-file` bundle — or
+next start (checkpointing into the `--cache-file` — or
 `PATH.checkpoint` — every `--checkpoint-every N` appends and at clean
-exit); a crashed writer exits 6 and the restart serves every sealed
-cache logged before the crash without re-staging it. `--group-commit N`
-batches up to N log appends into one buffered flush (window 1 = flush
-every append); a crash loses at most the buffered suffix, never a
-flushed record.
+exit; a cache file and a checkpoint are one format, so either serve
+adopts the other's file); a crashed writer exits 6 and the restart
+serves every sealed cache logged before the crash without re-staging
+it. `--group-commit N` batches up to N log appends into one buffered
+flush (window 1 = flush every append); a crash loses at most the
+buffered suffix, never a flushed record.
 `--listen` switches serve to online mode: argument vectors stream in on
 stdin (one per line, `#` comments allowed) and are answered as they
 complete, tagged `[n]` in arrival order. In both modes concurrent first
@@ -766,48 +767,60 @@ fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
     let seed = args.seed()?;
     let mut integrity_errors = 0u64;
 
-    // A bootstrap session adopts a persisted cache into the shared store;
-    // file faults damage its text before validation, which must then
-    // reject it.
+    // A bootstrap session adopts the durable state into the shared store.
+    // That state is one checkpoint (`--cache-file`, else `WAL.checkpoint`
+    // beside a log) plus, with `--wal`, the log. Recovery degrades past a
+    // damaged checkpoint to a log-only replay; file faults damage the
+    // checkpoint text first, which recovery must then reject.
     let mut bootstrap = Session::new(Arc::clone(&artifact), Arc::clone(&store), ropts);
-
-    // With `--wal` the durable state is checkpoint + log: recover it
-    // (degrading past a damaged checkpoint to a log-only replay), install
-    // the result, and reopen the log at the recovered LSN. The plain
-    // `--cache-file` adoption below is skipped — the checkpoint *is* the
-    // cache file in this mode.
-    let wal: Option<Arc<ds_runtime::Wal>> = match args.wal() {
-        None => {
-            if let Some(f) = inject.filter(Fault::is_wal_fault) {
-                return Err(CliError::Usage(format!(
-                    "fault `{f}` strikes the write-ahead log; pass --wal PATH"
-                )));
-            }
-            if args.group_commit()?.is_some() {
-                return Err(CliError::Usage(
-                    "--group-commit batches write-ahead-log flushes; pass --wal PATH".into(),
-                ));
-            }
-            None
+    let wal_path = args.wal();
+    if wal_path.is_none() {
+        if let Some(f) = inject.filter(Fault::is_wal_fault) {
+            return Err(CliError::Usage(format!(
+                "fault `{f}` strikes the write-ahead log; pass --wal PATH"
+            )));
         }
-        Some(wal_path) => {
-            let ckpt_path = args
-                .cache_file()
-                .map(String::from)
-                .unwrap_or_else(|| format!("{wal_path}.checkpoint"));
-            let log_text = std::fs::read_to_string(wal_path).unwrap_or_default();
-            let ckpt_text = std::fs::read_to_string(&ckpt_path)
-                .ok()
-                .map(|text| inject_file_fault(inject, seed, &ckpt_path, text));
-            let (rec, ckpt_err) =
-                ds_runtime::recover_or_degrade(ckpt_text.as_deref(), &log_text, artifact.layout());
-            if let Some(e) = ckpt_err {
-                integrity_errors += 1;
-                println!("wal: rejected checkpoint `{ckpt_path}`: {e}");
-            }
-            bootstrap.adopt_recovery(&rec);
+        if args.group_commit()?.is_some() {
+            return Err(CliError::Usage(
+                "--group-commit batches write-ahead-log flushes; pass --wal PATH".into(),
+            ));
+        }
+    }
+    let ckpt_path = args
+        .cache_file()
+        .map(String::from)
+        .or_else(|| wal_path.map(|w| format!("{w}.checkpoint")));
+    let ckpt_text = ckpt_path.as_deref().and_then(|path| {
+        let text = std::fs::read_to_string(path).ok()?;
+        Some(inject_file_fault(inject, seed, path, text))
+    });
+    let log_text = wal_path
+        .and_then(|p| std::fs::read_to_string(p).ok())
+        .unwrap_or_default();
+    let (rec, ckpt_err) =
+        ds_runtime::recover_or_degrade(ckpt_text.as_deref(), &log_text, artifact.layout());
+    bootstrap.adopt_recovery(&rec);
+    match (&ckpt_path, &ckpt_err) {
+        (Some(path), Some(e)) => {
+            integrity_errors += 1;
+            let what = if wal_path.is_some() {
+                "wal: rejected checkpoint"
+            } else {
+                "cache: rejected"
+            };
+            println!("{what} `{path}`: {e}");
+        }
+        (Some(path), None) if wal_path.is_none() && ckpt_text.is_some() => {
+            println!("cache: adopted `{path}` (warm start): {}", rec.summary());
+        }
+        _ => {}
+    }
+
+    let wal: Option<Arc<ds_runtime::Wal>> = match wal_path.zip(ckpt_path.as_deref()) {
+        None => None,
+        Some((wal_path, ckpt_path)) => {
             println!("wal: {}", rec.summary());
-            let storage = ds_runtime::FileWalStorage::new(wal_path, &ckpt_path);
+            let storage = ds_runtime::FileWalStorage::new(wal_path, ckpt_path);
             let wal = Arc::new(ds_runtime::Wal::open(
                 Box::new(storage),
                 artifact.layout_fingerprint(),
@@ -832,21 +845,6 @@ fn serve_setup(args: &Args) -> Result<ServeSetup, CliError> {
             Some(wal)
         }
     };
-
-    if wal.is_none() {
-        if let Some(path) = args.cache_file() {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                let text = inject_file_fault(inject, seed, path, text);
-                match bootstrap.load_cache_text(&text) {
-                    Ok(()) => println!("cache: adopted `{path}` (warm start)"),
-                    Err(e) => {
-                        integrity_errors += 1;
-                        println!("cache: rejected `{path}`: {e}");
-                    }
-                }
-            }
-        }
-    }
     let mem_fault = inject.filter(|f| !f.is_file_fault() && !f.is_wal_fault());
     if let Some(fault) = mem_fault {
         println!("inject: armed {fault} (seed {seed})");
@@ -1078,6 +1076,14 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     }
     let report = daemon.join();
     let wall = serve_started.elapsed();
+    if report.lost_workers > 0 {
+        // Counted as failed requests, so the exit code reports them.
+        println!(
+            "error: {} daemon worker(s) panicked; their requests went unanswered",
+            report.lost_workers
+        );
+        eval_errors += report.lost_workers as u64;
+    }
     for line in in_file_order.into_iter().flatten() {
         println!("{line}");
     }
@@ -1114,6 +1120,8 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     if wal.is_some() {
         println!("wal appends:         {}", st.wal_appends());
         println!("wal replays:         {}", st.wal_replays());
+    }
+    if wal.is_some() || args.cache_file().is_some() {
         println!("recovered caches:    {}", st.recovered_caches());
     }
     println!("admitted:            {}", counters.admitted());
@@ -1258,15 +1266,10 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
             println!("wal: checkpointed store at exit");
         }
     } else if let Some(path) = args.cache_file() {
-        let snapshot = store.snapshot();
-        if snapshot.is_empty() {
+        if store.is_empty() {
             println!("cache: cold at exit; `{path}` not written");
         } else {
-            let entries: Vec<(u64, ds_interp::CacheBuf)> = snapshot
-                .into_iter()
-                .map(|(fp, entry)| (fp, entry.cache))
-                .collect();
-            let text = ds_runtime::save_store(&entries, artifact.layout_fingerprint());
+            let text = ds_runtime::encode_snapshot(&store, artifact.layout_fingerprint(), 0);
             std::fs::write(path, text)
                 .map_err(|e| CliError::Usage(format!("cannot write `{path}`: {e}")))?;
             println!("cache: wrote `{path}`");

@@ -224,7 +224,7 @@ fn answers(text: &str) -> Vec<String> {
 fn serve_replays_requests_and_persists_the_cache() {
     let src = write_temp("serve.mc", DOTPROD);
     let reqs = write_temp("serve-reqs.txt", REQUESTS);
-    let cache = temp_path("serve-cache.json");
+    let cache = temp_path("serve.cache");
     let _ = std::fs::remove_file(&cache);
 
     let base = [
@@ -275,6 +275,113 @@ fn serve_replays_requests_and_persists_the_cache() {
         "stderr should name the violation"
     );
     let _ = std::fs::remove_file(&cache);
+}
+
+/// A cache file written by a serve whose loader hit an injected
+/// corrupt-slot fault must not carry the corrupted value into the next
+/// process: a clean serve from that file answers as a serve without any
+/// cache file does, on both engines.
+#[test]
+fn a_corrupted_store_never_reaches_the_cache_file() {
+    let src = write_temp("corrupt-persist.mc", DOTPROD);
+    let reqs = write_temp("corrupt-persist-reqs.txt", "1.0,2.0,3.0,4.0,5.0,6.0,2.0\n");
+    let cache = temp_path("corrupt-persist.cache");
+    for engine in ["tree", "vm"] {
+        let _ = std::fs::remove_file(&cache);
+        let serve = |extra: &[&str]| {
+            let mut argv = vec![
+                "serve",
+                src.to_str().expect("utf8"),
+                "--vary",
+                "z1,z2",
+                "--requests",
+                reqs.to_str().expect("utf8"),
+                "--engine",
+                engine,
+            ];
+            argv.extend_from_slice(extra);
+            let out = dsc(&argv);
+            assert_eq!(out.status.code(), Some(0), "{engine} {extra:?}");
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let reference = answers(&serve(&[]));
+        assert_eq!(reference, ["[1] result: 16"], "{engine}");
+        let cache_arg = cache.to_str().expect("utf8");
+        let faulty = serve(&[
+            "--cache-file",
+            cache_arg,
+            "--inject",
+            "corrupt-slot",
+            "--seed",
+            "7",
+        ]);
+        assert!(faulty.contains("cache: wrote"), "{engine}: {faulty}");
+        let clean = serve(&["--cache-file", cache_arg]);
+        assert_eq!(answers(&clean), reference, "{engine}: {clean}");
+    }
+    let _ = std::fs::remove_file(&cache);
+}
+
+/// A checkpoint and a cache file are one format: a `--cache-file` serve
+/// adopts the checkpoint a `--wal` serve left, and a `--wal` serve takes
+/// a plain cache file as its checkpoint.
+#[test]
+fn checkpoints_and_cache_files_are_one_format() {
+    let src = write_temp("one-format.mc", DOTPROD);
+    let reqs = write_temp("one-format-reqs.txt", "1.0,2.0,3.0,4.0,5.0,6.0,2.0\n");
+    let wal = temp_path("one-format.wal");
+    let checkpoint = temp_path("one-format.wal.checkpoint");
+    let cache = temp_path("one-format.cache");
+    let wal2 = temp_path("one-format-2.wal");
+    for f in [&wal, &checkpoint, &cache, &wal2] {
+        let _ = std::fs::remove_file(f);
+    }
+    let serve = |extra: &[&str]| {
+        let mut argv = vec![
+            "serve",
+            src.to_str().expect("utf8"),
+            "--vary",
+            "z1,z2",
+            "--requests",
+            reqs.to_str().expect("utf8"),
+        ];
+        argv.extend_from_slice(extra);
+        let out = dsc(&argv);
+        assert_eq!(out.status.code(), Some(0), "{extra:?}");
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    // A `--wal` serve checkpoints at exit...
+    let text = serve(&["--wal", wal.to_str().expect("utf8")]);
+    assert!(text.contains("wal: checkpointed store at exit"), "{text}");
+    // ...and a `--cache-file` serve adopts that checkpoint.
+    let text = serve(&["--cache-file", checkpoint.to_str().expect("utf8")]);
+    assert!(text.contains("cache: adopted"), "{text}");
+    assert!(text.contains("loads:               0"), "{text}");
+    assert!(text.contains("store hits:          1"), "{text}");
+    assert!(text.contains("recovered caches:    1"), "{text}");
+    assert!(text.contains("[1] result: 16"), "{text}");
+
+    // A plain `--cache-file` serve writes a file a `--wal` serve then
+    // recovers as its checkpoint.
+    let text = serve(&["--cache-file", cache.to_str().expect("utf8")]);
+    assert!(text.contains("cache: wrote"), "{text}");
+    let text = serve(&[
+        "--wal",
+        wal2.to_str().expect("utf8"),
+        "--cache-file",
+        cache.to_str().expect("utf8"),
+    ]);
+    assert!(
+        text.contains("wal: recovered 1 cache(s) (1 from checkpoint"),
+        "{text}"
+    );
+    assert!(text.contains("loads:               0"), "{text}");
+    assert!(text.contains("[1] result: 16"), "{text}");
+
+    for f in [&wal, &checkpoint, &cache, &wal2] {
+        let _ = std::fs::remove_file(f);
+    }
 }
 
 #[test]

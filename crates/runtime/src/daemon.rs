@@ -257,6 +257,10 @@ pub struct DaemonReport {
     /// The calibrated §4.3 breakeven: `None` until calibration ran,
     /// `Some(None)` when specialization never pays for this artifact.
     pub breakeven: Option<Option<u32>>,
+    /// Workers that panicked (a bug in the serving code): their
+    /// statistics, histograms and traces are missing from this report,
+    /// and the requests they held went unanswered.
+    pub lost_workers: usize,
 }
 
 /// How a daemon's blocks were served: lockstep runs, the requests
@@ -517,8 +521,12 @@ impl Daemon {
         let mut worker_timing = Vec::with_capacity(handles.len());
         let mut traces = Vec::new();
         let mut blocks = BlockStats::default();
+        let mut lost_workers = 0;
         for h in handles {
-            let (ws, wt, wtr, wb) = h.join().expect("daemon worker panicked");
+            let Ok((ws, wt, wtr, wb)) = h.join() else {
+                lost_workers += 1;
+                continue;
+            };
             stats.merge(&ws);
             timing.merge(&wt);
             worker_stats.push(ws);
@@ -536,6 +544,7 @@ impl Daemon {
             blocks,
             counters: Arc::clone(&self.shared.counters),
             breakeven: *lock(&self.shared.breakeven),
+            lost_workers,
         }
     }
 }
@@ -1030,6 +1039,29 @@ mod tests {
         (0..n)
             .map(|_| rx.recv_timeout(Duration::from_secs(30)).expect("response"))
             .collect()
+    }
+
+    /// A worker that panicked is counted, not re-raised: join still
+    /// merges the healthy workers' statistics and returns.
+    #[test]
+    fn join_counts_a_panicked_worker() {
+        let (artifact, store) = dotprod_parts();
+        let cfg = DaemonConfig {
+            workers: 1,
+            ..DaemonConfig::default()
+        };
+        let (daemon, rx) = Daemon::start(artifact, store, None, cfg);
+        daemon
+            .submit(0, argv_fixed(1.0, 0.5, 0.5), None)
+            .expect("submit");
+        assert!(collect(&rx, 1)[0].result.is_ok());
+        lock(&daemon.workers).push(std::thread::spawn(|| -> WorkerOut {
+            panic!("a serving bug");
+        }));
+        let report = daemon.join();
+        assert_eq!(report.lost_workers, 1);
+        assert_eq!(report.worker_stats.len(), 1, "the healthy worker merged");
+        assert_eq!(report.stats.requests, 1);
     }
 
     #[test]

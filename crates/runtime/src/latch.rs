@@ -167,11 +167,18 @@ impl LatchTable {
         self.shards.iter().map(|s| lock(&s.state).len()).sum()
     }
 
+    /// Releases one shared hold on `fp`. Invariant: a live guard pins its
+    /// entry (an entry leaves the map only once no holder or waiter is
+    /// left), so the entry is always found. Were it missing, the release
+    /// would do nothing: it runs inside a guard's `Drop`, where a panic
+    /// during unwinding would abort the process.
     fn release_shared(&self, fp: u64) {
         let shard = self.shard(fp);
         let mut state = lock(&shard.state);
-        let entry = state.get_mut(&fp).expect("released latch must exist");
-        entry.shared -= 1;
+        let Some(entry) = state.get_mut(&fp) else {
+            return;
+        };
+        entry.shared = entry.shared.saturating_sub(1);
         if entry.shared > 0 {
             return;
         }
@@ -184,10 +191,14 @@ impl LatchTable {
         }
     }
 
+    /// Releases the exclusive hold on `fp`, under the invariant of
+    /// [`LatchTable::release_shared`].
     fn release_exclusive(&self, fp: u64) {
         let shard = self.shard(fp);
         let mut state = lock(&shard.state);
-        let entry = state.get_mut(&fp).expect("released latch must exist");
+        let Some(entry) = state.get_mut(&fp) else {
+            return;
+        };
         entry.exclusive = false;
         if entry.waiters > 0 {
             shard.cv.notify_all();
@@ -261,6 +272,31 @@ mod tests {
         drop(b);
         drop(c);
         assert_eq!(table.live_entries(), 0, "idle table must hold no entries");
+    }
+
+    /// The release invariant: a live guard pins its entry — a refused
+    /// `try_exclusive` on a held fingerprint leaves the entry alone — so
+    /// every release finds it, and a release with no entry is a no-op.
+    #[test]
+    fn held_guards_pin_their_entries_and_stray_releases_are_no_ops() {
+        let table = LatchTable::new();
+        let s = table.shared(5);
+        assert!(table.try_exclusive(5).is_none());
+        assert_eq!(table.live_entries(), 1, "the refusal kept the held entry");
+        let x = table.try_exclusive(6).expect("free fingerprint");
+        assert!(table.try_exclusive(6).is_none());
+        assert_eq!(table.live_entries(), 2);
+        drop(x);
+        drop(s);
+        assert_eq!(table.live_entries(), 0);
+        table.release_shared(5);
+        table.release_exclusive(6);
+        assert_eq!(table.live_entries(), 0);
+        // The table still latches normally afterwards.
+        let x = table.exclusive(5);
+        assert!(table.try_exclusive(5).is_none());
+        drop(x);
+        assert_eq!(table.live_entries(), 0);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   loader, bounded by a configurable rebuild budget.
 //! * **Integrity**: a freshly loaded cache is sealed with its content
 //!   hash; warm requests re-validate the seal, the write-fault shadow and
-//!   the structural shape before trusting the reader. Serialized caches
-//!   ([`cachefile`] store bundles) are versioned and checksummed; truncation, slot-type
-//!   drift and layout mismatch are rejected with typed [`IntegrityError`]s.
+//!   the structural shape before trusting the reader. Caches on disk (the
+//!   [`wal`] log and its checkpoints, which `--cache-file` also uses) are
+//!   versioned and checksummed line by line; truncation, slot-type drift
+//!   and layout mismatch are rejected with typed [`IntegrityError`]s.
 //! * **Degradation**: on any failure a [`Policy`] decides between
 //!   re-loading, direct unspecialized evaluation, or a clean typed
 //!   [`RuntimeError`] — with every rebuild, fallback and validation
@@ -84,7 +85,6 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod cachefile;
 pub mod daemon;
 pub mod error;
 pub mod fault;
@@ -96,10 +96,6 @@ pub mod timing;
 pub mod wal;
 
 pub use artifact::StagedArtifact;
-pub use cachefile::{
-    parse_store, parse_store_with_lsn, save_store, save_store_at, LoadedCache, STORE_FORMAT,
-    STORE_KIND,
-};
 pub use daemon::{
     breakeven_uses, Admission, BlockStats, Daemon, DaemonConfig, DaemonReport, DaemonResponse,
 };
@@ -111,5 +107,6 @@ pub use session::{Policy, RunnerOptions, RunnerStats, Session};
 pub use store::{CacheStore, StoreEntry};
 pub use timing::{RequestOutcome, RequestTrace};
 pub use wal::{
-    scan_log, FileWalStorage, LogScan, MemWalStorage, Wal, WalOp, WalRecord, WalStorage,
+    decode_snapshot, encode_snapshot, scan_log, FileWalStorage, LogScan, MemWalStorage, Wal, WalOp,
+    WalRecord, WalStorage,
 };

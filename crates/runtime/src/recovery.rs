@@ -1,10 +1,12 @@
 //! Recover-on-open: rebuild a crash-consistent store from checkpoint + log.
 //!
 //! [`recover`] implements the open-time half of the durability protocol in
-//! [`wal`](crate::wal): parse the checkpoint bundle (if any), scan the log
-//! for its longest valid record prefix, skip every record the checkpoint
-//! already covers (its chained `wal_lsn`), and replay the rest in LSN
-//! order. The result is always *prefix-consistent*: equal to replaying
+//! [`wal`](crate::wal): decode the checkpoint (if any) with
+//! [`decode_snapshot`], scan the log for its longest valid record prefix,
+//! skip every record the checkpoint already covers (its header's
+//! `cover`), and replay the rest in LSN order. A `--cache-file` is a
+//! checkpoint that covers no log, so adopting one is a recovery with an
+//! empty log. The result is always *prefix-consistent*: equal to replaying
 //! some prefix of the operations that were actually logged — a crash at
 //! any byte can shorten history, never rewrite it.
 //!
@@ -15,9 +17,8 @@
 //! prefix; in the worst case recovery degrades to a cold store, which is
 //! the shortest valid prefix of all.
 
-use crate::cachefile;
 use crate::error::IntegrityError;
-use crate::wal::{replay, scan_log, Lsn};
+use crate::wal::{decode_snapshot, replay, scan_log, Lsn};
 use ds_core::CacheLayout;
 use ds_interp::CacheBuf;
 
@@ -27,7 +28,7 @@ pub struct Recovery {
     /// The recovered store content, fingerprint-sorted: checkpoint entries
     /// with the logged operations beyond the checkpoint replayed on top.
     pub entries: Vec<(u64, CacheBuf)>,
-    /// How many entries came from the checkpoint bundle.
+    /// How many entries came from the checkpoint.
     pub checkpoint_entries: u64,
     /// How many log records were replayed on top of the checkpoint.
     pub replayed: u64,
@@ -80,14 +81,7 @@ pub fn recover(
 ) -> Result<Recovery, IntegrityError> {
     let (entries, cover_lsn) = match checkpoint {
         None => (Vec::new(), 0),
-        Some(text) => {
-            let (loaded, lsn) = cachefile::parse_store_with_lsn(text, layout)?;
-            let entries: Vec<(u64, CacheBuf)> = loaded
-                .into_iter()
-                .map(|lc| (lc.inputs_fingerprint, lc.cache))
-                .collect();
-            (entries, lsn)
-        }
+        Some(text) => decode_snapshot(text, layout)?,
     };
     Ok(replay_log(entries, cover_lsn, log, layout))
 }
@@ -153,6 +147,22 @@ mod tests {
         c
     }
 
+    /// A checkpoint of `entries` covering the log up to `cover`.
+    fn checkpoint(entries: &[(u64, CacheBuf)], l: &CacheLayout, cover: Lsn) -> String {
+        let store = CacheStore::new(8);
+        for (fp, c) in entries {
+            let seal = c.content_hash();
+            store.insert(
+                *fp,
+                crate::store::StoreEntry {
+                    cache: c.clone(),
+                    seal,
+                },
+            );
+        }
+        crate::wal::encode_snapshot(&store, l.fingerprint(), cover)
+    }
+
     fn install(wal: &Wal, fp: u64, v: f64) {
         wal.append(&WalOp::Install {
             inputs_fp: fp,
@@ -202,7 +212,7 @@ mod tests {
 
     #[test]
     fn crash_between_install_and_truncate_is_idempotent() {
-        // Model the worst checkpoint crash: the bundle was installed but
+        // Model the worst checkpoint crash: the checkpoint was installed but
         // the log was never truncated, so every record is still present
         // and also covered. Replaying must skip all of them.
         let l = layout();
@@ -211,7 +221,7 @@ mod tests {
         install(&wal, 20, 2.0);
         let log = wal.log_text().unwrap();
         let entries = vec![(10u64, cache(1.0)), (20u64, cache(2.0))];
-        let ckpt = cachefile::save_store_at(&entries, l.fingerprint(), 2);
+        let ckpt = checkpoint(&entries, &l, 2);
         let rec = recover(Some(&ckpt), &log, &l).expect("recover");
         assert_eq!(rec.skipped, 2, "both records already covered");
         assert_eq!(rec.replayed, 0);
@@ -224,7 +234,7 @@ mod tests {
         let l = layout();
         let wal = Wal::in_memory(l.fingerprint(), None);
         install(&wal, 10, 1.0);
-        let ckpt = cachefile::save_store_at(&[(99u64, cache(9.0))], l.fingerprint(), 1);
+        let ckpt = checkpoint(&[(99u64, cache(9.0))], &l, 1);
         let torn = &ckpt[..ckpt.len() / 2];
         let log = wal.log_text().unwrap();
         assert!(recover(Some(torn), &log, &l).is_err(), "typed rejection");
@@ -266,6 +276,30 @@ mod tests {
         assert!(rec.entries.is_empty());
         assert_eq!(rec.checkpoint_entries, 0);
         assert!(rec.damaged_tail);
+    }
+
+    /// A format-2 checkpoint (the retired JSON `cache-store` bundle) is
+    /// refused as malformed, though its layout matches, and recovery
+    /// degrades to the log alone.
+    #[test]
+    fn a_format_two_checkpoint_is_refused() {
+        let l = layout();
+        let old_ckpt = include_str!("../testdata/format2-checkpoint.json");
+        assert!(old_ckpt.contains("\"format\": 2"));
+        assert!(old_ckpt.contains(&format!("{:#018x}", l.fingerprint())));
+        let err = recover(Some(old_ckpt), "", &l).unwrap_err();
+        assert!(matches!(err, IntegrityError::Malformed { .. }), "{err}");
+        let wal = Wal::in_memory(l.fingerprint(), None);
+        install(&wal, 10, 1.0);
+        let (rec, err) = recover_or_degrade(Some(old_ckpt), &wal.log_text().unwrap(), &l);
+        assert!(
+            matches!(err, Some(IntegrityError::Malformed { .. })),
+            "{err:?}"
+        );
+        assert_eq!(rec.checkpoint_entries, 0);
+        assert_eq!(rec.replayed, 1);
+        let fps: Vec<u64> = rec.entries.iter().map(|(fp, _)| *fp).collect();
+        assert_eq!(fps, vec![10]);
     }
 
     #[test]

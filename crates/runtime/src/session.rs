@@ -80,7 +80,6 @@
 //! exactly those of [`Session::run`].
 
 use crate::artifact::StagedArtifact;
-use crate::cachefile;
 use crate::error::{IntegrityError, RuntimeError};
 use crate::fault::{Fault, FaultInjector};
 use crate::latch::{ExclusiveLatch, LatchTable};
@@ -1116,43 +1115,6 @@ impl Session {
         self.artifact.reference(args, self.opts.eval)
     }
 
-    /// Serializes the whole shared store as a cache-store bundle (one
-    /// entry per fingerprint, sorted), or `None` when the store is empty.
-    pub fn save_store_text(&self) -> Option<String> {
-        let snap = self.store.snapshot();
-        if snap.is_empty() {
-            return None;
-        }
-        let entries: Vec<(u64, CacheBuf)> = snap.into_iter().map(|(fp, e)| (fp, e.cache)).collect();
-        Some(cachefile::save_store(&entries, self.artifact.layout_fp))
-    }
-
-    /// Adopts a previously saved cache-store bundle, fully validating every
-    /// entry against this session's layout first. Entries are published to
-    /// the shared store; the first request per fingerprint then hits it
-    /// instead of running the loader.
-    ///
-    /// # Errors
-    ///
-    /// The [`IntegrityError`] of the first validation failure — a damaged
-    /// or mismatched file is *always* rejected, never partially adopted.
-    pub fn load_cache_text(&mut self, text: &str) -> Result<(), RuntimeError> {
-        let loaded = cachefile::parse_store(text, &self.artifact.layout)?;
-        for lc in loaded {
-            let seal = lc.cache.content_hash();
-            let evicted = self.store.insert(
-                lc.inputs_fingerprint,
-                StoreEntry {
-                    cache: lc.cache,
-                    seal,
-                },
-            );
-            self.stats.profile.store_evictions += evicted;
-        }
-        self.ever_loaded = true;
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Lifecycle internals
     // ------------------------------------------------------------------
@@ -1659,18 +1621,23 @@ mod tests {
         assert_eq!(r.stats().fallbacks(), 1);
     }
 
+    /// A checkpoint of one session's store, adopted through recovery by a
+    /// fresh session, serves every fingerprint without a load.
     #[test]
-    fn store_bundle_round_trip_serves_every_fingerprint_without_loading() {
+    fn checkpoint_round_trip_serves_every_fingerprint_without_loading() {
         let mut r = dotprod_session(RunnerOptions::default(), 16);
         let contexts = [(2.0, 3.0), (9.0, 4.0), (5.0, 5.0)];
         for &(y1, z) in &contexts {
             r.run(&argv_fixed(y1, z, z + 1.0)).expect("warmup");
         }
         assert_eq!(r.stats().loads, 3);
-        let text = r.save_store_text().expect("bundle");
+        let layout = r.artifact().layout();
+        let text = crate::wal::encode_snapshot(r.store(), layout.fingerprint(), 0);
+        let rec = crate::recovery::recover(Some(&text), "", layout).expect("adopt");
 
         let mut fresh = dotprod_session(RunnerOptions::default(), 16);
-        fresh.load_cache_text(&text).expect("adopt bundle");
+        fresh.adopt_recovery(&rec);
+        assert_eq!(fresh.stats().recovered_caches(), 3);
         for &(y1, z) in &contexts {
             let args = argv_fixed(y1, z + 2.0, z);
             let got = fresh.run(&args).expect("from store").value;
@@ -1678,30 +1645,6 @@ mod tests {
         }
         assert_eq!(fresh.stats().loads, 0, "every context came from the file");
         assert_eq!(fresh.stats().store_hits(), 3);
-    }
-
-    /// A format-1 bundle (FNV-1a fingerprints, no `format` tag) is
-    /// refused, never adopted under keys no request of this build hits.
-    #[test]
-    fn a_format_one_bundle_is_refused() {
-        let mut r = dotprod_session(RunnerOptions::default(), 16);
-        let old = include_str!("../testdata/format1-checkpoint.json");
-        let err = r.load_cache_text(old).unwrap_err();
-        assert!(
-            matches!(
-                &err,
-                RuntimeError::Integrity(IntegrityError::Malformed { detail })
-                    if detail.contains("format 1")
-            ),
-            "{err}"
-        );
-        assert_eq!(r.store().len(), 0, "nothing adopted");
-    }
-
-    #[test]
-    fn cold_session_has_no_store_text() {
-        let r = dotprod_session(RunnerOptions::default(), 16);
-        assert_eq!(r.save_store_text(), None);
     }
 
     #[test]

@@ -199,8 +199,9 @@ impl CacheStore {
     }
 
     /// Copies every entry out, sorted by fingerprint — the deterministic
-    /// order cache-store files are written in. The shard locks are held
-    /// only long enough to share each entry; the copies are made after.
+    /// order cache files and checkpoints are written in. The shard locks
+    /// are held only long enough to share each entry; the copies are made
+    /// after.
     pub fn snapshot(&self) -> Vec<(u64, StoreEntry)> {
         let mut all: Vec<(u64, Arc<StoreEntry>)> = Vec::with_capacity(self.len());
         for m in &self.shards {

@@ -1,12 +1,13 @@
-//! The write-ahead log: durable sealed-cache installs with crash safety.
+//! The write-ahead log, and the one on-disk text of cached state.
 //!
-//! A serving process that dies between two checkpoints used to lose every
-//! sealed cache built since the last [`cachefile`]
-//! bundle was written. The WAL closes that window: every store-visible
-//! operation — a sealed-cache **install** or a damaged-entry
-//! **invalidate** — is appended to the log *before* the request is
-//! acknowledged, and recovery on the next open replays the valid prefix
-//! into the [`CacheStore`].
+//! Every byte of cache text on disk is written and read here: the log's
+//! records, and the checkpoints that compact them. A `--cache-file` is a
+//! checkpoint too. A serving process that dies between two checkpoints
+//! would lose every sealed cache built since the last one; the WAL closes
+//! that window: every store-visible operation — a sealed-cache
+//! **install** or a damaged-entry **invalidate** — is appended to the log
+//! *before* the request is acknowledged, and recovery on the next open
+//! replays the valid prefix into the [`CacheStore`].
 //!
 //! ## Record format
 //!
@@ -21,10 +22,11 @@
 //!   duplicate or out-of-order LSN ends the valid prefix.
 //! * `layout` — the specialization-layout fingerprint, so a log can never
 //!   be replayed against a different specialization.
+//! * `fp` — the fingerprint of the invariant-input vector the cache was
+//!   loaded for, so each entry serves only its own invariant context.
 //! * `slots` — each cache slot as `<type letter>:<hex bit pattern>` (`i`,
 //!   `f`, `b`), or `_` for an unfilled slot; bit patterns keep `i64`
-//!   precision and `NaN`/`-0.0` distinctions exactly like the cache-file
-//!   format.
+//!   precision and `NaN`/`-0.0` distinctions exactly.
 //! * `crc` — a [`Hash64`] checksum over every byte of the record before
 //!   the ` crc=` marker; any flipped byte is detected.
 //!
@@ -42,14 +44,33 @@
 //!
 //! ## Checkpoints
 //!
+//! A checkpoint is a compacted log: one header line, then one `install`
+//! record per store entry, numbered from 1:
+//!
+//! ```text
+//! wal2 checkpoint cover=57 layout=0x... entries=2 crc=0x...
+//! wal2 lsn=1 op=install layout=0x... fp=0x... slots=... crc=0x...
+//! wal2 lsn=2 op=install layout=0x... fp=0x... slots=... crc=0x...
+//! ```
+//!
+//! The header's `cover` is the last log LSN compacted into the snapshot
+//! (0 for a plain `--cache-file`, which covers no log), and its own `crc`
+//! guards `cover` and the entry count. [`encode_snapshot`] is the one
+//! writer: it skips entries the tamper shadow disproves, because the text
+//! carries observed values only and persisting one would re-seal
+//! corruption as truth. [`decode_snapshot`] is the one reader, and it
+//! reads a checkpoint whole or not at all: the typed [`IntegrityError`] of
+//! the first bad line, a short count or a torn tail rejects the file. So
+//! a load either fails with a typed error or yields entries semantically
+//! identical to the ones saved. The retired JSON `cache-store` bundles
+//! (formats 1 and 2) are refused as [`IntegrityError::Malformed`].
+//!
 //! Every `checkpoint_every` appends the [`Wal`] compacts the log: it
-//! snapshots the store into the existing cache-store bundle format
-//! (tagged with the covered LSN via
-//! [`save_store_at`](crate::cachefile::save_store_at)), installs the
-//! bundle atomically (write-temp-then-rename for file storage), and only
-//! then truncates the log. A crash between install and truncate is
+//! encodes the store chained at the current last LSN, installs the
+//! checkpoint atomically (write-temp-then-rename for file storage), and
+//! only then truncates the log. A crash between install and truncate is
 //! harmless: recovery skips replaying records at or below the
-//! checkpoint's `wal_lsn`.
+//! checkpoint's `cover`.
 //!
 //! ## Group commit
 //!
@@ -66,13 +87,14 @@
 //! Periodic checkpoints count flushed *batches*, so `checkpoint_every = C`
 //! with window `W` compacts every `C·W` records.
 
-use crate::cachefile;
 use crate::error::{IntegrityError, WalError};
 use crate::fault::Fault;
 use crate::store::CacheStore;
 use ds_core::CacheLayout;
-use ds_interp::{value_bits, CacheBuf};
+use ds_interp::{value_bits, CacheBuf, Value};
+use ds_lang::Type;
 use ds_telemetry::Hash64;
+use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// The record-format version tag opening every log line.
@@ -136,55 +158,103 @@ pub struct WalRecord {
     pub op: WalOp,
 }
 
-fn type_letter(ty: ds_lang::Type) -> &'static str {
+/// The tag that follows [`WAL_MAGIC`] on a checkpoint's header line.
+const CHECKPOINT_TAG: &str = "checkpoint";
+
+fn type_letter(ty: Type) -> char {
     match ty {
-        ds_lang::Type::Int => "i",
-        ds_lang::Type::Float => "f",
-        ds_lang::Type::Bool => "b",
-        ds_lang::Type::Void => "v", // unreachable for cache slots; rejected on decode
-        ds_lang::Type::Array(..) => "a", // likewise: slots are scalar-only
+        Type::Int => 'i',
+        Type::Float => 'f',
+        Type::Bool => 'b',
+        Type::Void => 'v',      // unreachable for cache slots; rejected on decode
+        Type::Array(..) => 'a', // likewise: slots are scalar-only
     }
 }
 
-fn letter_type(s: &str, slot: usize) -> Result<ds_lang::Type, IntegrityError> {
+fn letter_type(s: &str, slot: usize) -> Result<Type, IntegrityError> {
     match s {
-        "i" => Ok(ds_lang::Type::Int),
-        "f" => Ok(ds_lang::Type::Float),
-        "b" => Ok(ds_lang::Type::Bool),
+        "i" => Ok(Type::Int),
+        "f" => Ok(Type::Float),
+        "b" => Ok(Type::Bool),
         other => Err(IntegrityError::Malformed {
             detail: format!("slot {slot}: unknown type letter `{other}`"),
         }),
     }
 }
 
+fn parse_hex(s: &str, what: &str) -> Result<u64, IntegrityError> {
+    s.strip_prefix("0x")
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or_else(|| IntegrityError::Malformed {
+            detail: format!("{what}: bad hex literal `{s}`"),
+        })
+}
+
+fn parse_count(s: &str, what: &str) -> Result<u64, IntegrityError> {
+    s.parse().map_err(|_| IntegrityError::Malformed {
+        detail: format!("bad `{what}` field"),
+    })
+}
+
+fn decode_value(ty: Type, bits: u64, slot: usize) -> Result<Value, IntegrityError> {
+    match ty {
+        Type::Int => Ok(Value::Int(bits as i64)),
+        Type::Float => Ok(Value::Float(f64::from_bits(bits))),
+        Type::Bool => match bits {
+            0 => Ok(Value::Bool(false)),
+            1 => Ok(Value::Bool(true)),
+            other => Err(IntegrityError::Malformed {
+                detail: format!("slot {slot}: bool with bit pattern {other:#x}"),
+            }),
+        },
+        // `letter_type` never yields a non-scalar type.
+        Type::Void | Type::Array(..) => Err(IntegrityError::Malformed {
+            detail: format!("slot {slot}: non-scalar slot"),
+        }),
+    }
+}
+
+/// Seals the line `out[start..]` with its checksum and a newline.
+fn seal_line(out: &mut String, start: usize) {
+    let crc = Hash64::new().str(&out[start..]).finish();
+    let _ = writeln!(out, " crc={crc:#018x}");
+}
+
+/// Appends one record to `out` as a single `\n`-terminated log line,
+/// writing each slot straight into the line.
+fn push_record(out: &mut String, lsn: Lsn, layout_fp: u64, op: &WalOp) {
+    let start = out.len();
+    let (name, inputs_fp) = match op {
+        WalOp::Install { inputs_fp, .. } => ("install", inputs_fp),
+        WalOp::Invalidate { inputs_fp } => ("invalidate", inputs_fp),
+    };
+    let _ = write!(
+        out,
+        "{WAL_MAGIC} lsn={lsn} op={name} layout={layout_fp:#018x} fp={inputs_fp:#018x}"
+    );
+    if let WalOp::Install { cache, .. } = op {
+        out.push_str(" slots=");
+        for i in 0..cache.len() {
+            if i > 0 {
+                out.push(',');
+            }
+            match cache.get(i) {
+                None => out.push('_'),
+                Some(v) => {
+                    let (_, bits) = value_bits(&v);
+                    let _ = write!(out, "{}:{bits:#018x}", type_letter(v.ty()));
+                }
+            }
+        }
+    }
+    seal_line(out, start);
+}
+
 /// Encodes one record as a single `\n`-terminated log line.
 pub fn encode_record(lsn: Lsn, layout_fp: u64, op: &WalOp) -> String {
-    let body = match op {
-        WalOp::Install { inputs_fp, cache } => {
-            let slots: Vec<String> = (0..cache.len())
-                .map(|i| match cache.get(i) {
-                    None => "_".to_string(),
-                    Some(v) => {
-                        let (_, bits) = value_bits(&v);
-                        format!("{}:{}", type_letter(v.ty()), cachefile::hex(bits))
-                    }
-                })
-                .collect();
-            format!(
-                "{WAL_MAGIC} lsn={lsn} op=install layout={} fp={} slots={}",
-                cachefile::hex(layout_fp),
-                cachefile::hex(*inputs_fp),
-                slots.join(",")
-            )
-        }
-        WalOp::Invalidate { inputs_fp } => format!(
-            "{WAL_MAGIC} lsn={lsn} op=invalidate layout={} fp={}",
-            cachefile::hex(layout_fp),
-            cachefile::hex(*inputs_fp),
-        ),
-    };
-    let crc = Hash64::new().str(&body).finish();
-    format!("{body} crc={}\n", cachefile::hex(crc))
+    let mut line = String::new();
+    push_record(&mut line, lsn, layout_fp, op);
+    line
 }
 
 fn record_field<'l>(line: &'l str, key: &str) -> Result<&'l str, IntegrityError> {
@@ -195,26 +265,19 @@ fn record_field<'l>(line: &'l str, key: &str) -> Result<&'l str, IntegrityError>
         })
 }
 
-/// Decodes and fully validates one log line (without its trailing `\n`)
-/// against `layout`: checksum → layout fingerprint → slot shape and types,
-/// the same order and strictness as a cache-file entry.
-///
-/// # Errors
-///
-/// A typed [`IntegrityError`] for the first violation; [`scan_log`] turns
-/// any error into the end of the valid prefix.
-pub fn decode_record(line: &str, layout: &CacheLayout) -> Result<WalRecord, IntegrityError> {
+/// The body of a line that opens with `prefix`, once its checksum holds.
+fn checked_body<'l>(line: &'l str, prefix: &str) -> Result<&'l str, IntegrityError> {
     let Some((body, crc_text)) = line.rsplit_once(" crc=") else {
         return Err(IntegrityError::Malformed {
-            detail: "record has no checksum".to_string(),
+            detail: "line has no checksum".to_string(),
         });
     };
-    if !body.starts_with(WAL_MAGIC) {
+    if !body.starts_with(prefix) {
         return Err(IntegrityError::Malformed {
-            detail: format!("record does not start with `{WAL_MAGIC}`"),
+            detail: format!("line does not start with `{prefix}`"),
         });
     }
-    let stored = cachefile::parse_hex(crc_text, "crc")?;
+    let stored = parse_hex(crc_text, "crc")?;
     let found = Hash64::new().str(body).finish();
     if stored != found {
         return Err(IntegrityError::ChecksumMismatch {
@@ -222,31 +285,50 @@ pub fn decode_record(line: &str, layout: &CacheLayout) -> Result<WalRecord, Inte
             found,
         });
     }
-    let lsn: Lsn = record_field(body, "lsn")?
-        .parse()
-        .map_err(|_| IntegrityError::Malformed {
-            detail: "bad `lsn` field".to_string(),
-        })?;
-    if lsn == 0 {
-        return Err(IntegrityError::Malformed {
-            detail: "lsn 0 is reserved".to_string(),
-        });
-    }
-    let layout_fp = cachefile::parse_hex(record_field(body, "layout")?, "layout")?;
+    Ok(body)
+}
+
+/// The layout fingerprint field of a checked line, which must be
+/// `layout`'s.
+fn check_layout(body: &str, layout: &CacheLayout) -> Result<(), IntegrityError> {
+    let layout_fp = parse_hex(record_field(body, "layout")?, "layout")?;
     if layout_fp != layout.fingerprint() {
         return Err(IntegrityError::LayoutMismatch {
             detail: format!(
-                "record fingerprint {:#018x}, current layout {:#018x}",
+                "file fingerprint {:#018x}, current layout {:#018x}",
                 layout_fp,
                 layout.fingerprint()
             ),
         });
     }
-    let inputs_fp = cachefile::parse_hex(record_field(body, "fp")?, "fp")?;
+    Ok(())
+}
+
+/// Decodes and fully validates one log line (without its trailing `\n`)
+/// against `layout`: checksum → layout fingerprint → slot shape and types.
+///
+/// # Errors
+///
+/// A typed [`IntegrityError`] for the first violation; [`scan_log`] turns
+/// any error into the end of the valid prefix.
+pub fn decode_record(line: &str, layout: &CacheLayout) -> Result<WalRecord, IntegrityError> {
+    let body = checked_body(line, WAL_MAGIC)?;
+    let lsn = parse_count(record_field(body, "lsn")?, "lsn")?;
+    if lsn == 0 {
+        return Err(IntegrityError::Malformed {
+            detail: "lsn 0 is reserved".to_string(),
+        });
+    }
+    check_layout(body, layout)?;
+    let inputs_fp = parse_hex(record_field(body, "fp")?, "fp")?;
     let op = match record_field(body, "op")? {
         "invalidate" => WalOp::Invalidate { inputs_fp },
         "install" => {
-            let slots: Vec<&str> = record_field(body, "slots")?.split(',').collect();
+            // A cache of no slots writes an empty list, not one empty slot.
+            let slots: Vec<&str> = match record_field(body, "slots")? {
+                "" => Vec::new(),
+                list => list.split(',').collect(),
+            };
             if slots.len() != layout.slot_count() {
                 return Err(IntegrityError::LayoutMismatch {
                     detail: format!(
@@ -275,8 +357,7 @@ pub fn decode_record(line: &str, layout: &CacheLayout) -> Result<WalRecord, Inte
                         found: ty,
                     });
                 }
-                let bits = cachefile::parse_hex(bits_text, "slot bits")?;
-                let v = cachefile::decode_value(ty, bits, i)?;
+                let v = decode_value(ty, parse_hex(bits_text, "slot bits")?, i)?;
                 cache.try_set(i, v).map_err(|e| IntegrityError::Malformed {
                     detail: format!("slot {i}: {e}"),
                 })?;
@@ -306,40 +387,135 @@ pub struct LogScan {
     pub torn: bool,
 }
 
+/// Scans records up to the first invalid one: the valid prefix, its byte
+/// length, and the error that ended it (`None` at a clean end).
+fn scan_records(
+    text: &str,
+    layout: &CacheLayout,
+) -> (Vec<WalRecord>, usize, Option<IntegrityError>) {
+    let mut records: Vec<WalRecord> = Vec::new();
+    let mut valid_bytes = 0usize;
+    let mut rest = text;
+    while !rest.is_empty() {
+        let Some((line, tail)) = rest.split_once('\n') else {
+            let torn = IntegrityError::Malformed {
+                detail: "torn tail: the last line has no newline".to_string(),
+            };
+            return (records, valid_bytes, Some(torn));
+        };
+        let rec = match decode_record(line, layout) {
+            Ok(rec) => rec,
+            Err(e) => return (records, valid_bytes, Some(e)),
+        };
+        if let Some(prev) = records.last().filter(|prev| rec.lsn <= prev.lsn) {
+            let order = IntegrityError::Malformed {
+                detail: format!("lsn {} does not follow lsn {}", rec.lsn, prev.lsn),
+            };
+            return (records, valid_bytes, Some(order));
+        }
+        valid_bytes += line.len() + 1;
+        records.push(rec);
+        rest = tail;
+    }
+    (records, valid_bytes, None)
+}
+
 /// Scans a log text, stopping at the first invalid record. Never fails:
 /// damage only shortens the returned prefix. A line not terminated by
 /// `\n` is treated as torn (an append died mid-record), and the scan
 /// never resynchronizes past a bad record — replaying records *after*
 /// damage would not be a prefix of the logged history.
 pub fn scan_log(text: &str, layout: &CacheLayout) -> LogScan {
-    let mut records: Vec<WalRecord> = Vec::new();
-    let mut valid_bytes = 0usize;
-    let mut rest = text;
-    loop {
-        let Some((line, tail)) = rest.split_once('\n') else {
-            // No newline: either a clean end or a torn final record.
-            return LogScan {
-                records,
-                valid_bytes,
-                torn: !rest.is_empty(),
-            };
-        };
-        match decode_record(line, layout) {
-            Ok(rec) if records.last().is_none_or(|prev| rec.lsn > prev.lsn) => {
-                valid_bytes += line.len() + 1;
-                records.push(rec);
-                rest = tail;
-            }
-            // A decode failure or a non-increasing LSN ends the prefix.
-            _ => {
-                return LogScan {
-                    records,
-                    valid_bytes,
-                    torn: true,
-                }
-            }
-        }
+    let (records, valid_bytes, damage) = scan_records(text, layout);
+    LogScan {
+        records,
+        valid_bytes,
+        torn: damage.is_some(),
     }
+}
+
+/// Encodes a checkpoint of `store`: the header line chained at `cover`
+/// (the last log LSN the snapshot compacts; 0 covers no log), then one
+/// `install` record per fingerprint-sorted entry, numbered from 1. Entries
+/// the tamper shadow disproves are left out, as [`Session`] never logs
+/// them: the text carries observed values only.
+///
+/// [`Session`]: crate::Session
+pub fn encode_snapshot(store: &CacheStore, layout_fp: u64, cover: Lsn) -> String {
+    let entries: Vec<(u64, CacheBuf)> = store
+        .snapshot()
+        .into_iter()
+        .filter(|(_, e)| e.cache.first_tampered_slot().is_none())
+        .map(|(fp, e)| (fp, e.cache))
+        .collect();
+    let mut text = String::new();
+    let _ = write!(
+        text,
+        "{WAL_MAGIC} {CHECKPOINT_TAG} cover={cover} layout={layout_fp:#018x} entries={}",
+        entries.len()
+    );
+    seal_line(&mut text, 0);
+    for (n, (inputs_fp, cache)) in entries.into_iter().enumerate() {
+        push_record(
+            &mut text,
+            n as Lsn + 1,
+            layout_fp,
+            &WalOp::Install { inputs_fp, cache },
+        );
+    }
+    text
+}
+
+/// Decodes a checkpoint against `layout`, whole or not at all: its
+/// entries, fingerprint-sorted as written, and the log LSN it covers.
+///
+/// # Errors
+///
+/// The typed [`IntegrityError`] of the first bad line (header or record),
+/// or [`IntegrityError::Malformed`] for a torn tail, an entry count that
+/// disagrees with the header, a record that is not an `install`, or a
+/// retired JSON bundle.
+pub fn decode_snapshot(
+    text: &str,
+    layout: &CacheLayout,
+) -> Result<(Vec<(u64, CacheBuf)>, Lsn), IntegrityError> {
+    if text.starts_with('{') {
+        return Err(IntegrityError::Malformed {
+            detail: "a JSON cache-store bundle (format 1 or 2) is not a `wal2` checkpoint"
+                .to_string(),
+        });
+    }
+    let Some((header, body)) = text.split_once('\n') else {
+        return Err(IntegrityError::Malformed {
+            detail: "checkpoint has no header line".to_string(),
+        });
+    };
+    let header = checked_body(header, &format!("{WAL_MAGIC} {CHECKPOINT_TAG} "))?;
+    check_layout(header, layout)?;
+    let cover = parse_count(record_field(header, "cover")?, "cover")?;
+    let count = parse_count(record_field(header, "entries")?, "entries")?;
+    let (records, _, damage) = scan_records(body, layout);
+    if let Some(e) = damage {
+        return Err(e);
+    }
+    if records.len() as u64 != count {
+        return Err(IntegrityError::Malformed {
+            detail: format!(
+                "header promises {count} entries, checkpoint holds {}",
+                records.len()
+            ),
+        });
+    }
+    let entries = records
+        .into_iter()
+        .map(|rec| match rec.op {
+            WalOp::Install { inputs_fp, cache } => Ok((inputs_fp, cache)),
+            WalOp::Invalidate { .. } => Err(IntegrityError::Malformed {
+                detail: format!("checkpoint record {} is not an install", rec.lsn),
+            }),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((entries, cover))
 }
 
 /// Replays scanned records over a base state (fingerprint → cache),
@@ -760,8 +936,8 @@ impl Wal {
                 .is_some_and(|n| g.appends_since_checkpoint >= n)
     }
 
-    /// Compacts the log into a checkpoint: snapshots `store`, writes it as
-    /// a cache-store bundle chained at the current last LSN, installs it
+    /// Compacts the log into a checkpoint: encodes `store` with
+    /// [`encode_snapshot`] chained at the current last LSN, installs it
     /// atomically, then truncates the log. The internal lock is held
     /// throughout, so no concurrent append can fall between the snapshot
     /// and the covered LSN.
@@ -786,17 +962,7 @@ impl Wal {
         // Buffered records are covered by this checkpoint's LSN; flush
         // them first so resetting the log afterwards cannot strand them.
         flush_inner(&mut g)?;
-        let cover = g.next_lsn - 1;
-        // Entries the tamper shadow disproves are skipped for the same
-        // reason `Session` never logs them: the bundle carries observed
-        // values only, so persisting one would re-seal corruption as truth.
-        let entries: Vec<(u64, CacheBuf)> = store
-            .snapshot()
-            .into_iter()
-            .filter(|(_, e)| e.cache.first_tampered_slot().is_none())
-            .map(|(fp, e)| (fp, e.cache))
-            .collect();
-        let text = cachefile::save_store_at(&entries, self.layout_fp, cover);
+        let text = encode_snapshot(store, self.layout_fp, g.next_lsn - 1);
         match g.fault {
             Some(Fault::TornWrite(_)) => {
                 // Torn temp write: the rename never happens; the previous
@@ -898,6 +1064,225 @@ mod tests {
         assert_eq!(decode_record(line.trim_end(), &l).unwrap().op, inv);
     }
 
+    /// A store holding `entries`, each sealed as the session seals it.
+    fn store_of(entries: &[(u64, CacheBuf)]) -> CacheStore {
+        let store = CacheStore::new(8);
+        for (fp, c) in entries {
+            let seal = c.content_hash();
+            store.insert(
+                *fp,
+                crate::store::StoreEntry {
+                    cache: c.clone(),
+                    seal,
+                },
+            );
+        }
+        store
+    }
+
+    fn round_trip(entries: &[(u64, CacheBuf)], l: &CacheLayout) -> Vec<(u64, CacheBuf)> {
+        let text = encode_snapshot(&store_of(entries), l.fingerprint(), 0);
+        decode_snapshot(&text, l).expect("decode").0
+    }
+
+    /// The on-disk text, byte for byte: an install line (a filled float,
+    /// a filled int, an unfilled slot), an invalidate line, and a
+    /// checkpoint. Any change here is a format change and bumps
+    /// [`WAL_MAGIC`].
+    #[test]
+    fn on_disk_text_is_pinned() {
+        let l = layout();
+        assert_eq!(l.fingerprint(), 0x8ff4_bb54_fe92_6e68);
+        let mut c = CacheBuf::new(3);
+        c.set(0, Value::Float(-0.0));
+        c.set(1, Value::Int(i64::MIN + 3));
+        let install = WalOp::Install {
+            inputs_fp: 0xdead_beef,
+            cache: c.clone(),
+        };
+        assert_eq!(
+            encode_record(7, l.fingerprint(), &install),
+            "wal2 lsn=7 op=install layout=0x8ff4bb54fe926e68 fp=0x00000000deadbeef \
+             slots=f:0x8000000000000000,i:0x8000000000000003,_ crc=0x6e9e3e6204f18341\n"
+        );
+        assert_eq!(
+            encode_record(8, l.fingerprint(), &WalOp::Invalidate { inputs_fp: 42 }),
+            "wal2 lsn=8 op=invalidate layout=0x8ff4bb54fe926e68 fp=0x000000000000002a \
+             crc=0x0b2aa20abb1f0c3c\n"
+        );
+        let mut d = CacheBuf::new(3);
+        d.set(2, Value::Bool(true));
+        let store = store_of(&[(0xdead_beef, c), (3, d)]);
+        assert_eq!(
+            encode_snapshot(&store, l.fingerprint(), 57),
+            "wal2 checkpoint cover=57 layout=0x8ff4bb54fe926e68 entries=2 crc=0xae8fda188a202359\n\
+             wal2 lsn=1 op=install layout=0x8ff4bb54fe926e68 fp=0x0000000000000003 \
+             slots=_,_,b:0x0000000000000001 crc=0x58f262cc235ede92\n\
+             wal2 lsn=2 op=install layout=0x8ff4bb54fe926e68 fp=0x00000000deadbeef \
+             slots=f:0x8000000000000000,i:0x8000000000000003,_ crc=0xce582093fc7f5684\n"
+        );
+    }
+
+    #[test]
+    fn snapshots_round_trip_bit_exactly_including_awkward_values() {
+        let l = layout();
+        let mut awkward = CacheBuf::new(3);
+        awkward.set(0, Value::Float(f64::NAN));
+        awkward.set(1, Value::Int(i64::MAX - 1)); // would lose precision as f64
+        let mut partial = CacheBuf::new(3);
+        partial.set(1, Value::Int(7));
+        let entries = vec![(11u64, cache(-0.0)), (22, awkward.clone()), (33, partial)];
+        let back = round_trip(&entries, &l);
+        assert_eq!(back.len(), 3);
+        for ((fp, c), (back_fp, back_c)) in entries.iter().zip(&back) {
+            assert_eq!(fp, back_fp);
+            assert_eq!(c.content_hash(), back_c.content_hash());
+        }
+        assert!(back[0].1.get(0).unwrap().bits_eq(&Value::Float(-0.0)));
+        assert!(back[1].1.get(0).unwrap().bits_eq(&Value::Float(f64::NAN)));
+        assert_eq!(back[1].1.get(1), Some(Value::Int(i64::MAX - 1)));
+        assert_eq!(back[2].1.filled(), 1);
+        assert_eq!(back[2].1.get(0), None);
+    }
+
+    /// Entries the tamper shadow disproves never reach the text: it
+    /// carries observed values only, so writing one would re-seal the
+    /// corruption as truth for the next reader.
+    /// A specialization that caches nothing still logs and recovers its
+    /// installs: `slots=` is an empty list.
+    #[test]
+    fn zero_slot_installs_round_trip() {
+        let l = CacheLayout::new([]);
+        let op = WalOp::Install {
+            inputs_fp: 5,
+            cache: CacheBuf::new(0),
+        };
+        let line = encode_record(1, l.fingerprint(), &op);
+        assert!(line.contains(" slots= crc="), "{line}");
+        assert_eq!(decode_record(line.trim_end(), &l).expect("decode").op, op);
+        assert_eq!(round_trip(&[(5, CacheBuf::new(0))], &l).len(), 1);
+    }
+
+    #[test]
+    fn snapshots_skip_tampered_entries() {
+        let l = layout();
+        let mut tampered = CacheBuf::new(3);
+        tampered.arm_write_fault(ds_interp::WriteFault::CorruptNth(0));
+        tampered.set(0, Value::Float(1.0));
+        assert!(tampered.first_tampered_slot().is_some());
+        let back = round_trip(&[(1, tampered), (2, cache(2.0))], &l);
+        let fps: Vec<u64> = back.iter().map(|(fp, _)| *fp).collect();
+        assert_eq!(fps, vec![2]);
+    }
+
+    #[test]
+    fn every_truncation_of_a_snapshot_is_malformed() {
+        let l = layout();
+        let text = encode_snapshot(
+            &store_of(&[(1, cache(1.0)), (2, cache(2.0))]),
+            l.fingerprint(),
+            3,
+        );
+        for cut in 0..text.len() {
+            let err = decode_snapshot(&text[..cut], &l).unwrap_err();
+            assert!(
+                matches!(err, IntegrityError::Malformed { .. }),
+                "cut at {cut}: {err}"
+            );
+        }
+        // A cut at a line boundary leaves every line whole: the header's
+        // count still rejects it.
+        let one_record = text.match_indices('\n').nth(1).unwrap().0 + 1;
+        assert_eq!(
+            decode_snapshot(&text[..one_record], &l).unwrap_err(),
+            IntegrityError::Malformed {
+                detail: "header promises 2 entries, checkpoint holds 1".to_string()
+            }
+        );
+    }
+
+    #[test]
+    fn a_corrupted_entry_rejects_the_whole_snapshot() {
+        let l = layout();
+        let text = encode_snapshot(
+            &store_of(&[(1, cache(1.0)), (2, cache(2.0))]),
+            l.fingerprint(),
+            0,
+        );
+        // Flip one hex digit inside the *second* entry's slot bits.
+        let idx = text.rfind("f:0x").expect("slot bits") + 5;
+        let mut bytes = text.into_bytes();
+        bytes[idx] = if bytes[idx] == b'0' { b'1' } else { b'0' };
+        let err = decode_snapshot(&String::from_utf8(bytes).unwrap(), &l).unwrap_err();
+        assert!(
+            matches!(err, IntegrityError::ChecksumMismatch { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_header_guards_cover_and_count() {
+        let l = layout();
+        let text = encode_snapshot(&store_of(&[(1, cache(1.0))]), l.fingerprint(), 57);
+        let (entries, cover) = decode_snapshot(&text, &l).expect("checkpoint");
+        assert_eq!((entries.len(), cover), (1, 57));
+        // Tampering with the chaining LSN must not silently change which
+        // log records recovery replays; nor may a count change.
+        for tampered in [
+            text.replace("cover=57", "cover=56"),
+            text.replace("entries=1", "entries=2"),
+        ] {
+            let err = decode_snapshot(&tampered, &l).unwrap_err();
+            assert!(
+                matches!(err, IntegrityError::ChecksumMismatch { .. }),
+                "{err}"
+            );
+        }
+        // A log is not a checkpoint: it has no header line.
+        let log = encode_record(1, l.fingerprint(), &WalOp::Invalidate { inputs_fp: 1 });
+        let err = decode_snapshot(&log, &l).unwrap_err();
+        assert!(matches!(err, IntegrityError::Malformed { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_of_another_layout_is_rejected() {
+        let l = layout();
+        let text = encode_snapshot(&store_of(&[(1, cache(1.0))]), l.fingerprint(), 0);
+        // Same slot count, different producing terms.
+        let other = CacheLayout::new([
+            (TermId(9), Type::Float, "a * b".to_string()),
+            (TermId(2), Type::Int, "n + 1".to_string()),
+            (TermId(3), Type::Bool, "p".to_string()),
+        ]);
+        let fewer = CacheLayout::new([(TermId(1), Type::Float, "a * b".to_string())]);
+        for other in [other, fewer] {
+            let err = decode_snapshot(&text, &other).unwrap_err();
+            assert!(
+                matches!(err, IntegrityError::LayoutMismatch { .. }),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn slot_type_drift_is_rejected_even_with_a_valid_checksum() {
+        // A text whose checksums are honest but whose slot type
+        // contradicts the layout: the per-slot type check is the last line
+        // of defense.
+        let l = layout();
+        let mut c = CacheBuf::new(3);
+        c.set(0, Value::Int(1)); // layout declares float
+        let text = encode_snapshot(&store_of(&[(0, c)]), l.fingerprint(), 0);
+        assert_eq!(
+            decode_snapshot(&text, &l).unwrap_err(),
+            IntegrityError::SlotTypeDrift {
+                slot: 0,
+                expected: Type::Float,
+                found: Type::Int
+            }
+        );
+    }
+
     #[test]
     fn appends_accumulate_and_scan_back() {
         let l = layout();
@@ -997,7 +1382,7 @@ mod tests {
         assert!(!wal.checkpoint_due());
         assert_eq!(wal.log_text().unwrap(), "", "log truncated");
         let ckpt = wal.checkpoint_text().unwrap().expect("installed");
-        let (entries, lsn) = cachefile::parse_store_with_lsn(&ckpt, &l).expect("valid bundle");
+        let (entries, lsn) = decode_snapshot(&ckpt, &l).expect("valid checkpoint");
         assert_eq!(entries.len(), 2);
         assert_eq!(lsn, 2, "covers both records");
     }
@@ -1068,7 +1453,7 @@ mod tests {
         assert_eq!(wal.pending_appends(), 0);
         assert_eq!(wal.log_text().unwrap(), "");
         let ckpt = wal.checkpoint_text().unwrap().expect("installed");
-        let (entries, lsn) = cachefile::parse_store_with_lsn(&ckpt, &l).expect("valid bundle");
+        let (entries, lsn) = decode_snapshot(&ckpt, &l).expect("valid checkpoint");
         assert_eq!(entries.len(), 3);
         assert_eq!(lsn, 3, "covers the buffered record too");
     }

@@ -3,8 +3,8 @@
 //! Every layer that fingerprints or checksums anything agrees on this
 //! hash: `ds-core` fingerprints cache layouts with it, `ds-interp` seals
 //! `CacheBuf` contents, and the runtime keys its polyvariant store on
-//! request fingerprints, checksums write-ahead-log records and
-//! cache-store bundles. Fingerprints and checksums are persisted, so the
+//! request fingerprints and checksums write-ahead-log records and
+//! checkpoints. Fingerprints and checksums are persisted, so the
 //! hash is fully specified here and never comes from `std::hash`, whose
 //! hashers may differ across platforms, releases and processes.
 //!
@@ -192,8 +192,8 @@ pub type StageSet<K> = std::collections::HashSet<K, BuildStageHasher>;
 mod tests {
     use super::*;
 
-    /// The hash is persisted (layout fingerprints, seals, log and bundle
-    /// checksums), so its values are part of the file formats: a change
+    /// The hash is persisted (layout fingerprints, seals, log and
+    /// checkpoint checksums), so its values are part of the file formats: a change
     /// here is a format break.
     #[test]
     fn golden_vectors() {

@@ -22,10 +22,11 @@ mod session;
 use std::sync::Arc;
 
 use ds_core::{specialize_source, InputPartition, SpecializeOptions};
+use ds_interp::CacheBuf;
 use ds_interp::{Engine, EvalOptions, Value};
 use ds_runtime::{
-    recover_or_degrade, Fault, FaultInjector, IntegrityError, LoadedCache, Policy, RunnerOptions,
-    RuntimeError, Session, Wal, WalError,
+    decode_snapshot, encode_snapshot, recover, recover_or_degrade, Fault, FaultInjector,
+    IntegrityError, Policy, RunnerOptions, RuntimeError, Session, Wal, WalError,
 };
 use paper::paper_examples;
 use session::{solo_session, STORE_CAPACITY};
@@ -267,17 +268,31 @@ fn truncation_and_fuel_faults_take_their_taxonomy_paths() {
     }
 }
 
-/// What a parsed cache file means: each entry's fingerprint and content.
-fn semantics(entries: &[LoadedCache]) -> Vec<(u64, u64)> {
+/// What a decoded cache file means: each entry's fingerprint and content.
+fn semantics(entries: &[(u64, CacheBuf)]) -> Vec<(u64, u64)> {
     entries
         .iter()
-        .map(|e| (e.inputs_fingerprint, e.cache.content_hash()))
+        .map(|(fp, cache)| (*fp, cache.content_hash()))
         .collect()
+}
+
+/// The cache file a `--cache-file` serve writes at exit: a checkpoint of
+/// the session's store that covers no log.
+fn cache_file_text(r: &Session) -> String {
+    encode_snapshot(r.store(), r.artifact().layout_fingerprint(), 0)
+}
+
+/// Decodes a cache file the way `--cache-file` adoption does.
+fn load(
+    text: &str,
+    spec: &ds_core::Specialization,
+) -> Result<Vec<(u64, CacheBuf)>, IntegrityError> {
+    decode_snapshot(text, &spec.layout).map(|(entries, _)| entries)
 }
 
 /// Every single-byte corruption and every truncation of a cache file is
 /// either rejected with a typed integrity error or — in the rare benign
-/// case — parses to a cache *semantically identical* to the original.
+/// case — decodes to a cache *semantically identical* to the original.
 /// There is no third outcome.
 #[test]
 fn damaged_cache_files_are_always_rejected_or_harmless() {
@@ -285,9 +300,9 @@ fn damaged_cache_files_are_always_rejected_or_harmless() {
     let mut r = solo_session(&spec, &part, RunnerOptions::default(), STORE_CAPACITY);
     let args = &paper_examples()[0].arg_sets[0];
     r.run(args).unwrap();
-    let text = r.save_store_text().expect("warm");
-    let pristine =
-        semantics(&ds_runtime::parse_store(&text, &spec.layout).expect("pristine loads"));
+    let text = cache_file_text(&r);
+    let pristine = semantics(&load(&text, &spec).expect("pristine loads"));
+    assert_eq!(pristine.len(), 1);
 
     // Exhaustive single-byte flips.
     let bytes = text.as_bytes();
@@ -295,7 +310,7 @@ fn damaged_cache_files_are_always_rejected_or_harmless() {
         let mut mutated = bytes.to_vec();
         mutated[i] ^= 1; // stays ASCII: still a valid String
         let mutated = String::from_utf8(mutated).unwrap();
-        match ds_runtime::parse_store(&mutated, &spec.layout) {
+        match load(&mutated, &spec) {
             Err(_) => {} // typed rejection: the required outcome
             Ok(loaded) => assert_eq!(
                 semantics(&loaded),
@@ -305,11 +320,10 @@ fn damaged_cache_files_are_always_rejected_or_harmless() {
         }
     }
 
-    // Every truncation point. Cuts that only shave trailing whitespace
-    // still parse — they must then be semantically identical; every cut
-    // into the document body must be rejected.
+    // Every truncation point: a cut either tears a line or drops whole
+    // records the header counts, so none may load differently.
     for cut in 0..text.len() {
-        match ds_runtime::parse_store(&text[..cut], &spec.layout) {
+        match load(&text[..cut], &spec) {
             Err(_) => {}
             Ok(loaded) => assert_eq!(
                 semantics(&loaded),
@@ -323,11 +337,11 @@ fn damaged_cache_files_are_always_rejected_or_harmless() {
     for seed in 0..32u64 {
         let mut inj = FaultInjector::new(seed);
         let corrupted = inj.corrupt_text(&text);
-        if let Ok(loaded) = ds_runtime::parse_store(&corrupted, &spec.layout) {
+        if let Ok(loaded) = load(&corrupted, &spec) {
             assert_eq!(semantics(&loaded), pristine);
         }
         assert!(
-            ds_runtime::parse_store(&inj.truncate_text(&text), &spec.layout).is_err(),
+            load(&inj.truncate_text(&text), &spec).is_err(),
             "seed {seed}: truncated file accepted"
         );
     }
@@ -342,17 +356,13 @@ fn cross_specialization_cache_files_are_rejected() {
     let mut a = solo_session(&spec_a, &part_a, RunnerOptions::default(), STORE_CAPACITY);
     let args = &paper_examples()[0].arg_sets[0];
     a.run(args).unwrap();
-    let text = a.save_store_text().unwrap();
+    let text = cache_file_text(&a);
 
     // Same program, different partition: different layout.
-    let (spec_b, part_b) = specialized(paper::DOTPROD_SRC, "dotprod", &["z1", "z2", "scale"]);
-    let mut b = solo_session(&spec_b, &part_b, RunnerOptions::default(), STORE_CAPACITY);
-    let err = b.load_cache_text(&text).unwrap_err();
+    let (spec_b, _) = specialized(paper::DOTPROD_SRC, "dotprod", &["z1", "z2", "scale"]);
+    let err = recover(Some(&text), "", &spec_b.layout).unwrap_err();
     assert!(
-        matches!(
-            err,
-            RuntimeError::Integrity(IntegrityError::LayoutMismatch { .. })
-        ),
+        matches!(err, IntegrityError::LayoutMismatch { .. }),
         "{err}"
     );
 
@@ -367,7 +377,8 @@ fn cross_specialization_cache_files_are_rejected() {
             },
             STORE_CAPACITY,
         );
-        fresh.load_cache_text(&text).expect("matching layout");
+        let rec = recover(Some(&text), "", &spec_a.layout).expect("matching layout");
+        fresh.adopt_recovery(&rec);
         assert!(checked_request(&mut fresh, args, "adopted cache"));
         assert_eq!(fresh.stats().loads, 0);
     }
